@@ -20,7 +20,6 @@ from .distributions import (
     TailParams,
     WellBehavedBounds,
     classify_tail,
-    erf_inverse,
     estimate_bounds,
     evaluate,
     hazard,
@@ -51,7 +50,6 @@ from .proxy import (
     ProxyCurve,
     ProxyPoint,
     ThresholdGap,
-    decision_boundary,
     discrete_proxy,
     proxy_curve,
     proxy_value,
@@ -75,11 +73,11 @@ __all__ = [
     "DistributionModel", "Exponential", "Lomax", "HalfGaussian",
     "StretchedExponential", "TailParams", "WellBehavedBounds", "TailClass",
     "evaluate", "quantile", "hazard", "sample", "classify_tail",
-    "estimate_bounds", "model_from_name", "erf_inverse",
+    "estimate_bounds", "model_from_name",
     "SortedSampleSplit", "DEGENERATE", "is_degenerate", "order_statistic_at",
     "two_scale_statistic", "single_scale_statistic",
     "ProxyCurve", "ProxyPoint", "ThresholdGap", "proxy_value",
-    "threshold_and_gap", "decision_boundary", "discrete_proxy", "proxy_curve",
+    "threshold_and_gap", "discrete_proxy", "proxy_curve",
     "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
     "required_buckets", "required_samples", "run_full_test", "run_weak_test",
     "FileFormat", "ReportFormat", "ReplicationReport", "load_samples",

@@ -8,14 +8,13 @@ to CSV), and ``complexity`` (bucket and sample budgets).
 Exit codes: 0 success, 1 domain or parse failure, 2 usage error; with
 ``--exit-verdict`` the ``test`` subcommand exits 3 for a heavy verdict
 and 4 for light.  Output files are written atomically (temp file then
-rename).  All output is byte-deterministic for a given seed; the
-optional ``--threads`` flag is accepted for pipeline compatibility and
-never affects results.
+rename).  All output is byte-deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -30,13 +29,13 @@ from .harness import (
     ReportFormat,
     load_samples,
     replicate,
+    run_replicates,
     run_sampled_test,
     serialize_report,
 )
 from .proxy import proxy_curve
 from .tester import (
     TestConfig,
-    TestOutcome,
     Variant,
     Verdict,
     required_buckets,
@@ -140,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=["text", "f64"], default="text",
                    help="text: one decimal per line; f64: packed little-endian doubles")
-    p.add_argument("--threads", type=int, default=None, help="accepted; never affects output")
 
     p = sub.add_parser("proxy", help="analytic proxy curve per bucket as CSV")
     _add_dist_args(p)
@@ -149,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0, help="density bound for the gap")
     p.add_argument("--b1", type=float, default=1.0, help="smoothness bound for the gap")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--threads", type=int, default=None, help="accepted; never affects output")
 
     p = sub.add_parser("test", help="run the heavy/light decision, write a JSON report")
     p.add_argument("--input", default=None, help="sample file to test instead of --dist")
@@ -167,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--exit-verdict", action="store_true",
                    help="exit 3 on heavy, 4 on light (otherwise always 0)")
-    p.add_argument("--threads", type=int, default=None, help="accepted; never affects output")
 
     p = sub.add_parser("simulate", help="repeated runs aggregated per bucket as CSV")
     _add_dist_args(p)
@@ -178,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(p)
     _add_variant_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--threads", type=int, default=None, help="accepted; never affects output")
 
     p = sub.add_parser("complexity", help="print bucket and sample budgets")
     p.add_argument("--alpha", type=float, required=True)
@@ -241,27 +236,18 @@ def _cmd_test(args) -> int:
     if args.input is not None:
         if args.reps is not None:
             raise ValueError("--reps only applies to --dist runs; file data is fixed")
-        if config.variant is Variant.WEAK:
-            split = load_samples(args.input, _file_format(args.format), split=False)
-            outcome = run_weak_test(split, config, seed=None)
-        else:
-            splits = load_samples(args.input, _file_format(args.format), split=True)
-            outcome = run_full_test(splits, config, seed=None)
+        weak = config.variant is Variant.WEAK
+        data = load_samples(args.input, _file_format(args.format), split=not weak)
+        outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
     else:
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
         if args.reps is not None:
-            if args.reps < 1:
-                raise ValueError("--reps must be >= 1")
-            outcomes = [run_sampled_test(model, args.n, args.seed + r, config)
-                        for r in range(args.reps)]
+            outcomes = run_replicates(model, args.reps, args.n, config, args.seed)
             heavies = sum(o.verdict is Verdict.HEAVY for o in outcomes)
             voted = Verdict.HEAVY if 2 * heavies > args.reps else Verdict.LIGHT
-            first = outcomes[0]
-            outcome = TestOutcome(verdict=voted, records=first.records,
-                                  k=first.k, n=first.n, seed=args.seed,
-                                  config=config)
+            outcome = dataclasses.replace(outcomes[0], verdict=voted)
         else:
             outcome = run_sampled_test(model, args.n, args.seed, config)
 
@@ -305,10 +291,7 @@ _HANDLERS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -6,8 +6,7 @@ analytic derivative.  All evaluators accept scalars or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
 from the open interval (0, 1) and maps them through the quantile
-function, so identical seeds give bit-identical output regardless of
-thread count.
+function, so identical seeds give bit-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, erfinv
 
 __all__ = [
     "DistributionModel",
@@ -37,84 +36,10 @@ __all__ = [
     "classify_tail",
     "estimate_bounds",
     "model_from_name",
-    "erf_inverse",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# inverse error function
-# ---------------------------------------------------------------------------
-
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile (relative error < 1.2e-9 on (0, 1)).  Two Newton corrections
-# against erf push erf_inverse below 1e-12 absolute error.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
-def _normal_quantile(p: np.ndarray) -> np.ndarray:
-    """Acklam's rational approximation to the standard normal quantile."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-
-    lower = p < _ACKLAM_SPLIT
-    upper = p > 1.0 - _ACKLAM_SPLIT
-    middle = ~(lower | upper)
-
-    if np.any(middle):
-        q = p[middle] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        out[middle] = q * num / den
-    if np.any(lower):
-        q = np.sqrt(-2.0 * np.log(p[lower]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-        out[lower] = num / den
-    if np.any(upper):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[upper]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-        out[upper] = -num / den
-    return out
-
-
-def erf_inverse(u):
-    """Inverse of erf on [0, 1), accurate to better than 1e-12 absolute.
-
-    Initial guess from the normal quantile, then two Newton steps
-    against the cdf residual; past u = 0.9 the residual is formed as
-    erfc(t) - (1-u) so the correction keeps full precision where erf
-    saturates.  Accepts scalars or arrays.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr >= 1.0)):
-        raise ValueError("erf_inverse requires 0 <= u < 1")
-    t = _normal_quantile((u_arr + 1.0) / 2.0) / _SQRT2
-    half_sqrt_pi = math.sqrt(math.pi) / 2.0
-    tail = u_arr > 0.9
-    complement = 1.0 - u_arr
-    for _ in range(2):
-        residual = np.where(tail, complement - erfc(t), erf(t) - u_arr)
-        t = t - residual * half_sqrt_pi * np.exp(t * t)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +130,7 @@ class DistributionModel:
         raise NotImplementedError
 
     def hazard_rate(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.pdf(x) / (1.0 - self.cdf(x))
+        raise NotImplementedError
 
     def hazard_derivative(self, x):
         raise NotImplementedError
@@ -315,7 +239,12 @@ class HalfGaussian(DistributionModel):
         return -(x / self.scale ** 2) * self.pdf(x)
 
     def quantile(self, u):
-        return self.scale * _SQRT2 * erf_inverse(u)
+        return self.scale * _SQRT2 * erfinv(u)
+
+    def hazard_rate(self, x):
+        # pdf / erfc rather than pdf / (1 - erf): 1 - erf cancels in the tail.
+        x = np.asarray(x, dtype=float)
+        return self.pdf(x) / erfc(x / (self.scale * _SQRT2))
 
     def hazard_derivative(self, x):
         x = np.asarray(x, dtype=float)

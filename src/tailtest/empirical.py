@@ -2,10 +2,12 @@
 
 A sorted sample split plays the role of an empirical quantile table:
 the value at fractional rank q is the order statistic with index
-round(q * (n+1)), which concentrates near Q(q).  The two-granularity
-statistic takes its four order statistics from four independent splits
-so the terms are independent; the single-granularity (weak) variant
-reads three coarse bucket endpoints from one split.
+round(q * (n+1)), which concentrates near Q(q).  Both bucket
+statistics are one four-point ratio read at two rank layouts: the
+two-granularity layout takes its four order statistics from four
+independent splits so the terms are independent; the single-granularity
+(weak) layout reads three coarse bucket endpoints from one split, the
+middle one twice.
 
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -66,17 +69,18 @@ class SortedSampleSplit:
         return cls(values=np.sort(arr, kind="stable"))
 
 
-def rank_index(n: int, q: float) -> int:
+def rank_index(n: int, q):
     """1-based order-statistic index for fractional rank q in (0, 1).
 
     round(q * (n+1)) with half rounded away from zero, clamped to
     [1, n]; the (n+1) centering matches where order statistics
-    concentrate.
+    concentrate.  Accepts a scalar or an array of ranks.
     """
-    if not (0.0 < q < 1.0):
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((0.0 < q_arr) & (q_arr < 1.0)):
         raise ValueError("fractional rank must lie in (0, 1)")
-    idx = int(math.floor(q * (n + 1) + 0.5))
-    return min(max(idx, 1), n)
+    idx = np.clip(np.floor(q_arr * (n + 1) + 0.5).astype(np.int64), 1, n)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def order_statistic_at(split: SortedSampleSplit, q: float) -> float:
@@ -84,10 +88,107 @@ def order_statistic_at(split: SortedSampleSplit, q: float) -> float:
     return float(split.values[rank_index(split.n, q) - 1])
 
 
-def _endpoint(split: SortedSampleSplit, q: float) -> tuple[float, float]:
-    """Order statistic plus its realized rank fraction idx/(n+1)."""
-    idx = rank_index(split.n, q)
-    return float(split.values[idx - 1]), idx / (split.n + 1)
+def length_and_change(upper, lower, upper_d, lower_d):
+    """Bucket length ``upper - lower`` and its change one coarse step up,
+    ``(upper_d - lower_d) - length``, elementwise."""
+    length = np.asarray(upper, dtype=float) - lower
+    return length, (np.asarray(upper_d, dtype=float) - lower_d) - length
+
+
+def four_point_ratio(upper, lower, upper_d, lower_d, k: int):
+    """The bucket statistic from four quantile-like values, elementwise.
+
+    length / (k * (change in length)), and DEGENERATE wherever the
+    length or its change is non-positive.
+    """
+    length, diff = length_and_change(upper, lower, upper_d, lower_d)
+    return np.divide(length, k * diff, out=np.full_like(length, DEGENERATE),
+                     where=(diff > 0.0) & (length > 0.0))
+
+
+def _null_se_two_scale(ranks, k: int, n: int, reference):
+    """Std. error of the four-split statistic under the exponential null.
+
+    First-order delta method on four independent order statistics whose
+    variances are q(1-q)/(n f^2); the local densities cancel against
+    the statistic's own length scales, leaving a function of the rank
+    fractions q and the reference value alone:
+    ref * (1 + k*ref) * sqrt(k^4/n * sum q(1-q)).
+    """
+    kt = k * reference
+    w_sum = (ranks * (1.0 - ranks)).sum(axis=0) * float(k) ** 4 / n
+    return np.abs(reference) * (1.0 + kt) * np.sqrt(w_sum)
+
+
+def _null_se_single_scale(ranks, k: int, n: int, reference):
+    """Std. error of the single-split statistic under the exponential null.
+
+    Spacings of order statistics from one sample are positively
+    correlated; accounting for the covariances, the relative variance
+    collapses to (1 - 1/k + 2*k*ref + 2*(k*ref)^2) * k/n.
+    """
+    kt = k * reference
+    rel2 = (1.0 - 1.0 / k + 2.0 * kt + 2.0 * kt * kt) * k / n
+    return np.abs(reference) * np.sqrt(rel2)
+
+
+@dataclass(frozen=True)
+class RankLayout:
+    """Where a bucket statistic reads the four arguments of four_point_ratio.
+
+    Bucket i reads endpoint j from split ``splits[j]`` at nominal rank
+    fraction ``fractions(i, k)[j]``; ``buckets(k)`` are the valid bucket
+    indices, every split needs ``min_n(k)`` samples, and
+    ``null_se(ranks, k, n, reference)`` is the statistic's standard
+    error under the exponential null.
+    """
+
+    splits: tuple[int, int, int, int]
+    fractions: Callable
+    buckets: Callable[[int], range]
+    min_n: Callable[[int], int]
+    null_se: Callable
+
+
+# Two granularities on four independent splits: fine buckets of width
+# 1/k^2 at masses i/k and (i+1)/k.
+FOUR_SPLIT = RankLayout(
+    (0, 1, 2, 3),
+    lambda i, k: ((i * k + 1) / (k * k), i / k, ((i + 1) * k + 1) / (k * k), (i + 1) / k),
+    lambda k: range(2, k - 1), lambda k: k * k, _null_se_two_scale)
+
+# Coarse buckets only, all from one split: the shared endpoint (i+1)/k
+# is both the top of bucket i and the bottom of bucket i+1.
+ONE_SPLIT = RankLayout(
+    (0, 0, 0, 0),
+    lambda i, k: ((i + 1) / k, i / k, (i + 2) / k, (i + 1) / k),
+    lambda k: range(1, k - 2), lambda k: k, _null_se_single_scale)
+
+
+def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
+    """Statistic at each bucket, plus the realized rank fractions.
+
+    The fractions, shape (4, len(buckets)), are idx/(n+1) for each
+    endpoint: what the index rounding actually landed on, where the
+    tester evaluates its reference curve.
+    """
+    if len(splits) != len(set(layout.splits)):
+        raise ValueError(f"exactly {len(set(layout.splits))} split(s) are required")
+    if k < 4:
+        raise ValueError("k must be >= 4")
+    valid = layout.buckets(k)
+    for i in buckets:
+        if i not in valid:
+            raise ValueError(f"bucket index {i} outside [{valid.start}, {valid.stop - 1}]")
+    n = splits[0].n
+    if any(s.n != n for s in splits):
+        raise ValueError("all four splits must hold the same number of samples")
+    if n < layout.min_n(k):
+        raise ValueError(f"need at least {layout.min_n(k)} samples per split, got {n}")
+
+    idx = rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
+    ends = [splits[s].values[idx[j] - 1] for j, s in enumerate(layout.splits)]
+    return four_point_ratio(*ends, k), idx / (n + 1)
 
 
 def two_scale_statistic(splits, i: int, k: int) -> float:
@@ -99,40 +200,7 @@ def two_scale_statistic(splits, i: int, k: int) -> float:
     from its own split.  Returns DEGENERATE when either length or the
     difference is non-positive.
     """
-    s, ranks = two_scale_statistic_with_ranks(splits, i, k)
-    return s
-
-
-def two_scale_statistic_with_ranks(splits, i: int, k: int):
-    """Statistic plus the four realized rank fractions (a, b, c, d).
-
-    Rank fractions are what the index rounding actually landed on; the
-    tester evaluates its reference curve at exactly these masses.
-    """
-    if len(splits) != 4:
-        raise ValueError("exactly four splits are required")
-    if k < 4:
-        raise ValueError("k must be >= 4")
-    if not (2 <= i <= k - 2):
-        raise ValueError(f"bucket index {i} outside [2, {k - 2}]")
-    n = splits[0].n
-    if any(s.n != n for s in splits):
-        raise ValueError("all four splits must hold the same number of samples")
-    if n < k * k:
-        raise ValueError(f"need at least k^2 = {k * k} samples per split, got {n}")
-
-    k2 = k * k
-    upper, q_a = _endpoint(splits[0], (i * k + 1) / k2)
-    lower, q_b = _endpoint(splits[1], i / k)
-    upper_d, q_c = _endpoint(splits[2], ((i + 1) * k + 1) / k2)
-    lower_d, q_d = _endpoint(splits[3], (i + 1) / k)
-
-    length = upper - lower
-    diff = (upper_d - lower_d) - length
-    ranks = (q_a, q_b, q_c, q_d)
-    if diff <= 0.0 or length <= 0.0:
-        return DEGENERATE, ranks
-    return length / (k * diff), ranks
+    return float(bucket_statistics(FOUR_SPLIT, splits, [i], k)[0][0])
 
 
 def single_scale_statistic(split: SortedSampleSplit, i: int, k: int) -> float:
@@ -144,26 +212,4 @@ def single_scale_statistic(split: SortedSampleSplit, i: int, k: int) -> float:
     sits near 1 - i/k.  Coarser than the four-split form (error O(1/k)
     instead of O(1/k^2) in the length scale) but needs only n >= k.
     """
-    s, ranks = single_scale_statistic_with_ranks(split, i, k)
-    return s
-
-
-def single_scale_statistic_with_ranks(split: SortedSampleSplit, i: int, k: int):
-    """Statistic plus the three realized rank fractions."""
-    if k < 4:
-        raise ValueError("k must be >= 4")
-    if not (1 <= i <= k - 3):
-        raise ValueError(f"bucket index {i} outside [1, {k - 3}]")
-    if split.n < k:
-        raise ValueError(f"need at least k = {k} samples, got {split.n}")
-
-    e0, q0 = _endpoint(split, i / k)
-    e1, q1 = _endpoint(split, (i + 1) / k)
-    e2, q2 = _endpoint(split, (i + 2) / k)
-
-    length = e1 - e0
-    diff = (e2 - e1) - length
-    ranks = (q0, q1, q2)
-    if diff <= 0.0 or length <= 0.0:
-        return DEGENERATE, ranks
-    return length / (k * diff), ranks
+    return float(bucket_statistics(ONE_SPLIT, [split], [i], k)[0][0])

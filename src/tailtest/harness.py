@@ -92,6 +92,14 @@ def run_sampled_test(model: DistributionModel, n: int, seed: int,
     return run_full_test(sample_splits(model, n, seed), config, seed=seed)
 
 
+def run_replicates(model: DistributionModel, reps: int, n: int, config: TestConfig,
+                   base_seed: int) -> tuple[TestOutcome, ...]:
+    """Run the configured tester reps times with seeds base_seed + index."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return tuple(run_sampled_test(model, n, base_seed + r, config) for r in range(reps))
+
+
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
               base_seed: int) -> ReplicationReport:
     """Run the configured tester reps times with seeds base_seed + index.
@@ -103,8 +111,8 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    seeds = tuple(base_seed + r for r in range(reps))
-    outcomes = [run_sampled_test(model, n, seed, config) for seed in seeds]
+    outcomes = run_replicates(model, reps, n, config, base_seed)
+    seeds = tuple(o.seed for o in outcomes)
 
     rows = []
     for j, record in enumerate(outcomes[0].records):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel, TailParams, WellBehavedBounds
+from .empirical import four_point_ratio, is_degenerate
 
 __all__ = [
     "ProxyPoint",
@@ -23,7 +24,6 @@ __all__ = [
     "ThresholdGap",
     "proxy_value",
     "threshold_and_gap",
-    "decision_boundary",
     "discrete_proxy",
     "proxy_curve",
 ]
@@ -90,31 +90,6 @@ def threshold_and_gap(z: float, tail: TailParams, bounds: WellBehavedBounds,
     return ThresholdGap(threshold=one_minus, gap=gap)
 
 
-def decision_boundary(z: float, tail: TailParams, bounds: WellBehavedBounds,
-                      denominator: float | None = None) -> float:
-    """threshold - gap/2, the asymptotic heavy/light decision line."""
-    tg = threshold_and_gap(z, tail, bounds, denominator)
-    return tg.threshold - tg.gap / 2.0
-
-
-def two_scale_ratio(i_at_z: float, i_above: float, i_at_zd: float,
-                    i_above_d: float, k: int) -> float:
-    """The two-granularity ratio from four quantile-like values.
-
-    ``i_at_z``/``i_above`` are values at masses z and z + 1/k^2;
-    ``i_at_zd``/``i_above_d`` the same pair shifted up by 1/k.  Raises
-    if the curvature term in the denominator is not positive.
-    """
-    num = i_above - i_at_z
-    den = i_above_d - i_at_zd - i_above + i_at_z
-    if not den > 0.0:
-        raise ValueError(
-            "non-positive curvature in discrete proxy; "
-            "quantile function is not strictly convex here"
-        )
-    return num / (k * den)
-
-
 def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
     """Two-granularity approximation of S at z = i/k.
 
@@ -127,11 +102,16 @@ def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
         raise ValueError("k must be >= 4")
     if not (1 <= i <= k - 2):
         raise ValueError(f"bucket index {i} outside [1, {k - 2}]")
-    z = i / k
-    d = 1.0 / (k * k)
-    step = 1.0 / k
-    q = model.quantile(np.array([z, z + d, z + step, z + step + d]))
-    return float(two_scale_ratio(q[0], q[1], q[2], q[3], k))
+    # The four-split layout's masses, formed as offsets from z = i/k; the
+    # layout's own (i*k+1)/k^2 can differ in the last bit.
+    z, d, step = i / k, 1.0 / (k * k), 1.0 / k
+    s = float(four_point_ratio(*model.quantile(np.array([z + d, z, z + step + d, z + step])), k))
+    if is_degenerate(s):
+        raise ValueError(
+            "non-positive curvature in discrete proxy; "
+            "quantile function is not strictly convex here"
+        )
+    return s
 
 
 def proxy_curve(model: DistributionModel, k: int, tail: TailParams,

@@ -27,12 +27,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .distributions import TailParams, WellBehavedBounds
 from .empirical import (
+    FOUR_SPLIT,
+    ONE_SPLIT,
+    RankLayout,
     SortedSampleSplit,
-    is_degenerate,
-    single_scale_statistic_with_ranks,
-    two_scale_statistic_with_ranks,
+    bucket_statistics,
+    length_and_change,
 )
 from .proxy import threshold_and_gap
 
@@ -160,71 +164,36 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
 
 
 # ---------------------------------------------------------------------------
-# reference curve and noise floor
+# the decision core
 # ---------------------------------------------------------------------------
 
-def _exp_quantile(q: float) -> float:
-    return -math.log1p(-q)
+def _decide(splits, config: TestConfig, layout: RankLayout, buckets,
+            seed: int | None) -> TestOutcome:
+    """Statistic, reference, noise floor and boundary for every bucket at once.
 
-
-def _reference_two_scale(ranks, k: int) -> float:
-    """Unit-exponential value of the four-split statistic at these ranks."""
-    q_a, q_b, q_c, q_d = ranks
-    num = _exp_quantile(q_a) - _exp_quantile(q_b)
-    den = (_exp_quantile(q_c) - _exp_quantile(q_d)) - num
-    return num / (k * den)
-
-
-def _reference_single_scale(ranks, k: int) -> float:
-    q0, q1, q2 = ranks
-    length = _exp_quantile(q1) - _exp_quantile(q0)
-    diff = (_exp_quantile(q2) - _exp_quantile(q1)) - length
-    return length / (k * diff)
-
-
-def _null_se_two_scale(ranks, k: int, n: int, reference: float) -> float:
-    """Std. error of the four-split statistic under the exponential null.
-
-    First-order delta method on four independent order statistics whose
-    variances are q(1-q)/(n f^2); the local densities cancel against
-    the statistic's own length scales, leaving a function of the rank
-    fractions q and the reference value alone:
-    ref * (1 + k*ref) * sqrt(k^4/n * sum q(1-q)).
+    Degenerate buckets count as above the boundary (extreme light
+    evidence) and can never produce a HEAVY verdict on their own.
     """
-    kt = k * reference
-    w_sum = sum(q * (1.0 - q) for q in ranks) * float(k) ** 4 / n
-    return abs(reference) * (1.0 + kt) * math.sqrt(w_sum)
+    k = config.k
+    s_hat, ranks = bucket_statistics(layout, splits, buckets, k)
+    n = splits[0].n
+    # math.log1p, not np.log1p: numpy's SIMD loop differs from it in the
+    # last bit on some inputs, which would change the pinned report bytes.
+    # The reference is the raw ratio, without the DEGENERATE mask: where
+    # rounding makes the exponential length shrink, it is negative.
+    length, diff = length_and_change(*-np.vectorize(math.log1p, otypes=[float])(-ranks))
+    reference = length / (k * diff)
+    se = layout.null_se(ranks, k, n, reference)
+    gap = np.array([threshold_and_gap(i / k, config.tail, config.bounds,
+                                      config.gap_denominator).gap for i in buckets])
+    boundary = reference - np.maximum(gap / 2.0, config.noise_sigmas * se)
+    degenerate = np.isinf(s_hat)
+    margin = np.where(degenerate, math.inf, s_hat - boundary)
 
-
-def _null_se_single_scale(k: int, n: int, reference: float) -> float:
-    """Std. error of the single-split statistic under the exponential null.
-
-    Spacings of order statistics from one sample are positively
-    correlated; accounting for the covariances, the relative variance
-    collapses to (1 - 1/k + 2*k*ref + 2*(k*ref)^2) * k/n.
-    """
-    kt = k * reference
-    rel2 = (1.0 - 1.0 / k + 2.0 * kt + 2.0 * kt * kt) * k / n
-    return abs(reference) * math.sqrt(rel2)
-
-
-def _boundary(config: TestConfig, z: float, reference: float, se: float) -> float:
-    tg = threshold_and_gap(z, config.tail, config.bounds, config.gap_denominator)
-    return reference - max(tg.gap / 2.0, config.noise_sigmas * se)
-
-
-def _record(i: int, s_hat: float, boundary: float) -> BucketRecord:
-    degenerate = is_degenerate(s_hat)
-    margin = math.inf if degenerate else s_hat - boundary
-    return BucketRecord(i=i, s_hat=s_hat, boundary=boundary,
-                        margin=margin, degenerate=degenerate)
-
-
-def _verdict(records) -> Verdict:
-    for r in records:
-        if not r.degenerate and r.s_hat < r.boundary:
-            return Verdict.HEAVY
-    return Verdict.LIGHT
+    records = tuple(BucketRecord(*row) for row in zip(
+        buckets, s_hat.tolist(), boundary.tolist(), margin.tolist(), degenerate.tolist()))
+    verdict = Verdict.HEAVY if np.any(~degenerate & (s_hat < boundary)) else Verdict.LIGHT
+    return TestOutcome(verdict=verdict, records=records, k=k, n=n, seed=seed, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +201,10 @@ def _verdict(records) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
-    """Four-split test over coarse buckets 2..k-2.
-
-    Degenerate buckets count as above the boundary (extreme light
-    evidence) and can never produce a HEAVY verdict on their own.
-    """
+    """Four-split test over coarse buckets 2..k-2."""
     if config.variant is not Variant.FULL:
         raise ValueError("config.variant must be FULL for run_full_test")
-    splits = list(splits)
-    k = config.k
-    records = []
-    for i in range(2, k - 1):
-        s_hat, ranks = two_scale_statistic_with_ranks(splits, i, k)
-        reference = _reference_two_scale(ranks, k)
-        se = _null_se_two_scale(ranks, k, splits[0].n, reference)
-        records.append(_record(i, s_hat, _boundary(config, i / k, reference, se)))
-    records = tuple(records)
-    return TestOutcome(verdict=_verdict(records), records=records,
-                       k=k, n=splits[0].n, seed=seed, config=config)
+    return _decide(list(splits), config, FOUR_SPLIT, FOUR_SPLIT.buckets(config.k), seed)
 
 
 def weak_scan_range(config: TestConfig) -> range:
@@ -257,8 +212,9 @@ def weak_scan_range(config: TestConfig) -> range:
     clipped to the statistic's valid range [1, k-3]."""
     c1, c2 = config.weak_range
     k = config.k
-    lo = max(math.ceil(c1 * k), 1)
-    hi = min(math.floor(c2 * k), k - 3)
+    valid = ONE_SPLIT.buckets(k)
+    lo = max(math.ceil(c1 * k), valid.start)
+    hi = min(math.floor(c2 * k), valid.stop - 1)
     if lo > hi:
         raise ValueError(f"weak range {config.weak_range} scans no bucket at k={k}")
     return range(lo, hi + 1)
@@ -269,13 +225,4 @@ def run_weak_test(split: SortedSampleSplit, config: TestConfig,
     """Single-split test scanning the configured middle bucket range."""
     if config.variant is not Variant.WEAK:
         raise ValueError("config.variant must be WEAK for run_weak_test")
-    k = config.k
-    records = []
-    for i in weak_scan_range(config):
-        s_hat, ranks = single_scale_statistic_with_ranks(split, i, k)
-        reference = _reference_single_scale(ranks, k)
-        se = _null_se_single_scale(k, split.n, reference)
-        records.append(_record(i, s_hat, _boundary(config, i / k, reference, se)))
-    records = tuple(records)
-    return TestOutcome(verdict=_verdict(records), records=records,
-                       k=k, n=split.n, seed=seed, config=config)
+    return _decide([split], config, ONE_SPLIT, weak_scan_range(config), seed)

@@ -191,7 +191,7 @@ def test_both_input_and_dist_rejected(tmp_path):
     ("proxy", ["--dist", "--params", "--k", "--alpha", "--beta", "--b1", "--out"]),
     ("test", ["--input", "--dist", "--n", "--seed", "--k", "--alpha", "--rho",
               "--beta", "--b1", "--b2", "--weak", "--c1", "--c2", "--reps",
-              "--exit-verdict", "--threads"]),
+              "--exit-verdict"]),
     ("simulate", ["--dist", "--reps", "--k", "--n", "--seed", "--out"]),
     ("complexity", ["--alpha", "--rho", "--beta", "--b1", "--b2", "--ck", "--cn"]),
 ])
@@ -202,12 +202,3 @@ def test_help_lists_flags(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text
-
-
-def test_threads_flag_accepted_and_inert(tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    base = ["sample", "--dist", "exponential", "--params", "lambda=1",
-            "--n", "100", "--seed", "9"]
-    assert run_cli(base + ["--out", str(a)]) == 0
-    assert run_cli(base + ["--out", str(b), "--threads", "8"]) == 0
-    assert a.read_bytes() == b.read_bytes()

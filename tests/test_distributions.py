@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfinv as scipy_erfinv
 
 import tailtest as tt
 from tailtest import (
@@ -120,17 +119,10 @@ def test_pdf_monotone_cdf_monotone(model):
 # inverse error function
 # ---------------------------------------------------------------------------
 
-def test_erf_inverse_matches_scipy():
-    us = np.linspace(0.0, 0.999999, 20_001)
-    mine = tt.erf_inverse(us)
-    ref = scipy_erfinv(us)
-    assert np.max(np.abs(mine - ref)) <= 1e-12
-
-
 def test_erf_inverse_domain():
     with pytest.raises(ValueError):
-        tt.erf_inverse(1.0)
-    assert tt.erf_inverse(0.0) == 0.0
+        tt.quantile(HalfGaussian(1.0), 1.0)
+    assert tt.quantile(HalfGaussian(1.0), 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +149,14 @@ def test_hazard_halfgaussian_at_origin():
     # flat density at the origin, so the derivative is rate squared
     assert h.rate_derivative == pytest.approx(f0 * f0, rel=1e-12)
     assert h.rate_derivative == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [6.0, 8.0, 9.0])
+def test_hazard_halfgaussian_deep_tail(x):
+    # 1 - erf(x/sqrt 2) cancels out here; the survival must come from erfc
+    pdf = 2.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * x * x)
+    want = pdf / math.erfc(x / math.sqrt(2.0))
+    assert float(HalfGaussian(1.0).hazard_rate(x)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -93,7 +93,6 @@ def test_gap_direct_substitution():
     tail = TailParams(0.25, 0.5)
     tg = tt.threshold_and_gap(0.5, tail, bounds)
     assert tg.gap == pytest.approx(0.0625)
-    assert tt.decision_boundary(0.5, tail, bounds) == pytest.approx(0.46875)
     assert tt.threshold_and_gap(0.9, tail, bounds).gap == pytest.approx(0.0025)
 
 
