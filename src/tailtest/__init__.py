@@ -38,22 +38,18 @@ from .empirical import (
 from .harness import (
     FileFormat,
     ReplicationReport,
-    ReportFormat,
     load_samples,
     replicate,
     run_sampled_test,
     sample_single,
     sample_splits,
-    write_report,
 )
 from .proxy import (
-    ProxyCurve,
     ProxyPoint,
-    ThresholdGap,
     discrete_proxy,
     proxy_curve,
     proxy_value,
-    threshold_and_gap,
+    separation_gap,
 )
 from .tester import (
     BucketRecord,
@@ -76,11 +72,9 @@ __all__ = [
     "estimate_bounds", "model_from_name",
     "SortedSampleSplit", "DEGENERATE", "is_degenerate", "order_statistic_at",
     "two_scale_statistic", "single_scale_statistic",
-    "ProxyCurve", "ProxyPoint", "ThresholdGap", "proxy_value",
-    "threshold_and_gap", "discrete_proxy", "proxy_curve",
+    "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
     "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
     "required_buckets", "required_samples", "run_full_test", "run_weak_test",
-    "FileFormat", "ReportFormat", "ReplicationReport", "load_samples",
-    "replicate", "run_sampled_test", "sample_single", "sample_splits",
-    "write_report",
+    "FileFormat", "ReplicationReport", "load_samples", "replicate",
+    "run_sampled_test", "sample_single", "sample_splits",
 ]

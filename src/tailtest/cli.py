@@ -26,7 +26,7 @@ from . import distributions
 from .distributions import TailParams, WellBehavedBounds, model_from_name
 from .harness import (
     FileFormat,
-    ReportFormat,
+    csv_bytes,
     load_samples,
     replicate,
     run_replicates,
@@ -176,15 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("complexity", help="print bucket and sample budgets")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--b1", type=float, required=True)
-    p.add_argument("--b2", type=float, required=True)
+    _add_bounds_args(p)
     p.add_argument("--ck", type=float, default=1.0, help="bucket-count constant (default 1)")
     p.add_argument("--cn", type=float, default=1.0, help="sample-count constant (default 1)")
-    p.add_argument("--zeta", type=float, default=None,
-                   help="edge margin recorded with the bounds (default 1/(2k))")
 
     return top
 
@@ -217,14 +211,9 @@ def _cmd_proxy(args) -> int:
     tail = TailParams(alpha=args.alpha, rho=0.5)
     bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=1.0,
                                zeta=1.0 / (2 * args.k))
-    curve = proxy_curve(model, args.k, tail, bounds)
-    lines = ["i,z,proxy_s,s_tilde,threshold,gap"]
-    for i, p in zip(range(2, args.k - 1), curve.entries):
-        lines.append(",".join([
-            str(i), repr(p.z), repr(p.s), repr(p.s_tilde),
-            repr(p.threshold), repr(p.gap),
-        ]))
-    _atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    rows = [(i, p.z, p.s, p.s_tilde, p.threshold, p.gap)
+            for i, p in zip(range(2, args.k - 1), proxy_curve(model, args.k, tail, bounds))]
+    _atomic_write(args.out, csv_bytes("i,z,proxy_s,s_tilde,threshold,gap", rows))
     return EXIT_OK
 
 
@@ -251,7 +240,7 @@ def _cmd_test(args) -> int:
         else:
             outcome = run_sampled_test(model, args.n, args.seed, config)
 
-    payload = serialize_report(outcome, ReportFormat.JSON)
+    payload = serialize_report(outcome)
     if args.out is not None:
         _atomic_write(args.out, payload)
     else:
@@ -265,7 +254,7 @@ def _cmd_simulate(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     config = _make_config(args, args.k)
     report = replicate(model, args.reps, args.n, config, args.seed)
-    _atomic_write(args.out, serialize_report(report, ReportFormat.CSV))
+    _atomic_write(args.out, serialize_report(report))
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Closed-form distribution families on [0, inf) with monotone densities.
 
 Every family exposes the quartet the rest of the library is built on:
-pdf, cdf, pdf derivative, and quantile, plus the hazard rate and its
-analytic derivative.  All evaluators accept scalars or numpy arrays.
+pdf, cdf, pdf derivative, and quantile, plus the survival function, the
+hazard rate and its analytic derivative.  All evaluators accept scalars
+or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
 from the open interval (0, 1) and maps them through the quantile
@@ -110,17 +111,19 @@ class HazardValue:
 class DistributionModel:
     """Base for the analytic families.
 
-    Subclasses supply vectorized pdf/cdf/pdf_derivative/quantile plus the
+    Subclasses supply vectorized pdf/cdf/sf/pdf_derivative/quantile plus the
     analytic hazard rate and its derivative.  The pdf is non-increasing on
     [0, inf) for every admissible parameterization.
     """
-
-    name: str = "model"
 
     def pdf(self, x):
         raise NotImplementedError
 
     def cdf(self, x):
+        raise NotImplementedError
+
+    def sf(self, x):
+        """Survival 1 - cdf, computed without the cancellation of 1 - cdf."""
         raise NotImplementedError
 
     def pdf_derivative(self, x):
@@ -135,20 +138,12 @@ class DistributionModel:
     def hazard_derivative(self, x):
         raise NotImplementedError
 
-    def params(self) -> dict[str, float]:
-        raise NotImplementedError
-
-    def label(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
-        return f"{self.name}({inner})"
-
 
 @dataclass(frozen=True)
 class Exponential(DistributionModel):
     """Density rate*exp(-rate*x); the boundary case between tail classes."""
 
     rate: float = 1.0
-    name = "exponential"
 
     def __post_init__(self):
         if not self.rate > 0.0:
@@ -159,6 +154,9 @@ class Exponential(DistributionModel):
 
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
+
+    def sf(self, x):
+        return np.exp(-self.rate * np.asarray(x, dtype=float))
 
     def pdf_derivative(self, x):
         return -self.rate * self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
@@ -172,9 +170,6 @@ class Exponential(DistributionModel):
     def hazard_derivative(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def params(self):
-        return {"lambda": self.rate}
-
 
 @dataclass(frozen=True)
 class Lomax(DistributionModel):
@@ -182,7 +177,6 @@ class Lomax(DistributionModel):
 
     shape: float = 1.0
     scale: float = 1.0
-    name = "lomax"
 
     def __post_init__(self):
         if not self.shape > 0.0:
@@ -198,6 +192,9 @@ class Lomax(DistributionModel):
         t = 1.0 + np.asarray(x, dtype=float) / self.scale
         return 1.0 - t ** -self.shape
 
+    def sf(self, x):
+        return (1.0 + np.asarray(x, dtype=float) / self.scale) ** -self.shape
+
     def pdf_derivative(self, x):
         t = 1.0 + np.asarray(x, dtype=float) / self.scale
         return -(self.shape * (self.shape + 1.0) / self.scale ** 2) * t ** -(self.shape + 2.0)
@@ -212,16 +209,12 @@ class Lomax(DistributionModel):
     def hazard_derivative(self, x):
         return -self.shape / (self.scale + np.asarray(x, dtype=float)) ** 2
 
-    def params(self):
-        return {"a": self.shape, "lambda": self.scale}
-
 
 @dataclass(frozen=True)
 class HalfGaussian(DistributionModel):
     """Positive half of a centered Gaussian; increasing hazard rate."""
 
     scale: float = 1.0
-    name = "halfgaussian"
 
     def __post_init__(self):
         if not self.scale > 0.0:
@@ -234,6 +227,9 @@ class HalfGaussian(DistributionModel):
     def cdf(self, x):
         return erf(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
+    def sf(self, x):
+        return erfc(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
+
     def pdf_derivative(self, x):
         x = np.asarray(x, dtype=float)
         return -(x / self.scale ** 2) * self.pdf(x)
@@ -242,17 +238,12 @@ class HalfGaussian(DistributionModel):
         return self.scale * _SQRT2 * erfinv(u)
 
     def hazard_rate(self, x):
-        # pdf / erfc rather than pdf / (1 - erf): 1 - erf cancels in the tail.
-        x = np.asarray(x, dtype=float)
-        return self.pdf(x) / erfc(x / (self.scale * _SQRT2))
+        return self.pdf(x) / self.sf(x)
 
     def hazard_derivative(self, x):
         x = np.asarray(x, dtype=float)
         h = self.hazard_rate(x)
         return h * (h - x / self.scale ** 2)
-
-    def params(self):
-        return {"sigma": self.scale}
 
 
 @dataclass(frozen=True)
@@ -266,7 +257,6 @@ class StretchedExponential(DistributionModel):
 
     rate: float = 1.0
     exponent: float = 0.5
-    name = "stretchedexponential"
 
     def __post_init__(self):
         if not self.rate > 0.0:
@@ -288,6 +278,9 @@ class StretchedExponential(DistributionModel):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return -np.expm1(-self.rate * x ** self.exponent)
+
+    def sf(self, x):
+        return np.exp(-self.rate * np.asarray(x, dtype=float) ** self.exponent)
 
     def pdf_derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -319,9 +312,6 @@ class StretchedExponential(DistributionModel):
                 x > 0.0, self.rate * m * (m - 1.0) * x ** (m - 2.0), -np.inf
             )
 
-    def params(self):
-        return {"gamma": self.rate, "m": self.exponent}
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -352,13 +342,12 @@ def quantile(model: DistributionModel, u):
 def hazard(model: DistributionModel, x: float) -> HazardValue:
     """Hazard rate f/(1-F) and its analytic derivative at x >= 0.
 
-    Refuses points where 1 - F(x) underflows to zero; the hazard
-    convention there is undefined.
+    Refuses points where the survival 1 - F(x) underflows to zero; the
+    hazard convention there is undefined.
     """
     if not (np.ndim(x) == 0 and x >= 0.0):
         raise ValueError("x must be a scalar >= 0")
-    survival = 1.0 - float(model.cdf(x))
-    if survival <= 0.0:
+    if not float(model.sf(x)) > 0.0:
         raise ValueError(f"survival function underflowed to zero at x={x!r}")
     return HazardValue(
         rate=float(model.hazard_rate(x)),
@@ -385,21 +374,18 @@ def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
     return model.quantile(_open_uniform(int(n), seed))
 
 
-def classify_tail(model: DistributionModel, tail: TailParams,
-                  grid_size: int = 10_000) -> TailClass:
+def classify_tail(model: DistributionModel, tail: TailParams) -> TailClass:
     """Ground-truth oracle for the tail class of an analytic model.
 
     Evaluates the hazard derivative on the quantile grid x = Q(j/g) for
-    j = 0..g-1.  LIGHT if the derivative is >= -1e-12 everywhere (the
-    tolerance absorbs round-off in the exponential's exactly-zero
-    derivative).  HEAVY_AT_LEAST if some contiguous run of grid cells
+    j = 0..g-1, g = 10,000.  LIGHT if the derivative is >= -1e-12
+    everywhere (the tolerance absorbs round-off in the exponential's
+    exactly-zero derivative).  HEAVY_AT_LEAST if some contiguous run of grid cells
     with derivative < -alpha carries mass >= rho, counting each grid
     point as owning the mass cell [j/g, (j+1)/g) to its right.
     Otherwise INDETERMINATE.
     """
-    g = int(grid_size)
-    if g < 100:
-        raise ValueError("grid_size must be >= 100")
+    g = 10_000
     u = np.arange(g, dtype=float) / g
     x = model.quantile(u)
     deriv = np.asarray(model.hazard_derivative(x), dtype=float)

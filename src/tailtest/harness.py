@@ -5,6 +5,10 @@ deals them round-robin before sorting, exactly how a sample file is
 split on ingestion, so piping a file through ``load_samples`` and
 testing it gives the same verdict as testing the seeded stream
 directly.
+
+Each report type has one format: ``serialize_report`` writes a
+TestOutcome as JSON and a ReplicationReport as CSV.  ``csv_bytes`` is
+the one CSV writer; the CLI's proxy table goes through it too.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from . import distributions
 
 __all__ = [
     "FileFormat",
-    "ReportFormat",
     "ReplicationRow",
     "ReplicationReport",
     "sample_single",
@@ -33,18 +36,14 @@ __all__ = [
     "run_sampled_test",
     "replicate",
     "load_samples",
-    "write_report",
+    "csv_bytes",
+    "serialize_report",
 ]
 
 
 class FileFormat(Enum):
     TEXT = "text"
     RAW_F64 = "f64"
-
-
-class ReportFormat(Enum):
-    JSON = "json"
-    CSV = "csv"
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,6 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal (>= 12 significant digits where needed)."""
-    return repr(float(value))
-
-
 def _outcome_json(outcome: TestOutcome) -> dict:
     cfg = outcome.config
     buckets = []
@@ -236,67 +230,25 @@ def _outcome_json(outcome: TestOutcome) -> dict:
     }
 
 
-def _csv_lines(rows) -> list[str]:
-    lines = ["i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary"]
-    for r in rows:
-        lines.append(",".join([
-            str(r[0]), _fmt(r[1]), _fmt(r[2]), _fmt(r[3]), _fmt(r[4]), _fmt(r[5]),
-        ]))
-    return lines
+def csv_bytes(header: str, rows) -> bytes:
+    """CSV with one row per bucket: its integer index, then its values as
+    shortest round-trip decimals (>= 12 significant digits where needed)."""
+    lines = [header] + [",".join([str(r[0]), *(repr(float(v)) for v in r[1:])])
+                        for r in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _replication_json(report: ReplicationReport) -> dict:
-    return {
-        "reps": report.reps,
-        "seeds": list(report.seeds),
-        "rows": [{
-            "i": r.i,
-            "s_hat_mean": None if math.isnan(r.s_hat_mean) else r.s_hat_mean,
-            "s_hat_std": None if math.isnan(r.s_hat_std) else r.s_hat_std,
-            "proxy_s": r.proxy_s,
-            "threshold": r.threshold,
-            "boundary": r.boundary,
-            "degenerate_count": r.degenerate_count,
-        } for r in report.rows],
-    }
+def serialize_report(report) -> bytes:
+    """Stable bytes of a TestOutcome as JSON or a ReplicationReport as CSV.
 
-
-def serialize_report(report, fmt: ReportFormat = ReportFormat.JSON) -> bytes:
-    """Serialize a TestOutcome or ReplicationReport to stable bytes.
-
-    Outcome JSON follows the fixed report schema; replication JSON holds
-    reps, seeds and per-bucket rows.  CSV rows are 'i,s_hat_mean,
-    s_hat_std,proxy_s,threshold,boundary'; a single outcome serializes
-    with std 0 and proxy_s nan (no analytic model is attached to an
-    outcome).
+    Outcome JSON follows the fixed report schema; replication CSV rows
+    are 'i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary'.
     """
-    if fmt is ReportFormat.JSON:
-        if isinstance(report, TestOutcome):
-            doc = _outcome_json(report)
-        elif isinstance(report, ReplicationReport):
-            doc = _replication_json(report)
-        else:
-            raise ValueError(f"cannot serialize {type(report).__name__}")
-        text = json.dumps(doc, indent=2, allow_nan=False)
+    if isinstance(report, TestOutcome):
+        text = json.dumps(_outcome_json(report), indent=2, allow_nan=False)
         return (text + "\n").encode("utf-8")
-
     if isinstance(report, ReplicationReport):
-        rows = [(r.i, r.s_hat_mean, r.s_hat_std, r.proxy_s, r.threshold, r.boundary)
-                for r in report.rows]
-    elif isinstance(report, TestOutcome):
-        rows = [(r.i, r.s_hat if not r.degenerate else math.nan, 0.0, math.nan,
-                 1.0 - r.i / report.k, r.boundary)
-                for r in report.records]
-    else:
-        raise ValueError(f"cannot serialize {type(report).__name__}")
-    return ("\n".join(_csv_lines(rows)) + "\n").encode("utf-8")
-
-
-def write_report(report, sink, fmt: ReportFormat = ReportFormat.JSON) -> bytes:
-    """Serialize and write to a path or binary file object; returns the bytes."""
-    payload = serialize_report(report, fmt)
-    if hasattr(sink, "write"):
-        sink.write(payload)
-    else:
-        Path(sink).write_bytes(payload)
-    return payload
+        return csv_bytes("i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary",
+                         [(r.i, r.s_hat_mean, r.s_hat_std, r.proxy_s, r.threshold,
+                           r.boundary) for r in report.rows])
+    raise ValueError(f"cannot serialize {type(report).__name__}")

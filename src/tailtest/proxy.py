@@ -4,9 +4,11 @@ For a monotone density the quantity S(z) = -f(x)^2 / f'(x) at
 x = Q(z) equals the ratio of the equal-weight bucket length to its rate
 of change.  S sits above 1 - z exactly when the hazard rate is
 non-decreasing, and a hazard drop of alpha pushes S below 1 - z by at
-least alpha*(1-z)^2 / (beta^3 * B1), the "gap".  Everything here is
-computed from analytic models; the sample-side counterpart lives in
-``tailtest.empirical``.
+least alpha*(1-z)^2 / (beta^3 * B1), the "gap", which
+``separation_gap`` computes for one z or an array of them.
+``proxy_curve`` tabulates S, its discretization, 1 - z and the gap per
+coarse bucket.  Everything here is computed from analytic models; the
+sample-side counterpart lives in ``tailtest.empirical``.
 """
 
 from __future__ import annotations
@@ -20,19 +22,11 @@ from .empirical import four_point_ratio, is_degenerate
 
 __all__ = [
     "ProxyPoint",
-    "ProxyCurve",
-    "ThresholdGap",
     "proxy_value",
-    "threshold_and_gap",
+    "separation_gap",
     "discrete_proxy",
     "proxy_curve",
 ]
-
-
-@dataclass(frozen=True)
-class ThresholdGap:
-    threshold: float
-    gap: float
 
 
 @dataclass(frozen=True)
@@ -42,17 +36,6 @@ class ProxyPoint:
     s_tilde: float
     threshold: float
     gap: float
-
-
-@dataclass(frozen=True)
-class ProxyCurve:
-    entries: tuple[ProxyPoint, ...]
-    k: int
-
-    def __post_init__(self):
-        zs = [p.z for p in self.entries]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise ValueError("curve entries must have strictly increasing z")
 
 
 def proxy_value(model: DistributionModel, z: float) -> float:
@@ -73,21 +56,17 @@ def proxy_value(model: DistributionModel, z: float) -> float:
     return -(f * f) / fprime
 
 
-def threshold_and_gap(z: float, tail: TailParams, bounds: WellBehavedBounds,
-                      denominator: float | None = None) -> ThresholdGap:
-    """Threshold 1 - z and separation gap alpha*(1-z)^2 / denominator.
+def separation_gap(z, tail: TailParams, bounds: WellBehavedBounds):
+    """Gap alpha*(1-z)^2 / (beta^3 * b1) below the threshold 1 - z.
 
-    The denominator defaults to beta^3 * b1 and may be overridden; the
-    tester subtracts half the gap from the threshold when deciding.
+    Accepts a scalar or an array of z in (0, 1); the tester subtracts
+    half the gap from its reference when deciding.
     """
-    if not (0.0 < z < 1.0):
+    z = np.asarray(z, dtype=float)
+    if not np.all((0.0 < z) & (z < 1.0)):
         raise ValueError("z must lie in (0, 1)")
-    d = bounds.beta ** 3 * bounds.b1 if denominator is None else float(denominator)
-    if not d > 0.0:
-        raise ValueError("gap denominator must be > 0")
-    one_minus = 1.0 - z
-    gap = tail.alpha * one_minus * one_minus / d
-    return ThresholdGap(threshold=one_minus, gap=gap)
+    om = 1.0 - z
+    return tail.alpha * om * om / (bounds.beta ** 3 * bounds.b1)
 
 
 def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
@@ -115,20 +94,11 @@ def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
 
 
 def proxy_curve(model: DistributionModel, k: int, tail: TailParams,
-                bounds: WellBehavedBounds,
-                denominator: float | None = None) -> ProxyCurve:
-    """Exact proxy, discrete proxy, threshold and gap per coarse bucket."""
+                bounds: WellBehavedBounds) -> tuple[ProxyPoint, ...]:
+    """Exact proxy, discrete proxy, threshold and gap per coarse bucket 2..k-2."""
     if k < 4:
         raise ValueError("k must be >= 4")
-    points = []
-    for i in range(2, k - 1):
-        z = i / k
-        tg = threshold_and_gap(z, tail, bounds, denominator)
-        points.append(ProxyPoint(
-            z=z,
-            s=proxy_value(model, z),
-            s_tilde=discrete_proxy(model, i, k),
-            threshold=tg.threshold,
-            gap=tg.gap,
-        ))
-    return ProxyCurve(entries=tuple(points), k=k)
+    return tuple(ProxyPoint(z=i / k, s=proxy_value(model, i / k),
+                            s_tilde=discrete_proxy(model, i, k), threshold=1.0 - i / k,
+                            gap=float(separation_gap(i / k, tail, bounds)))
+                 for i in range(2, k - 1))

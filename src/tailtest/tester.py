@@ -11,11 +11,16 @@ The boundary at bucket i is built from two pieces:
   1 - i/k as k grows but, unlike 1 - i/k, is exact at finite k, where
   both estimators sit a systematic O(1/k) below their limits;
 
-* a safety margin: half the separation gap from the smoothness bounds,
-  or the statistic's standard error under the exponential null scaled
-  by ``noise_sigmas``, whichever is larger.  The standard error has a
+* a safety margin: half the separation gap
+  alpha*(1 - i/k)^2 / (beta^3 * b1) from the smoothness bounds, or the
+  statistic's standard error under the exponential null scaled by
+  ``noise_sigmas``, whichever is larger.  The standard error has a
   closed form in the rank fractions alone, so boundaries are
   deterministic given (n, k) and invariant to scaling of the data.
+
+Both variants make one array pass over their buckets: the full test
+reads the four-split rank layout at buckets 2..k-2, the weak test the
+one-split layout over its configured scan range.
 
 ``noise_sigmas`` defaults to 4.0, an empirically fixed working
 constant; the asymptotic theory leaves all such constants free.
@@ -38,7 +43,7 @@ from .empirical import (
     bucket_statistics,
     length_and_change,
 )
-from .proxy import threshold_and_gap
+from .proxy import separation_gap
 
 __all__ = [
     "Variant",
@@ -67,9 +72,8 @@ class Verdict(Enum):
 class TestConfig:
     """Everything the decision procedure needs besides the samples.
 
-    ``constants`` are the (c_k, c_n) multipliers for the bucket/sample
-    calculators; ``gap_denominator`` overrides the default beta^3 * b1
-    in the gap; ``noise_sigmas`` scales the per-bucket noise floor.
+    ``weak_range`` is the (c1, c2) mass range the weak test scans;
+    ``noise_sigmas`` scales the per-bucket noise floor.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -79,9 +83,7 @@ class TestConfig:
     k: int
     variant: Variant = Variant.FULL
     weak_range: tuple[float, float] = (0.1, 0.8)
-    constants: tuple[float, float] = (1.0, 1.0)
     noise_sigmas: float = 4.0
-    gap_denominator: float | None = None
 
     def __post_init__(self):
         if self.k < 4:
@@ -100,8 +102,6 @@ class TestConfig:
             raise ValueError("weak_range must satisfy 0 < c1 < c2 < 1")
         if not self.noise_sigmas >= 0.0:
             raise ValueError("noise_sigmas must be >= 0")
-        if self.gap_denominator is not None and not self.gap_denominator > 0.0:
-            raise ValueError("gap_denominator must be > 0")
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def _decide(splits, config: TestConfig, layout: RankLayout, buckets,
     length, diff = length_and_change(*-np.vectorize(math.log1p, otypes=[float])(-ranks))
     reference = length / (k * diff)
     se = layout.null_se(ranks, k, n, reference)
-    gap = np.array([threshold_and_gap(i / k, config.tail, config.bounds,
-                                      config.gap_denominator).gap for i in buckets])
+    gap = separation_gap(np.asarray(buckets) / k, config.tail, config.bounds)
     boundary = reference - np.maximum(gap / 2.0, config.noise_sigmas * se)
     degenerate = np.isinf(s_hat)
     margin = np.where(degenerate, math.inf, s_hat - boundary)

@@ -38,6 +38,15 @@ CALLS = [
     ("input_text.json", ["test", "--input", "{dir}/sample.txt", "--k", "8", *BOUNDS]),
     ("input_f64.json", ["test", "--input", "{dir}/sample.f64", "--format", "f64",
                         "--k", "8", *BOUNDS]),
+    ("input_weak.json", ["test", "--input", "{dir}/sample.txt", "--weak", "--k", "8",
+                         *BOUNDS]),
+    # No noise floor: the boundary is the reference minus half the gap.
+    # alpha is large so that half the gap is within a factor 2 of the
+    # reference at most buckets; the subtraction is then exact, and the
+    # gap's last bit (its operation order) shows in the boundary.
+    ("full_no_noise.json", ["test", *_dist("lomax"), "--n", "2000", "--seed", "12",
+                            "--k", "12", "--alpha", "15", "--rho", "0.5", "--beta", "1.3",
+                            "--b1", "2.7", "--b2", "1", "--noise-sigmas", "0"]),
     ("simulate_full.csv", ["simulate", *_dist("exponential"), "--reps", "3", "--k", "8",
                            "--n", "1000", "--seed", "10", *BOUNDS]),
     ("simulate_weak.csv", ["simulate", *_dist("lomax"), "--reps", "3", "--k", "16",
@@ -81,6 +90,10 @@ GOLDEN = {
         "ba4d147365251aeead3c659a79d486957cfa210bd77faffe2ae4cb282d7c63c9",
     "input_f64.json":
         "7d4645b34c408cb40f2a1a23e8eb49e2248f1d1fa74b3454e700a2acab393954",
+    "input_weak.json":
+        "d296945a77421c142a2d068f8b2de7b366a05084eb97549d665ccd031479f763",
+    "full_no_noise.json":
+        "f48ec8eea52d0d822cb060bbbda1c2d6c4f1cdaf962142e0e3470434df887bba",
     "simulate_full.csv":
         "34afe0b5752f32b877c72df8fb54f1051567a4563bf630b028b3ad3fd6ad6d72",
     "simulate_weak.csv":

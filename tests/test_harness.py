@@ -10,14 +10,13 @@ from tailtest import (
     Exponential,
     FileFormat,
     Lomax,
-    ReportFormat,
     TailParams,
     TestConfig,
     Variant,
     Verdict,
     WellBehavedBounds,
 )
-from tailtest.harness import serialize_report
+from tailtest.harness import ReplicationRow, serialize_report
 from tailtest.tester import BucketRecord, TestOutcome
 
 TAIL = TailParams(0.25, 0.5)
@@ -36,7 +35,7 @@ def test_replicate_deterministic_bytes():
     cfg = weak_config()
     a = tt.replicate(Exponential(1.0), 2, 20_000, cfg, base_seed=5)
     b = tt.replicate(Exponential(1.0), 2, 20_000, cfg, base_seed=5)
-    assert serialize_report(a, ReportFormat.CSV) == serialize_report(b, ReportFormat.CSV)
+    assert serialize_report(a) == serialize_report(b)
 
 
 def test_replicate_exponential_mean_tracks_threshold():
@@ -140,7 +139,7 @@ def outcome_with(records):
 
 def test_json_schema_and_field_order():
     outcome = outcome_with([BucketRecord(2, 0.5, 0.4, 0.1, False)])
-    doc = json.loads(serialize_report(outcome, ReportFormat.JSON))
+    doc = json.loads(serialize_report(outcome))
     assert list(doc) == ["verdict", "k", "n", "alpha", "rho", "beta", "b1", "b2",
                          "seed", "buckets"]
     assert doc["verdict"] == "light"
@@ -150,7 +149,7 @@ def test_json_schema_and_field_order():
 
 
 def test_json_empty_bucket_list():
-    doc = json.loads(serialize_report(outcome_with([]), ReportFormat.JSON))
+    doc = json.loads(serialize_report(outcome_with([])))
     assert doc["buckets"] == []
     for key in ("verdict", "k", "n", "alpha", "rho", "beta", "b1", "b2", "seed"):
         assert key in doc
@@ -158,15 +157,19 @@ def test_json_empty_bucket_list():
 
 def test_json_degenerate_bucket_serializes_null():
     outcome = outcome_with([BucketRecord(2, math.inf, 0.4, math.inf, True)])
-    doc = json.loads(serialize_report(outcome, ReportFormat.JSON))
+    doc = json.loads(serialize_report(outcome))
     assert doc["buckets"][0]["s_hat"] is None
     assert doc["buckets"][0]["margin"] is None
     assert doc["buckets"][0]["degenerate"] is True
 
 
-def test_csv_row_count_for_three_bucket_outcome():
-    records = [BucketRecord(i, 0.5, 0.4, 0.1, False) for i in (2, 3, 4)]
-    text = serialize_report(outcome_with(records), ReportFormat.CSV).decode()
+def report_with(rows):
+    return tt.ReplicationReport(rows=tuple(rows), reps=2, seeds=(3, 4))
+
+
+def test_csv_row_count_for_three_bucket_report():
+    rows = [ReplicationRow(i, 0.5, 0.1, 0.6, 1 - i / 16, 0.4, 0) for i in (2, 3, 4)]
+    text = serialize_report(report_with(rows)).decode()
     lines = text.strip().split("\n")
     assert len(lines) == 4
     assert lines[0] == "i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary"
@@ -174,16 +177,20 @@ def test_csv_row_count_for_three_bucket_outcome():
 
 def test_serialization_is_byte_stable():
     outcome = outcome_with([BucketRecord(2, 1 / 3, 0.25, 1 / 3 - 0.25, False)])
-    assert serialize_report(outcome, ReportFormat.JSON) == \
-        serialize_report(outcome, ReportFormat.JSON)
-    assert serialize_report(outcome, ReportFormat.CSV) == \
-        serialize_report(outcome, ReportFormat.CSV)
+    assert serialize_report(outcome) == serialize_report(outcome)
+    report = report_with([ReplicationRow(2, 1 / 3, 1 / 7, 0.9, 0.875, 0.25, 0)])
+    assert serialize_report(report) == serialize_report(report)
+
+
+def test_serialize_rejects_other_types():
+    with pytest.raises(ValueError):
+        serialize_report(outcome_with([]).records)
 
 
 def test_json_round_trip_is_lossless():
     cfg = weak_config(k=16)
     outcome = tt.run_sampled_test(Exponential(1.0), 5_000, 13, cfg)
-    doc = json.loads(serialize_report(outcome, ReportFormat.JSON))
+    doc = json.loads(serialize_report(outcome))
     assert doc["k"] == outcome.k and doc["n"] == outcome.n
     assert doc["alpha"] == outcome.config.tail.alpha
     assert doc["rho"] == outcome.config.tail.rho
@@ -195,24 +202,8 @@ def test_json_round_trip_is_lossless():
             assert bucket["boundary"] == rec.boundary
 
 
-def test_replication_json_schema():
-    cfg = weak_config(k=16)
-    report = tt.replicate(Exponential(1.0), 2, 10_000, cfg, base_seed=5)
-    doc = json.loads(serialize_report(report, ReportFormat.JSON))
-    assert doc["reps"] == 2 and doc["seeds"] == [5, 6]
-    assert len(doc["rows"]) == len(report.rows)
-    assert set(doc["rows"][0]) == {"i", "s_hat_mean", "s_hat_std", "proxy_s",
-                                   "threshold", "boundary", "degenerate_count"}
-
-
-def test_write_report_to_path(tmp_path):
-    outcome = outcome_with([BucketRecord(2, 0.5, 0.4, 0.1, False)])
-    target = tmp_path / "report.json"
-    payload = tt.write_report(outcome, target, ReportFormat.JSON)
-    assert target.read_bytes() == payload
-
-
 def test_csv_floats_carry_full_precision():
-    row = BucketRecord(2, 0.123456789012345, 0.1, 0.023456789012345, False)
-    text = serialize_report(outcome_with([row]), ReportFormat.CSV).decode()
+    row = ReplicationRow(2, 0.123456789012345, 0.1, 0.6, 0.875, 0.023456789012345, 0)
+    text = serialize_report(report_with([row])).decode()
     assert "0.123456789012345" in text
+    assert "0.023456789012345" in text

@@ -82,32 +82,44 @@ def test_proxy_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_gap_zero_when_alpha_zero():
-    tg = tt.threshold_and_gap(0.3, TailParams(0.0, 0.5),
-                              tt.WellBehavedBounds(1.0, 1.0, 1.0, 0.1))
-    assert tg.gap == 0.0
-    assert tg.threshold == pytest.approx(0.7)
+    gap = tt.separation_gap(0.3, TailParams(0.0, 0.5),
+                            tt.WellBehavedBounds(1.0, 1.0, 1.0, 0.1))
+    assert gap == 0.0
 
 
 def test_gap_direct_substitution():
     bounds = tt.WellBehavedBounds(1.0, 1.0, 1.0, 0.03)
     tail = TailParams(0.25, 0.5)
-    tg = tt.threshold_and_gap(0.5, tail, bounds)
-    assert tg.gap == pytest.approx(0.0625)
-    assert tt.threshold_and_gap(0.9, tail, bounds).gap == pytest.approx(0.0025)
+    assert tt.separation_gap(0.5, tail, bounds) == pytest.approx(0.0625)
+    assert tt.separation_gap(0.9, tail, bounds) == pytest.approx(0.0025)
 
 
-def test_gap_denominator_override():
+def test_gap_denominator_is_beta_cubed_b1():
     bounds = tt.WellBehavedBounds(2.0, 10.0, 1.0, 0.03)
-    tail = TailParams(0.25, 0.5)
-    default = tt.threshold_and_gap(0.5, tail, bounds)
-    assert default.gap == pytest.approx(0.25 * 0.25 / (8.0 * 10.0))
-    overridden = tt.threshold_and_gap(0.5, tail, bounds, denominator=1.0)
-    assert overridden.gap == pytest.approx(0.0625)
+    gap = tt.separation_gap(0.5, TailParams(0.25, 0.5), bounds)
+    assert gap == pytest.approx(0.25 * 0.25 / (8.0 * 10.0))
+
+
+def test_gap_array_matches_scalar_bit_for_bit():
+    bounds = tt.WellBehavedBounds(1.3, 2.7, 1.0, 0.03)
+    tail = TailParams(0.37, 0.5)
+    zs = np.arange(2, 30) / 31
+    gaps = tt.separation_gap(zs, tail, bounds)
+    for z, gap in zip(zs.tolist(), gaps.tolist()):
+        om = 1.0 - z
+        assert gap == tail.alpha * om * om / (1.3 ** 3 * 2.7)
+        assert gap == float(tt.separation_gap(z, tail, bounds))
+
+
+@pytest.mark.parametrize("z", [0.0, 1.0, [0.5, 1.0]])
+def test_gap_rejects_z_outside_unit_interval(z):
+    with pytest.raises(ValueError):
+        tt.separation_gap(z, TailParams(0.25, 0.5), tt.WellBehavedBounds(1.0, 1.0, 1.0, 0.1))
 
 
 def test_gap_strictly_increasing_in_alpha():
     bounds = tt.WellBehavedBounds(1.0, 1.0, 1.0, 0.03)
-    gaps = [tt.threshold_and_gap(0.5, TailParams(a, 0.5), bounds).gap
+    gaps = [tt.separation_gap(0.5, TailParams(a, 0.5), bounds)
             for a in (0.1, 0.25, 0.5, 1.0)]
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
@@ -199,8 +211,8 @@ def test_discrete_proxy_error_within_smoothness_bound(model):
 def test_proxy_curve_structure():
     curve = tt.proxy_curve(Exponential(1.0), 16, TailParams(0.25, 0.5),
                            tt.WellBehavedBounds(1.0, 1.0, 1.0, 1.0 / 32))
-    zs = [p.z for p in curve.entries]
+    zs = [p.z for p in curve]
     assert zs == [i / 16 for i in range(2, 15)]
-    for p in curve.entries:
+    for p in curve:
         assert p.threshold == 1.0 - p.z
         assert p.gap >= 0.0

@@ -1,0 +1,30 @@
+"""Every exported name resolves, and every package export is public in its module.
+
+Pruning a function while leaving its name in an ``__all__`` list, or
+re-exporting from the package a name its module keeps private, fails
+here rather than at a user's import.
+"""
+
+import importlib
+
+import pytest
+
+import tailtest
+
+MODULES = ["distributions", "empirical", "proxy", "tester", "harness", "cli"]
+
+
+@pytest.mark.parametrize("module_name", ["tailtest"] + [f"tailtest.{m}" for m in MODULES])
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    assert len(module.__all__) == len(set(module.__all__)), "duplicate __all__ entry"
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_exports_are_module_exports():
+    modules = [importlib.import_module(f"tailtest.{m}") for m in MODULES]
+    for name in tailtest.__all__:
+        obj = getattr(tailtest, name)
+        homes = [m for m in modules if getattr(m, name, None) is obj and name in m.__all__]
+        assert homes, f"{name} is exported by tailtest but by no module's __all__"
