@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf, erfc, erfinv
 
 __all__ = [
     "DistributionModel",
@@ -224,10 +223,14 @@ class HalfGaussian(DistributionModel):
         z = np.asarray(x, dtype=float) / self.scale
         return (2.0 / (self.scale * _SQRT_2PI)) * np.exp(-0.5 * z * z)
 
+    # scipy is imported on first use, not with the module: it more than
+    # doubles the start-up time of every call that never needs it.
     def cdf(self, x):
+        from scipy.special import erf
         return erf(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
     def sf(self, x):
+        from scipy.special import erfc
         return erfc(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
     def pdf_derivative(self, x):
@@ -235,6 +238,7 @@ class HalfGaussian(DistributionModel):
         return -(x / self.scale ** 2) * self.pdf(x)
 
     def quantile(self, u):
+        from scipy.special import erfinv
         return self.scale * _SQRT2 * erfinv(u)
 
     def hazard_rate(self, x):
@@ -374,6 +378,12 @@ def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
     return model.quantile(_open_uniform(int(n), seed))
 
 
+def _longest_run(flags: np.ndarray) -> int:
+    """Length of the longest run of consecutive True entries in a 1-d array."""
+    edges = np.diff(np.concatenate(([0], np.asarray(flags, dtype=np.int8), [0])))
+    return int(np.max(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1), initial=0))
+
+
 def classify_tail(model: DistributionModel, tail: TailParams) -> TailClass:
     """Ground-truth oracle for the tail class of an analytic model.
 
@@ -393,13 +403,7 @@ def classify_tail(model: DistributionModel, tail: TailParams) -> TailClass:
     if np.all(deriv >= -1e-12):
         return TailClass.LIGHT
 
-    below = deriv < -tail.alpha
-    # longest run of consecutive True cells
-    best = run = 0
-    for flag in below:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    if best / g >= tail.rho - 1e-12:
+    if _longest_run(deriv < -tail.alpha) / g >= tail.rho - 1e-12:
         return TailClass.HEAVY_AT_LEAST
     return TailClass.INDETERMINATE
 

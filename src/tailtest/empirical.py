@@ -50,11 +50,15 @@ class SortedSampleSplit:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("values must be a one-dimensional array with n >= 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must all be finite")
-        if values[0] < 0.0:
-            raise ValueError("values must be nonnegative")
-        if np.any(np.diff(values) < 0.0):
+        # One pass accepts exactly what the checks below accept: NaN fails
+        # every comparison, so ascending from a nonnegative start to a
+        # finite end means all finite.  The checks name the first failure.
+        if not (np.all(values[1:] >= values[:-1]) and values[0] >= 0.0
+                and math.isfinite(values[-1])):
+            if not np.all(np.isfinite(values)):
+                raise ValueError("values must all be finite")
+            if values[0] < 0.0:
+                raise ValueError("values must be nonnegative")
             raise ValueError("values must be sorted ascending")
         object.__setattr__(self, "values", values)
 
@@ -64,9 +68,17 @@ class SortedSampleSplit:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "SortedSampleSplit":
-        """Sort a copy of raw samples (stable, though only values matter)."""
+        """Sort a copy of raw samples.
+
+        numpy's default sort kind (a SIMD quicksort where the CPU has
+        one) is not stable, and need not be: equal floats are
+        interchangeable, so every sort kind gives the same values.  The
+        one exception is a +0.0/-0.0 pair, whose order can differ; such a
+        pair only ever meets in a bucket length of zero, which is
+        DEGENERATE whichever zero comes first.
+        """
         arr = np.asarray(samples, dtype=float)
-        return cls(values=np.sort(arr, kind="stable"))
+        return cls(values=np.sort(arr))
 
 
 def rank_index(n: int, q):

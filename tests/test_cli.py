@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,28 @@ def test_complexity_prints_budgets(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "k=12\nn=17177\n"
+
+
+def test_scipy_loaded_only_by_the_half_gaussian():
+    # Start-up cost: importing the package and running a command that
+    # needs no half-Gaussian must not import scipy; the half-Gaussian
+    # quantile then imports it and gives the same value as an eager import.
+    src = Path(tt.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, sys\n"
+        "import tailtest as tt, tailtest.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = tailtest.cli.run_cli(['complexity', '--alpha', '0.25', '--rho', '0.5',\n"
+        "        '--beta', '1', '--b1', '1', '--b2', '1'])\n"
+        "assert code == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(tt.quantile(tt.HalfGaussian(1.0), 0.5).hex())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "0x1.5956b87528a4ap-1"]
 
 
 def test_sample_text_deterministic(tmp_path):

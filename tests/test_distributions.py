@@ -12,6 +12,7 @@ from tailtest import (
     TailClass,
     TailParams,
 )
+from tailtest.distributions import _longest_run
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -259,6 +260,23 @@ def test_classify_stretched_exponential_heavy():
 def test_classify_lomax_heavy(rho):
     tail = TailParams(alpha=(1.0 - rho) ** 2, rho=rho)
     assert tt.classify_tail(Lomax(1.0, 1.0), tail) is TailClass.HEAVY_AT_LEAST
+
+
+def test_longest_run_matches_loop():
+    def loop(flags):
+        best = run = 0
+        for flag in flags:
+            run = run + 1 if flag else 0
+            best = max(best, run)
+        return best
+
+    rng = np.random.default_rng(0)
+    arrays = [rng.random(int(rng.integers(1, 300))) < p
+              for _ in range(6) for p in (0.1, 0.5, 0.9)]
+    arrays += [np.ones(10_000, dtype=bool), np.zeros(10_000, dtype=bool),
+               np.array([True]), np.array([False])]
+    for flags in arrays:
+        assert _longest_run(flags) == loop(flags)
 
 
 def test_classify_indeterminate_when_drop_too_small():

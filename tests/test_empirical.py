@@ -51,19 +51,39 @@ def test_order_statistic_domain():
 
 
 def test_split_validation():
-    with pytest.raises(ValueError):
-        SortedSampleSplit(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        SortedSampleSplit(np.array([-1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SortedSampleSplit(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
-        SortedSampleSplit(np.array([]))
+    # Each bad input names its first failure in the order: shape, finite,
+    # sign, sortedness.
+    cases = [
+        ([], "one-dimensional array with n >= 1"),
+        ([2.0, 1.0], "sorted ascending"),
+        ([3.0, -1.0], "sorted ascending"),
+        ([-1.0, 1.0], "nonnegative"),
+        ([-1.0, 3.0, 2.0], "nonnegative"),
+        ([1.0, np.inf], "all be finite"),
+        ([1.0, 2.0, np.inf], "all be finite"),
+        ([-np.inf, 1.0, 2.0], "all be finite"),
+        ([1.0, np.nan, 3.0], "all be finite"),
+        ([-1.0, np.nan], "all be finite"),
+    ]
+    for values, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SortedSampleSplit(np.array(values))
+    assert SortedSampleSplit(np.array([-0.0, 0.0, 0.0, 1.0])).n == 4
 
 
 def test_from_samples_sorts():
     split = SortedSampleSplit.from_samples(np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(split.values, [1.0, 2.0, 3.0])
+
+
+def test_from_samples_matches_stable_sort_bytes():
+    # Ties (rounded draws) and the strided views that sample_splits and
+    # load_samples pass in must sort to the bytes of a stable sort.
+    stream = np.round(tt.sample(Lomax(1.0, 1.0), 40_000, seed=5), 1)
+    assert np.unique(stream).size < stream.size // 10
+    for x in [stream] + [stream[j::4] for j in range(4)]:
+        got = SortedSampleSplit.from_samples(x).values
+        assert got.tobytes() == np.sort(x, kind="stable").tobytes()
 
 
 # ---------------------------------------------------------------------------
