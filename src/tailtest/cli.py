@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 domain or parse failure, 2 usage error; with
 ``--exit-verdict`` the ``test`` subcommand exits 3 for a heavy verdict
 and 4 for light.  Output files are written atomically (temp file then
 rename).  All output is byte-deterministic for a given seed.
+
+``sample --format text`` formats ``_TEXT_CHUNK`` values at a time and
+streams the chunks into the temp file, so neither one string per value
+nor the whole payload is ever held at once; ``--format f64`` writes the
+array's own buffer.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import dataclasses
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +58,8 @@ EXIT_USAGE = 2
 EXIT_HEAVY = 3
 EXIT_LIGHT = 4
 
+_TEXT_CHUNK = 65_536  # values formatted per write by ``sample --format text``
+
 
 def _parse_params(spec: str) -> dict[str, float]:
     """Parse 'k=v[,k=v...]' parameter strings."""
@@ -70,14 +78,18 @@ def _parse_params(spec: str) -> dict[str, float]:
     return params
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def _atomic_write(path: str, chunks: Iterable) -> None:
+    """Write bytes-like chunks via a temp file in the target directory, then rename.
+
+    If producing or writing a chunk fails, the temp file is removed and
+    the target is left as it was.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -85,6 +97,13 @@ def _atomic_write(path: str, payload: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _text_chunks(values: np.ndarray) -> Iterator[bytes]:
+    """One shortest round-trip decimal per line, _TEXT_CHUNK values per chunk."""
+    for start in range(0, values.size, _TEXT_CHUNK):
+        chunk = values[start:start + _TEXT_CHUNK].tolist()
+        yield ("\n".join(map(repr, chunk)) + "\n").encode("ascii")
 
 
 def _file_format(name: str) -> FileFormat:
@@ -199,10 +218,10 @@ def _cmd_sample(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     values = distributions.sample(model, args.n, args.seed)
     if args.format == "text":
-        payload = ("\n".join(repr(float(v)) for v in values) + "\n").encode("ascii")
+        chunks = _text_chunks(np.asarray(values, dtype=float))
     else:
-        payload = np.asarray(values, dtype="<f8").tobytes()
-    _atomic_write(args.out, payload)
+        chunks = [np.ascontiguousarray(values, dtype="<f8")]
+    _atomic_write(args.out, chunks)
     return EXIT_OK
 
 
@@ -213,7 +232,7 @@ def _cmd_proxy(args) -> int:
                                zeta=1.0 / (2 * args.k))
     rows = [(i, p.z, p.s, p.s_tilde, p.threshold, p.gap)
             for i, p in zip(range(2, args.k - 1), proxy_curve(model, args.k, tail, bounds))]
-    _atomic_write(args.out, csv_bytes("i,z,proxy_s,s_tilde,threshold,gap", rows))
+    _atomic_write(args.out, [csv_bytes("i,z,proxy_s,s_tilde,threshold,gap", rows)])
     return EXIT_OK
 
 
@@ -242,7 +261,7 @@ def _cmd_test(args) -> int:
 
     payload = serialize_report(outcome)
     if args.out is not None:
-        _atomic_write(args.out, payload)
+        _atomic_write(args.out, [payload])
     else:
         sys.stdout.write(payload.decode("utf-8"))
     if args.exit_verdict:
@@ -254,7 +273,7 @@ def _cmd_simulate(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     config = _make_config(args, args.k)
     report = replicate(model, args.reps, args.n, config, args.seed)
-    _atomic_write(args.out, serialize_report(report))
+    _atomic_write(args.out, [serialize_report(report)])
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest.cli import run_cli
+from tailtest.cli import _TEXT_CHUNK, _atomic_write, run_cli
 
 
 def test_complexity_prints_budgets(capsys):
@@ -48,6 +48,30 @@ def test_sample_text_deterministic(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2 * _TEXT_CHUNK + 3])
+def test_sample_text_is_one_repr_per_line(tmp_path, n):
+    out = tmp_path / "x.txt"
+    assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", str(n), "--seed", "4", "--out", str(out)]) == 0
+    values = tt.sample(tt.Lomax(1.0, 1.0), n, seed=4)
+    expected = "\n".join(repr(float(v)) for v in values) + "\n"
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_atomic_write_failure_leaves_target(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"x" * (1 << 20)  # more than the file buffer, so it reaches the temp file
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_sample_f64_matches_library(tmp_path):
