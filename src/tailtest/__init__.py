@@ -21,8 +21,6 @@ from .distributions import (
     WellBehavedBounds,
     classify_tail,
     estimate_bounds,
-    evaluate,
-    hazard,
     model_from_name,
     quantile,
     sample,
@@ -31,7 +29,6 @@ from .empirical import (
     DEGENERATE,
     SortedSampleSplit,
     is_degenerate,
-    order_statistic_at,
     single_scale_statistic,
     two_scale_statistic,
 )
@@ -68,9 +65,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DistributionModel", "Exponential", "Lomax", "HalfGaussian",
     "StretchedExponential", "TailParams", "WellBehavedBounds", "TailClass",
-    "evaluate", "quantile", "hazard", "sample", "classify_tail",
-    "estimate_bounds", "model_from_name",
-    "SortedSampleSplit", "DEGENERATE", "is_degenerate", "order_statistic_at",
+    "quantile", "sample", "classify_tail", "estimate_bounds", "model_from_name",
+    "SortedSampleSplit", "DEGENERATE", "is_degenerate",
     "two_scale_statistic", "single_scale_statistic",
     "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
     "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",

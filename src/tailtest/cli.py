@@ -129,17 +129,12 @@ def _add_bounds_args(p: argparse.ArgumentParser) -> None:
                    help="Lipschitz bound on the quantile function's first derivative")
     p.add_argument("--b2", type=float, required=True,
                    help="Lipschitz bound on the quantile function's second derivative")
-    p.add_argument("--zeta", type=float, default=None,
-                   help="edge margin where the bounds hold (default: 1/(2k))")
 
 
 def _add_variant_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weak", action="store_true",
-                   help="single-split, single-granularity variant")
-    p.add_argument("--c1", type=float, default=0.1,
-                   help="weak variant: lower scan fraction (default 0.1)")
-    p.add_argument("--c2", type=float, default=0.8,
-                   help="weak variant: upper scan fraction (default 0.8)")
+                   help="single-split, single-granularity variant; scans buckets "
+                        "ceil(0.1k)..floor(0.8k)")
     p.add_argument("--noise-sigmas", type=float, default=4.0,
                    help="noise-floor multiplier for the decision boundary (default 4.0)")
 
@@ -202,14 +197,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _make_config(args, k: int) -> TestConfig:
-    zeta = args.zeta if args.zeta is not None else 1.0 / (2 * k)
+def _bounds(args, k: int) -> WellBehavedBounds:
+    """The flags' smoothness bounds, held on [0, 1 - 1/(2k)] as k buckets need."""
+    return WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=1.0 / (2 * k))
+
+
+def _make_config(args) -> TestConfig:
     return TestConfig(
         tail=TailParams(alpha=args.alpha, rho=args.rho),
-        bounds=WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=zeta),
-        k=k,
+        bounds=_bounds(args, args.k),
+        k=args.k,
         variant=Variant.WEAK if args.weak else Variant.FULL,
-        weak_range=(args.c1, args.c2),
         noise_sigmas=args.noise_sigmas,
     )
 
@@ -239,7 +237,7 @@ def _cmd_proxy(args) -> int:
 def _cmd_test(args) -> int:
     if (args.input is None) == (args.dist is None):
         raise ValueError("provide exactly one of --input or --dist")
-    config = _make_config(args, args.k)
+    config = _make_config(args)
 
     if args.input is not None:
         if args.reps is not None:
@@ -271,7 +269,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
-    config = _make_config(args, args.k)
+    config = _make_config(args)
     report = replicate(model, args.reps, args.n, config, args.seed)
     _atomic_write(args.out, [serialize_report(report)])
     return EXIT_OK
@@ -279,11 +277,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_complexity(args) -> int:
     tail = TailParams(alpha=args.alpha, rho=args.rho)
-    k = required_buckets(tail, WellBehavedBounds(
-        beta=args.beta, b1=args.b1, b2=args.b2, zeta=args.zeta or 0.5), c_k=args.ck)
-    zeta = args.zeta if args.zeta is not None else 1.0 / (2 * k)
-    bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=zeta)
-    n = required_samples(k, tail, bounds, c_n=args.cn)
+    # The bucket count reads no zeta, so the bounds for any k serve it.
+    k = required_buckets(tail, _bounds(args, 4), c_k=args.ck)
+    n = required_samples(k, tail, _bounds(args, k), c_n=args.cn)
     print(f"k={k}")
     print(f"n={n}")
     return EXIT_OK

@@ -27,11 +27,7 @@ __all__ = [
     "TailParams",
     "WellBehavedBounds",
     "TailClass",
-    "Evaluation",
-    "HazardValue",
-    "evaluate",
     "quantile",
-    "hazard",
     "sample",
     "classify_tail",
     "estimate_bounds",
@@ -88,19 +84,6 @@ class TailClass(Enum):
     LIGHT = "light"
     HEAVY_AT_LEAST = "heavy_at_least"
     INDETERMINATE = "indeterminate"
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    pdf: float
-    cdf: float
-    pdf_derivative: float
-
-
-@dataclass(frozen=True)
-class HazardValue:
-    rate: float
-    rate_derivative: float
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +304,6 @@ class StretchedExponential(DistributionModel):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def evaluate(model: DistributionModel, x: float) -> Evaluation:
-    """Pointwise pdf, cdf and pdf derivative at x >= 0."""
-    if not (np.ndim(x) == 0 and x >= 0.0):
-        raise ValueError("x must be a scalar >= 0")
-    return Evaluation(
-        pdf=float(model.pdf(x)),
-        cdf=float(model.cdf(x)),
-        pdf_derivative=float(model.pdf_derivative(x)),
-    )
-
-
 def quantile(model: DistributionModel, u):
     """Quantile at mass u in [0, 1); diverges at 1 because support is unbounded."""
     u_arr = np.asarray(u, dtype=float)
@@ -341,22 +313,6 @@ def quantile(model: DistributionModel, u):
     if np.ndim(u) == 0:
         return float(out)
     return out
-
-
-def hazard(model: DistributionModel, x: float) -> HazardValue:
-    """Hazard rate f/(1-F) and its analytic derivative at x >= 0.
-
-    Refuses points where the survival 1 - F(x) underflows to zero; the
-    hazard convention there is undefined.
-    """
-    if not (np.ndim(x) == 0 and x >= 0.0):
-        raise ValueError("x must be a scalar >= 0")
-    if not float(model.sf(x)) > 0.0:
-        raise ValueError(f"survival function underflowed to zero at x={x!r}")
-    return HazardValue(
-        rate=float(model.hazard_rate(x)),
-        rate_derivative=float(model.hazard_derivative(x)),
-    )
 
 
 def _open_uniform(n: int, seed: int) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "DEGENERATE",
     "is_degenerate",
     "rank_index",
-    "order_statistic_at",
     "two_scale_statistic",
     "single_scale_statistic",
 ]
@@ -93,11 +92,6 @@ def rank_index(n: int, q):
         raise ValueError("fractional rank must lie in (0, 1)")
     idx = np.clip(np.floor(q_arr * (n + 1) + 0.5).astype(np.int64), 1, n)
     return int(idx) if idx.ndim == 0 else idx
-
-
-def order_statistic_at(split: SortedSampleSplit, q: float) -> float:
-    """Sample value at fractional rank q."""
-    return float(split.values[rank_index(split.n, q) - 1])
 
 
 def length_and_change(upper, lower, upper_d, lower_d):

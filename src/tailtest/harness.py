@@ -9,7 +9,9 @@ directly.
 Text sample files are read in one ``float()`` pass over the lines into
 an array; a file that pass cannot read whole (comments, blank lines, a
 bad literal) is read again line by line, which gives the same values or
-names the offending line.  Raw f64 files are viewed in place.
+names the offending line.  Either way a negative or non-finite value is
+named by its file line.  Raw f64 files are viewed in place, and a bad
+value is named by its position.
 
 Each report type has one format: ``serialize_report`` writes a
 TestOutcome as JSON and a ReplicationReport as CSV.  ``csv_bytes`` is
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -59,18 +62,11 @@ class ReplicationRow:
     proxy_s: float
     threshold: float
     boundary: float
-    degenerate_count: int
 
 
 @dataclass(frozen=True)
 class ReplicationReport:
     rows: tuple[ReplicationRow, ...]
-    reps: int
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("replicate seeds must be pairwise distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +105,18 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     """Run the configured tester reps times with seeds base_seed + index.
 
     Per bucket, aggregates mean and sample standard deviation of the
-    statistic with degenerate markers left out of the moments (counted
-    separately), and attaches the analytic proxy curve and the mean
-    realized boundary for overlay.
+    statistic with degenerate markers left out of the moments, and
+    attaches the analytic proxy curve and the mean realized boundary for
+    overlay.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
     outcomes = run_replicates(model, reps, n, config, base_seed)
-    seeds = tuple(o.seed for o in outcomes)
 
     rows = []
     for j, record in enumerate(outcomes[0].records):
         i = record.i
         values = [o.records[j].s_hat for o in outcomes if not o.records[j].degenerate]
-        degenerate_count = reps - len(values)
         if values:
             mean = float(np.mean(values))
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
@@ -136,26 +130,26 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
             proxy_s=proxy_value(model, i / config.k),
             threshold=1.0 - i / config.k,
             boundary=float(np.mean([o.records[j].boundary for o in outcomes])),
-            degenerate_count=degenerate_count,
         ))
-    return ReplicationReport(rows=tuple(rows), reps=reps, seeds=seeds)
+    return ReplicationReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
 
-def _reject_bad_values(arr: np.ndarray, where: str) -> None:
-    bad = ~np.isfinite(arr)
-    if np.any(bad):
-        pos = int(np.argmax(bad))
-        raise ValueError(f"non-finite value {arr[pos]!r} at {where} {pos + 1}")
-    neg = arr < 0.0
-    if np.any(neg):
-        pos = int(np.argmax(neg))
-        raise ValueError(
-            f"negative value {arr[pos]!r} at {where} {pos + 1}; domain is [0, inf)"
-        )
+def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
+    """Raise on the first non-finite value, else on the first negative one.
+
+    The message names value j as ``where`` number ``numbers[j]``, or
+    j + 1 when no numbers are given.
+    """
+    for what, bad, note in (("non-finite", ~np.isfinite(arr), ""),
+                            ("negative", arr < 0.0, "; domain is [0, inf)")):
+        if np.any(bad):
+            pos = int(np.argmax(bad))
+            at = pos + 1 if numbers is None else numbers[pos]
+            raise ValueError(f"{what} value {float(arr[pos])!r} at {where} {at}{note}")
 
 
 def _parse_text(path: Path) -> np.ndarray:
@@ -167,19 +161,22 @@ def _parse_text(path: Path) -> np.ndarray:
     nor a comment.  Any failure (a comment, a blank line, a bad literal,
     undecodable bytes) or an empty file re-reads the file line by line,
     which returns the values or raises the line-numbered message.
+    Negative and non-finite values are rejected by file line, with the
+    same message on either path.
     """
     try:
         with path.open("r", encoding="utf-8") as fh:
             arr = np.fromiter(map(float, fh), dtype=float)
-        if arr.size:
-            return arr
     except ValueError:
-        pass
-    return _parse_text_lines(path)
+        arr = np.empty(0)
+    if not arr.size:
+        return _parse_text_lines(path)
+    _reject_bad_values(arr, "line")  # no line was skipped: value j is on line j + 1
+    return arr
 
 
 def _parse_text_lines(path: Path) -> np.ndarray:
-    out = []
+    out, linenos = [], array("q")  # a machine int per value, not an int object
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -189,9 +186,12 @@ def _parse_text_lines(path: Path) -> np.ndarray:
                 out.append(float(text))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
+            linenos.append(lineno)
     if not out:
         raise ValueError(f"{path}: no sample values found")
-    return np.asarray(out, dtype=float)
+    arr = np.asarray(out, dtype=float)
+    _reject_bad_values(arr, "line", linenos)
+    return arr
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
@@ -203,7 +203,9 @@ def _parse_raw_f64(path: Path) -> np.ndarray:
             f"{path}: length {len(raw)} is not a multiple of 8 "
             f"(trailing fragment at offset {len(raw) - len(raw) % 8})"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+    arr = np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+    _reject_bad_values(arr, "value")
+    return arr
 
 
 def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
@@ -218,7 +220,6 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
     """
     path = Path(path)
     arr = _parse_text(path) if fmt is FileFormat.TEXT else _parse_raw_f64(path)
-    _reject_bad_values(arr, "value" if fmt is FileFormat.RAW_F64 else "sample line")
     if not split:
         return SortedSampleSplit.from_samples(arr)
     if arr.size < 4:
@@ -243,7 +244,7 @@ def _outcome_json(outcome: TestOutcome) -> dict:
         })
     return {
         "verdict": outcome.verdict.value,
-        "k": outcome.k,
+        "k": cfg.k,
         "n": outcome.n,
         "alpha": cfg.tail.alpha,
         "rho": cfg.tail.rho,

@@ -20,7 +20,9 @@ The boundary at bucket i is built from two pieces:
 
 Both variants make one array pass over their buckets: the full test
 reads the four-split rank layout at buckets 2..k-2, the weak test the
-one-split layout over its configured scan range.
+one-split layout at buckets [ceil(0.1*k), floor(0.8*k)], clipped to
+[1, k-3].  The fractions 0.1 and 0.8 are fixed: they skip the noisy
+first buckets and the non-Lipschitz tail end.
 
 ``noise_sigmas`` defaults to 4.0, an empirically fixed working
 constant; the asymptotic theory leaves all such constants free.
@@ -72,7 +74,6 @@ class Verdict(Enum):
 class TestConfig:
     """Everything the decision procedure needs besides the samples.
 
-    ``weak_range`` is the (c1, c2) mass range the weak test scans;
     ``noise_sigmas`` scales the per-bucket noise floor.
     """
 
@@ -82,7 +83,6 @@ class TestConfig:
     bounds: WellBehavedBounds
     k: int
     variant: Variant = Variant.FULL
-    weak_range: tuple[float, float] = (0.1, 0.8)
     noise_sigmas: float = 4.0
 
     def __post_init__(self):
@@ -97,9 +97,6 @@ class TestConfig:
                 f"bounds hold only up to mass {1 - self.bounds.zeta}; "
                 f"k={self.k} requires zeta <= 1/(2k)"
             )
-        c1, c2 = self.weak_range
-        if not (0.0 < c1 < c2 < 1.0):
-            raise ValueError("weak_range must satisfy 0 < c1 < c2 < 1")
         if not self.noise_sigmas >= 0.0:
             raise ValueError("noise_sigmas must be >= 0")
 
@@ -119,7 +116,6 @@ class TestOutcome:
 
     verdict: Verdict
     records: tuple[BucketRecord, ...]
-    k: int
     n: int
     seed: int | None
     config: TestConfig = field(repr=False)
@@ -134,14 +130,17 @@ def required_buckets(tail: TailParams, bounds: WellBehavedBounds,
     """Coarse bucket count: max of the smoothness and mass-resolution terms.
 
     ceil(max(c_k * b2 * beta^4 * (2*b1 + b2) / alpha, 4/rho)), at
-    least 4.
+    least 4.  A budget that overflows a float is a ValueError.
     """
     if not tail.alpha > 0.0:
         raise ValueError("alpha must be > 0 for the bucket calculator")
     if not c_k > 0.0:
         raise ValueError("c_k must be > 0")
-    smooth = c_k * bounds.b2 * bounds.beta ** 4 * (2.0 * bounds.b1 + bounds.b2) / tail.alpha
-    k = math.ceil(max(smooth, 4.0 / tail.rho))
+    try:
+        smooth = c_k * bounds.b2 * bounds.beta ** 4 * (2.0 * bounds.b1 + bounds.b2) / tail.alpha
+        k = math.ceil(max(smooth, 4.0 / tail.rho))
+    except OverflowError:
+        raise ValueError("bucket budget is not finite: beta, b1, b2 or c_k is too large") from None
     return max(k, 4)
 
 
@@ -151,7 +150,7 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
 
     Rounded up with one extra sample so the bound is strictly exceeded,
     then clamped to at least k^2 (the statistic needs a sample per fine
-    bucket).
+    bucket).  A budget that overflows a float is a ValueError.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
@@ -159,8 +158,11 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
         raise ValueError("alpha must be > 0 for the sample calculator")
     if not c_n > 0.0:
         raise ValueError("c_n must be > 0")
-    raw = c_n * k ** 3 * math.log(k) * bounds.b1 ** 1.5 * bounds.beta ** 2 / tail.alpha
-    return max(math.ceil(raw) + 1, k * k)
+    try:
+        raw = c_n * k ** 3 * math.log(k) * bounds.b1 ** 1.5 * bounds.beta ** 2 / tail.alpha
+        return max(math.ceil(raw) + 1, k * k)
+    except OverflowError:
+        raise ValueError("sample budget is not finite: k, beta, b1 or c_n is too large") from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def _decide(splits, config: TestConfig, layout: RankLayout, buckets,
     records = tuple(BucketRecord(*row) for row in zip(
         buckets, s_hat.tolist(), boundary.tolist(), margin.tolist(), degenerate.tolist()))
     verdict = Verdict.HEAVY if np.any(~degenerate & (s_hat < boundary)) else Verdict.LIGHT
-    return TestOutcome(verdict=verdict, records=records, k=k, n=n, seed=seed, config=config)
+    return TestOutcome(verdict=verdict, records=records, n=n, seed=seed, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +208,17 @@ def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOu
     return _decide(list(splits), config, FOUR_SPLIT, FOUR_SPLIT.buckets(config.k), seed)
 
 
-def weak_scan_range(config: TestConfig) -> range:
-    """Bucket indices scanned by the weak test: [ceil(c1*k), floor(c2*k)],
-    clipped to the statistic's valid range [1, k-3]."""
-    c1, c2 = config.weak_range
-    k = config.k
+def weak_scan_range(k: int) -> range:
+    """Bucket indices scanned by the weak test: [ceil(0.1*k), floor(0.8*k)],
+    clipped to the statistic's valid range [1, k-3]; never empty for k >= 4."""
     valid = ONE_SPLIT.buckets(k)
-    lo = max(math.ceil(c1 * k), valid.start)
-    hi = min(math.floor(c2 * k), valid.stop - 1)
-    if lo > hi:
-        raise ValueError(f"weak range {config.weak_range} scans no bucket at k={k}")
-    return range(lo, hi + 1)
+    return range(max(math.ceil(0.1 * k), valid.start),
+                 min(math.floor(0.8 * k), valid.stop - 1) + 1)
 
 
 def run_weak_test(split: SortedSampleSplit, config: TestConfig,
                   seed: int | None = None) -> TestOutcome:
-    """Single-split test scanning the configured middle bucket range."""
+    """Single-split test scanning the middle bucket range ``weak_scan_range(k)``."""
     if config.variant is not Variant.WEAK:
         raise ValueError("config.variant must be WEAK for run_weak_test")
-    return _decide([split], config, ONE_SPLIT, weak_scan_range(config), seed)
+    return _decide([split], config, ONE_SPLIT, weak_scan_range(config.k), seed)

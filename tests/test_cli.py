@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest.cli import _TEXT_CHUNK, _atomic_write, run_cli
+from tailtest.cli import _TEXT_CHUNK, _atomic_write, _build_parser, run_cli
 
 
 def test_complexity_prints_budgets(capsys):
@@ -17,6 +18,16 @@ def test_complexity_prints_budgets(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "k=12\nn=17177\n"
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--b1"])
+def test_complexity_infinite_bound_is_one_error_line(flag, capsys):
+    bounds = {"--beta": "1", "--b1": "1", "--b2": "1", flag: "inf"}
+    code = run_cli(["complexity", "--alpha", "0.25", "--rho", "0.5",
+                    *[v for item in bounds.items() for v in item]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: bucket budget is not finite: beta, b1, b2 or c_k is too large\n"
 
 
 def test_scipy_loaded_only_by_the_half_gaussian():
@@ -236,16 +247,26 @@ def test_both_input_and_dist_rejected(tmp_path):
     assert code == 1
 
 
+BOUNDS_FLAGS = {"--alpha", "--rho", "--beta", "--b1", "--b2"}
+
+
+# Every subcommand's exact option set: a new flag fails here until it is
+# pinned on purpose.
 @pytest.mark.parametrize("command,flags", [
-    ("sample", ["--dist", "--params", "--n", "--seed", "--out", "--format"]),
-    ("proxy", ["--dist", "--params", "--k", "--alpha", "--beta", "--b1", "--out"]),
-    ("test", ["--input", "--dist", "--n", "--seed", "--k", "--alpha", "--rho",
-              "--beta", "--b1", "--b2", "--weak", "--c1", "--c2", "--reps",
-              "--exit-verdict"]),
-    ("simulate", ["--dist", "--reps", "--k", "--n", "--seed", "--out"]),
-    ("complexity", ["--alpha", "--rho", "--beta", "--b1", "--b2", "--ck", "--cn"]),
+    ("sample", {"--dist", "--params", "--n", "--seed", "--out", "--format"}),
+    ("proxy", {"--dist", "--params", "--k", "--alpha", "--beta", "--b1", "--out"}),
+    ("test", {"--input", "--format", "--dist", "--params", "--n", "--seed", "--k",
+              *BOUNDS_FLAGS, "--weak", "--noise-sigmas", "--reps", "--out",
+              "--exit-verdict"}),
+    ("simulate", {"--dist", "--params", "--reps", "--k", "--n", "--seed", *BOUNDS_FLAGS,
+                  "--weak", "--noise-sigmas", "--out"}),
+    ("complexity", {*BOUNDS_FLAGS, "--ck", "--cn"}),
 ])
 def test_help_lists_flags(command, flags, capsys):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+    assert options - {"-h", "--help"} == flags
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--help"])
     assert exc.value.code == 0

@@ -31,33 +31,30 @@ ALL_MODELS = [
 # ---------------------------------------------------------------------------
 
 def test_evaluate_exponential_at_origin():
-    e = tt.evaluate(Exponential(1.0), 0.0)
-    assert e.pdf == pytest.approx(1.0)
-    assert e.cdf == 0.0
-    assert e.pdf_derivative == pytest.approx(-1.0)
+    model = Exponential(1.0)
+    assert float(model.pdf(0.0)) == pytest.approx(1.0)
+    assert float(model.cdf(0.0)) == 0.0
+    assert float(model.sf(0.0)) == 1.0
+    assert float(model.pdf_derivative(0.0)) == pytest.approx(-1.0)
 
 
 def test_evaluate_lomax_closed_forms():
-    e = tt.evaluate(Lomax(1.0, 1.0), 1.0)
-    assert e.pdf == pytest.approx(0.25)
-    assert e.cdf == pytest.approx(0.5)
-    assert e.pdf_derivative == pytest.approx(-0.25)
+    model = Lomax(1.0, 1.0)
+    assert float(model.pdf(1.0)) == pytest.approx(0.25)
+    assert float(model.cdf(1.0)) == pytest.approx(0.5)
+    assert float(model.sf(1.0)) == pytest.approx(0.5)
+    assert float(model.pdf_derivative(1.0)) == pytest.approx(-0.25)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_cdf_zero_at_origin(model):
-    assert tt.evaluate(model, 0.0).cdf == 0.0
+    assert float(model.cdf(0.0)) == 0.0
+    assert float(model.sf(0.0)) == 1.0
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_pdf_derivative_nonpositive(model):
-    for x in np.linspace(0.01, 8.0, 40):
-        assert tt.evaluate(model, x).pdf_derivative <= 0.0
-
-
-def test_evaluate_rejects_negative_x():
-    with pytest.raises(ValueError):
-        tt.evaluate(Exponential(1.0), -0.5)
+    assert np.all(model.pdf_derivative(np.linspace(0.01, 8.0, 40)) <= 0.0)
 
 
 def test_invalid_parameters_rejected():
@@ -131,25 +128,25 @@ def test_erf_inverse_domain():
 # ---------------------------------------------------------------------------
 
 def test_hazard_exponential_is_constant():
-    for x in (0.0, 0.3, 2.0, 7.5):
-        h = tt.hazard(Exponential(2.0), x)
-        assert h.rate == pytest.approx(2.0)
-        assert h.rate_derivative == pytest.approx(0.0, abs=1e-15)
+    xs = np.array([0.0, 0.3, 2.0, 7.5])
+    model = Exponential(2.0)
+    assert model.hazard_rate(xs) == pytest.approx([2.0] * 4)
+    assert model.hazard_derivative(xs) == pytest.approx([0.0] * 4, abs=1e-15)
 
 
 def test_hazard_lomax_at_origin():
-    h = tt.hazard(Lomax(1.0, 1.0), 0.0)
-    assert h.rate == pytest.approx(1.0)
-    assert h.rate_derivative == pytest.approx(-1.0)
+    model = Lomax(1.0, 1.0)
+    assert float(model.hazard_rate(0.0)) == pytest.approx(1.0)
+    assert float(model.hazard_derivative(0.0)) == pytest.approx(-1.0)
 
 
 def test_hazard_halfgaussian_at_origin():
-    h = tt.hazard(HalfGaussian(1.0), 0.0)
+    model = HalfGaussian(1.0)
     f0 = 2.0 / math.sqrt(2.0 * math.pi)
-    assert h.rate == pytest.approx(f0, rel=1e-12)
+    assert float(model.hazard_rate(0.0)) == pytest.approx(f0, rel=1e-12)
     # flat density at the origin, so the derivative is rate squared
-    assert h.rate_derivative == pytest.approx(f0 * f0, rel=1e-12)
-    assert h.rate_derivative == pytest.approx(2.0 / math.pi, rel=1e-12)
+    assert float(model.hazard_derivative(0.0)) == pytest.approx(f0 * f0, rel=1e-12)
+    assert float(model.hazard_derivative(0.0)) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [6.0, 8.0, 9.0])
@@ -175,11 +172,6 @@ def test_hazard_derivative_matches_finite_difference(model):
         assert abs(exact - approx) <= max(1e-6, 1e-4 * abs(exact))
 
 
-def test_hazard_refuses_saturated_cdf():
-    with pytest.raises(ValueError):
-        tt.hazard(Exponential(1.0), 1e4)  # survival underflows to 0
-
-
 @pytest.mark.parametrize("model, x, survival", [
     (HalfGaussian(1.0), 9.0, math.erfc(9.0 / math.sqrt(2.0))),
     (Exponential(1.0), 40.0, math.exp(-40.0)),
@@ -188,9 +180,9 @@ def test_hazard_refuses_saturated_cdf():
 ], ids=["halfgaussian", "exponential", "stretchedexponential", "lomax"])
 def test_hazard_accepts_representable_survival(model, x, survival):
     # 1 - F(x) rounds to zero here although the survival is representable
-    h = tt.hazard(model, x)
-    assert math.isfinite(h.rate) and h.rate > 0.0
-    assert h.rate == pytest.approx(float(model.pdf(x)) / survival, rel=1e-12)
+    rate = float(model.hazard_rate(x))
+    assert math.isfinite(rate) and rate > 0.0
+    assert rate == pytest.approx(float(model.pdf(x)) / survival, rel=1e-12)
     assert float(model.sf(x)) == pytest.approx(survival, rel=1e-12)
 
 

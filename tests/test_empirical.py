@@ -22,13 +22,11 @@ def perfect_split(model, n):
 # ---------------------------------------------------------------------------
 
 def test_order_statistic_examples():
-    split = SortedSampleSplit(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert tt.order_statistic_at(split, 0.4) == 2.0  # idx = round(2.0) = 2
-    single = SortedSampleSplit(np.array([5.0]))
+    assert rank_index(4, 0.4) == 2  # round(2.0) = 2
     for q in (0.01, 0.5, 0.99):
-        assert tt.order_statistic_at(single, q) == 5.0
-    nine = SortedSampleSplit(np.arange(1.0, 10.0))
-    assert tt.order_statistic_at(nine, 0.5) == 5.0
+        assert rank_index(1, q) == 1
+    assert rank_index(9, 0.5) == 5
+    assert rank_index(9, np.array([0.1, 0.5, 0.9])).tolist() == [1, 5, 9]
 
 
 def test_rank_rounding_half_away_from_zero():
@@ -43,11 +41,9 @@ def test_rank_clamping():
 
 
 def test_order_statistic_domain():
-    split = SortedSampleSplit(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        tt.order_statistic_at(split, 0.0)
-    with pytest.raises(ValueError):
-        tt.order_statistic_at(split, 1.0)
+    for q in (0.0, 1.0, np.array([0.5, 1.0])):
+        with pytest.raises(ValueError):
+            rank_index(2, q)
 
 
 def test_split_validation():
@@ -230,6 +226,6 @@ def test_equal_weight_buckets():
 
 def test_extracted_endpoints_monotone():
     split = perfect_split(Lomax(1.0, 1.0), 12_345)
-    qs = [j / 64 for j in range(1, 64)]
-    vals = [tt.order_statistic_at(split, q) for q in qs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    qs = np.arange(1, 64) / 64
+    vals = split.values[rank_index(split.n, qs) - 1]
+    assert np.all(np.diff(vals) >= 0.0)

@@ -84,10 +84,11 @@ def test_load_text_with_comments(tmp_path):
 
 
 def test_load_text_rejects_negative(tmp_path):
-    p = tmp_path / "neg.txt"
-    p.write_text("1.0\n-1.0\n")
-    with pytest.raises(ValueError, match="negative"):
-        tt.load_samples(p, FileFormat.TEXT)
+    # Named by file line, by the one-pass reader and by the line loop alike.
+    assert _load_error(tmp_path, "negative") == \
+        "negative value -1.0 at line 3; domain is [0, inf)"
+    assert _load_error(tmp_path, "comment_negative") == \
+        "negative value -0.5 at line 3; domain is [0, inf)"
 
 
 def test_load_text_parse_error_carries_line(tmp_path):
@@ -155,6 +156,9 @@ def _text_corpus() -> dict[str, bytes]:
         "underscores": b"1_000\n2.5\n1_0.2_5\n",
         "non_ascii_digits": "\u0661\u0662\u0663\n\u0967.\u096b\n4.0\n".encode(),
         "inf_nan": b"1.0\ninf\n-Infinity\nnan\n",
+        "header_inf": b"# header\n1.0\n\ninf\n",
+        "negative": b"1.0\n2.0\n-1.0\n",
+        "comment_negative": b"1.0\n# note\n-0.5\n",
         "bom": b"\xef\xbb\xbf1.0\n2.0\n",
         "invalid_utf8": b"1.0\n2.0\n\xff\xfe\n3.0\n",
         "empty": b"",
@@ -163,6 +167,14 @@ def _text_corpus() -> dict[str, bytes]:
         "bad_literal": b"1.0\n2.0 3.0\n",
         "bad_line_200001": ("\n".join(values + values) + "\n4.0e\n5.0\n").encode(),
     }
+
+
+def _load_error(tmp_path, name) -> str:
+    p = tmp_path / f"{name}.txt"
+    p.write_bytes(_text_corpus()[name])
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.TEXT)
+    return str(exc.value)
 
 
 def _parse_result(parse, path):
@@ -189,12 +201,18 @@ def test_parse_text_error_names_late_line(tmp_path):
 
 
 def test_load_text_non_finite_keeps_message(tmp_path):
-    p = tmp_path / "inf.txt"
-    p.write_bytes(_text_corpus()["inf_nan"])
-    # The message names the value by numpy's repr, as the line loop's did.
-    with pytest.raises(ValueError,
-                       match=r"^non-finite value np\.float64\(inf\) at sample line 2$"):
-        tt.load_samples(p, FileFormat.TEXT)
+    # A bad value is named by its plain float repr and its file line,
+    # whether the one-pass reader or the line loop took the file.
+    assert _load_error(tmp_path, "inf_nan") == "non-finite value inf at line 2"
+    assert _load_error(tmp_path, "header_inf") == "non-finite value inf at line 4"
+
+
+def test_load_raw_f64_names_value_position(tmp_path):
+    p = tmp_path / "bad.f64"
+    p.write_bytes(struct.pack("<3d", 1.0, 2.0, -1.0))
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.RAW_F64)
+    assert str(exc.value) == "negative value -1.0 at value 3; domain is [0, inf)"
 
 
 def test_load_text_peak_memory_per_value(tmp_path):
@@ -224,8 +242,7 @@ def outcome_with(records):
     cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / 32), k=16)
     verdict = Verdict.HEAVY if any(
         not r.degenerate and r.s_hat < r.boundary for r in records) else Verdict.LIGHT
-    return TestOutcome(verdict=verdict, records=tuple(records), k=16, n=256,
-                       seed=3, config=cfg)
+    return TestOutcome(verdict=verdict, records=tuple(records), n=256, seed=3, config=cfg)
 
 
 def test_json_schema_and_field_order():
@@ -255,11 +272,11 @@ def test_json_degenerate_bucket_serializes_null():
 
 
 def report_with(rows):
-    return tt.ReplicationReport(rows=tuple(rows), reps=2, seeds=(3, 4))
+    return tt.ReplicationReport(rows=tuple(rows))
 
 
 def test_csv_row_count_for_three_bucket_report():
-    rows = [ReplicationRow(i, 0.5, 0.1, 0.6, 1 - i / 16, 0.4, 0) for i in (2, 3, 4)]
+    rows = [ReplicationRow(i, 0.5, 0.1, 0.6, 1 - i / 16, 0.4) for i in (2, 3, 4)]
     text = serialize_report(report_with(rows)).decode()
     lines = text.strip().split("\n")
     assert len(lines) == 4
@@ -269,7 +286,7 @@ def test_csv_row_count_for_three_bucket_report():
 def test_serialization_is_byte_stable():
     outcome = outcome_with([BucketRecord(2, 1 / 3, 0.25, 1 / 3 - 0.25, False)])
     assert serialize_report(outcome) == serialize_report(outcome)
-    report = report_with([ReplicationRow(2, 1 / 3, 1 / 7, 0.9, 0.875, 0.25, 0)])
+    report = report_with([ReplicationRow(2, 1 / 3, 1 / 7, 0.9, 0.875, 0.25)])
     assert serialize_report(report) == serialize_report(report)
 
 
@@ -282,7 +299,7 @@ def test_json_round_trip_is_lossless():
     cfg = weak_config(k=16)
     outcome = tt.run_sampled_test(Exponential(1.0), 5_000, 13, cfg)
     doc = json.loads(serialize_report(outcome))
-    assert doc["k"] == outcome.k and doc["n"] == outcome.n
+    assert doc["k"] == outcome.config.k and doc["n"] == outcome.n
     assert doc["alpha"] == outcome.config.tail.alpha
     assert doc["rho"] == outcome.config.tail.rho
     for rec, bucket in zip(outcome.records, doc["buckets"]):
@@ -294,7 +311,7 @@ def test_json_round_trip_is_lossless():
 
 
 def test_csv_floats_carry_full_precision():
-    row = ReplicationRow(2, 0.123456789012345, 0.1, 0.6, 0.875, 0.023456789012345, 0)
+    row = ReplicationRow(2, 0.123456789012345, 0.1, 0.6, 0.875, 0.023456789012345)
     text = serialize_report(report_with([row])).decode()
     assert "0.123456789012345" in text
     assert "0.023456789012345" in text

@@ -28,3 +28,19 @@ def test_package_exports_are_module_exports():
         obj = getattr(tailtest, name)
         homes = [m for m in modules if getattr(m, name, None) is obj and name in m.__all__]
         assert homes, f"{name} is exported by tailtest but by no module's __all__"
+
+
+def test_package_exports_are_pinned():
+    # Adding or dropping a public name is a deliberate change: update this list.
+    assert tailtest.__all__ == [
+        "DistributionModel", "Exponential", "Lomax", "HalfGaussian",
+        "StretchedExponential", "TailParams", "WellBehavedBounds", "TailClass",
+        "quantile", "sample", "classify_tail", "estimate_bounds", "model_from_name",
+        "SortedSampleSplit", "DEGENERATE", "is_degenerate",
+        "two_scale_statistic", "single_scale_statistic",
+        "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
+        "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
+        "required_buckets", "required_samples", "run_full_test", "run_weak_test",
+        "FileFormat", "ReplicationReport", "load_samples", "replicate",
+        "run_sampled_test", "sample_single", "sample_splits",
+    ]

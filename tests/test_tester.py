@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tailtest import (
     Exponential,
     Lomax,
     SortedSampleSplit,
+    StretchedExponential,
     TailParams,
     TestConfig,
     Variant,
@@ -70,6 +73,17 @@ def test_calculators_reject_zero_alpha():
         tt.required_samples(8, TailParams(0.0, 0.5), WellBehavedBounds(1, 1, 1, 0.1))
 
 
+def test_calculators_reject_infinite_bounds():
+    # estimate_bounds gives the stretched exponential infinite bounds: its
+    # density is unbounded at the origin.
+    bounds = tt.estimate_bounds(StretchedExponential(1.0, 0.5), 1 / 24)
+    assert bounds.beta == bounds.b1 == math.inf
+    with pytest.raises(ValueError, match="bucket budget is not finite"):
+        tt.required_buckets(TAIL, bounds)
+    with pytest.raises(ValueError, match="sample budget is not finite"):
+        tt.required_samples(12, TAIL, bounds)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -81,8 +95,6 @@ def test_config_validation():
         TestConfig(tail=TailParams(0.25, 0.1), bounds=UNIT_BOUNDS_K16, k=16)  # k < 4/rho
     with pytest.raises(ValueError):
         TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 0.2), k=16)  # zeta too big
-    with pytest.raises(ValueError):
-        TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, weak_range=(0.8, 0.1))
     with pytest.raises(ValueError):
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=-1.0)
 
@@ -203,7 +215,7 @@ def test_boundary_nonincreasing_in_alpha():
 def test_outcome_records_are_consistent():
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
     outcome = tt.run_full_test(perfect_splits(Lomax(1.0, 1.0), 40_000), cfg)
-    assert outcome.k == 16 and outcome.n == 40_000
+    assert outcome.config.k == 16 and outcome.n == 40_000
     flagged = [r for r in outcome.records
                if not r.degenerate and r.s_hat < r.boundary]
     assert (outcome.verdict is Verdict.HEAVY) == bool(flagged)
@@ -225,10 +237,10 @@ def test_verdict_affine_invariance_spot_check():
 def test_weak_scan_range_respects_bounds():
     from tailtest.tester import weak_scan_range
 
-    cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, variant=Variant.WEAK)
-    r = weak_scan_range(cfg)
-    assert r.start == 2 and r.stop - 1 == 12  # ceil(1.6), floor(12.8)
-    wide = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, variant=Variant.WEAK,
-                      weak_range=(0.05, 0.99))
-    r = weak_scan_range(wide)
-    assert r.start == 1 and r.stop - 1 == 13  # clipped to the statistic's range
+    assert weak_scan_range(16) == range(2, 13)  # ceil(1.6), floor(12.8)
+    # floor(0.8k) = 8 > k-3 = 7: the top is clipped to the statistic's range
+    assert weak_scan_range(10) == range(1, 8)
+    # never empty, down to the smallest k
+    for k in range(4, 200):
+        r = weak_scan_range(k)
+        assert 1 <= r.start <= r.stop - 1 <= k - 3
