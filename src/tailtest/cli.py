@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands mirror the library workflows: ``sample`` (seeded draws to a
-file), ``proxy`` (analytic curve per bucket as CSV), ``test`` (heavy or
-light verdict as a JSON report), ``simulate`` (repeated runs aggregated
-to CSV), and ``complexity`` (bucket and sample budgets).
+file), ``proxy`` (ProxyPoint rows as CSV), ``test`` (heavy or light
+verdict as a JSON report), ``simulate`` (ReplicationRow rows as CSV),
+and ``complexity`` (bucket and sample budgets).
 
 Exit codes: 0 success, 1 domain or parse failure, 2 usage error; with
 ``--exit-verdict`` the ``test`` subcommand exits 3 for a heavy verdict
@@ -106,10 +106,6 @@ def _text_chunks(values: np.ndarray) -> Iterator[bytes]:
         yield ("\n".join(map(repr, chunk)) + "\n").encode("ascii")
 
 
-def _file_format(name: str) -> FileFormat:
-    return FileFormat.TEXT if name == "text" else FileFormat.RAW_F64
-
-
 def _add_dist_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--dist", required=required,
                    help="family: exponential | lomax | halfgaussian | stretchedexponential")
@@ -135,8 +131,9 @@ def _add_variant_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weak", action="store_true",
                    help="single-split, single-granularity variant; scans buckets "
                         "ceil(0.1k)..floor(0.8k)")
-    p.add_argument("--noise-sigmas", type=float, default=4.0,
-                   help="noise-floor multiplier for the decision boundary (default 4.0)")
+    p.add_argument("--noise-sigmas", type=float, default=TestConfig.noise_sigmas,
+                   help="noise-floor multiplier for the decision boundary "
+                        "(default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=["text", "f64"], default="text",
+    p.add_argument("--format", choices=[f.value for f in FileFormat], default=FileFormat.TEXT.value,
                    help="text: one decimal per line; f64: packed little-endian doubles")
 
     p = sub.add_parser("proxy", help="analytic proxy curve per bucket as CSV")
@@ -164,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the heavy/light decision, write a JSON report")
     p.add_argument("--input", default=None, help="sample file to test instead of --dist")
-    p.add_argument("--format", choices=["text", "f64"], default="text",
+    p.add_argument("--format", choices=[f.value for f in FileFormat], default=FileFormat.TEXT.value,
                    help="input file format")
     _add_dist_args(p, required=False)
     p.add_argument("--n", type=int, default=None,
@@ -189,7 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_variant_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("complexity", help="print bucket and sample budgets")
+    p = sub.add_parser("complexity", help="print bucket and sample budgets",
+                       description="Bucket count k and per-split sample count n from the "
+                                   "theory's formulas with their constants fixed at 1 (scaled "
+                                   "by --ck and --cn): their shape, not a calibrated budget.")
     _add_bounds_args(p)
     p.add_argument("--ck", type=float, default=1.0, help="bucket-count constant (default 1)")
     p.add_argument("--cn", type=float, default=1.0, help="sample-count constant (default 1)")
@@ -215,7 +215,7 @@ def _make_config(args) -> TestConfig:
 def _cmd_sample(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     values = distributions.sample(model, args.n, args.seed)
-    if args.format == "text":
+    if FileFormat(args.format) is FileFormat.TEXT:
         chunks = _text_chunks(np.asarray(values, dtype=float))
     else:
         chunks = [np.ascontiguousarray(values, dtype="<f8")]
@@ -228,9 +228,7 @@ def _cmd_proxy(args) -> int:
     tail = TailParams(alpha=args.alpha, rho=0.5)
     bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=1.0,
                                zeta=1.0 / (2 * args.k))
-    rows = [(i, p.z, p.s, p.s_tilde, p.threshold, p.gap)
-            for i, p in zip(range(2, args.k - 1), proxy_curve(model, args.k, tail, bounds))]
-    _atomic_write(args.out, [csv_bytes("i,z,proxy_s,s_tilde,threshold,gap", rows)])
+    _atomic_write(args.out, [csv_bytes(proxy_curve(model, args.k, tail, bounds))])
     return EXIT_OK
 
 
@@ -240,10 +238,10 @@ def _cmd_test(args) -> int:
     config = _make_config(args)
 
     if args.input is not None:
-        if args.reps is not None:
-            raise ValueError("--reps only applies to --dist runs; file data is fixed")
+        if args.n is not None or args.params or args.reps is not None:
+            raise ValueError("--n, --params and --reps apply only to --dist; file data is fixed")
         weak = config.variant is Variant.WEAK
-        data = load_samples(args.input, _file_format(args.format), split=not weak)
+        data = load_samples(args.input, FileFormat(args.format), split=not weak)
         outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
     else:
         if args.n is None:

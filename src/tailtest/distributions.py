@@ -128,8 +128,8 @@ class Exponential(DistributionModel):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and > 0")
 
     def pdf(self, x):
         return self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
@@ -161,10 +161,10 @@ class Lomax(DistributionModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.shape > 0.0:
-            raise ValueError("shape must be > 0")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be > 0")
+        if not 0.0 < self.shape < math.inf:
+            raise ValueError("shape must be finite and > 0")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and > 0")
 
     def pdf(self, x):
         t = 1.0 + np.asarray(x, dtype=float) / self.scale
@@ -199,8 +199,8 @@ class HalfGaussian(DistributionModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("scale must be > 0")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and > 0")
 
     def pdf(self, x):
         z = np.asarray(x, dtype=float) / self.scale
@@ -246,8 +246,8 @@ class StretchedExponential(DistributionModel):
     exponent: float = 0.5
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("rate must be > 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be finite and > 0")
         if not (0.0 < self.exponent < 1.0):
             raise ValueError("exponent must lie in (0, 1)")
 

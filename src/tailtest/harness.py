@@ -15,7 +15,8 @@ value is named by its position.
 
 Each report type has one format: ``serialize_report`` writes a
 TestOutcome as JSON and a ReplicationReport as CSV.  ``csv_bytes`` is
-the one CSV writer; the CLI's proxy table goes through it too.
+the one CSV writer, headed by the row dataclass's field names; the
+CLI's proxy table of ProxyPoint rows goes through it too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -78,10 +79,14 @@ def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSp
     return SortedSampleSplit.from_samples(distributions.sample(model, n, seed))
 
 
+def _deal(values: np.ndarray) -> list[SortedSampleSplit]:
+    """Deal values round-robin by position into four splits, then sort each."""
+    return [SortedSampleSplit.from_samples(values[j::4]) for j in range(4)]
+
+
 def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSampleSplit]:
     """Four sorted splits of n samples each, dealt round-robin from one stream."""
-    stream = distributions.sample(model, 4 * n, seed)
-    return [SortedSampleSplit.from_samples(stream[j::4]) for j in range(4)]
+    return _deal(distributions.sample(model, 4 * n, seed))
 
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
@@ -224,7 +229,7 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
         return SortedSampleSplit.from_samples(arr)
     if arr.size < 4:
         raise ValueError(f"{path}: need at least 4 values to build four splits")
-    return [SortedSampleSplit.from_samples(arr[j::4]) for j in range(4)]
+    return _deal(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +261,24 @@ def _outcome_json(outcome: TestOutcome) -> dict:
     }
 
 
-def csv_bytes(header: str, rows) -> bytes:
-    """CSV with one row per bucket: its integer index, then its values as
-    shortest round-trip decimals (>= 12 significant digits where needed)."""
-    lines = [header] + [",".join([str(r[0]), *(repr(float(v)) for v in r[1:])])
-                        for r in rows]
+def csv_bytes(rows) -> bytes:
+    """CSV of dataclass rows headed by their field names: per row its integer
+    index, then its values as shortest round-trip decimals (>= 12 significant
+    digits where needed)."""
+    lines = [",".join(f.name for f in fields(rows[0]))]
+    lines += [",".join([str(r[0]), *(repr(float(v)) for v in r[1:])]) for r in map(astuple, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def serialize_report(report) -> bytes:
     """Stable bytes of a TestOutcome as JSON or a ReplicationReport as CSV.
 
-    Outcome JSON follows the fixed report schema; replication CSV rows
-    are 'i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary'.
+    Outcome JSON follows the fixed report schema; the replication CSV
+    columns are ReplicationRow's fields.
     """
     if isinstance(report, TestOutcome):
         text = json.dumps(_outcome_json(report), indent=2, allow_nan=False)
         return (text + "\n").encode("utf-8")
     if isinstance(report, ReplicationReport):
-        return csv_bytes("i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary",
-                         [(r.i, r.s_hat_mean, r.s_hat_std, r.proxy_s, r.threshold,
-                           r.boundary) for r in report.rows])
+        return csv_bytes(report.rows)
     raise ValueError(f"cannot serialize {type(report).__name__}")

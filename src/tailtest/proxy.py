@@ -7,8 +7,8 @@ non-decreasing, and a hazard drop of alpha pushes S below 1 - z by at
 least alpha*(1-z)^2 / (beta^3 * B1), the "gap", which
 ``separation_gap`` computes for one z or an array of them.
 ``proxy_curve`` tabulates S, its discretization, 1 - z and the gap per
-coarse bucket.  Everything here is computed from analytic models; the
-sample-side counterpart lives in ``tailtest.empirical``.
+four-split bucket.  Everything here is computed from analytic models;
+the sample-side counterpart lives in ``tailtest.empirical``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel, TailParams, WellBehavedBounds
-from .empirical import four_point_ratio, is_degenerate
+from .empirical import FOUR_SPLIT, four_point_ratio, is_degenerate
 
 __all__ = [
     "ProxyPoint",
@@ -31,8 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxyPoint:
+    i: int
     z: float
-    s: float
+    proxy_s: float
     s_tilde: float
     threshold: float
     gap: float
@@ -95,10 +96,10 @@ def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
 
 def proxy_curve(model: DistributionModel, k: int, tail: TailParams,
                 bounds: WellBehavedBounds) -> tuple[ProxyPoint, ...]:
-    """Exact proxy, discrete proxy, threshold and gap per coarse bucket 2..k-2."""
+    """Exact proxy, discrete proxy, threshold and gap per four-split bucket."""
     if k < 4:
         raise ValueError("k must be >= 4")
-    return tuple(ProxyPoint(z=i / k, s=proxy_value(model, i / k),
+    return tuple(ProxyPoint(i=i, z=i / k, proxy_s=proxy_value(model, i / k),
                             s_tilde=discrete_proxy(model, i, k), threshold=1.0 - i / k,
                             gap=float(separation_gap(i / k, tail, bounds)))
-                 for i in range(2, k - 1))
+                 for i in FOUR_SPLIT.buckets(k))

@@ -149,8 +149,8 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
     """Per-split sample count c_n * k^3 * ln(k) * b1^(3/2) * beta^2 / alpha.
 
     Rounded up with one extra sample so the bound is strictly exceeded,
-    then clamped to at least k^2 (the statistic needs a sample per fine
-    bucket).  A budget that overflows a float is a ValueError.
+    then raised to at least ``FOUR_SPLIT.min_n(k)`` = k^2, a sample per
+    fine bucket.  A budget that overflows a float is a ValueError.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
@@ -160,7 +160,7 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
         raise ValueError("c_n must be > 0")
     try:
         raw = c_n * k ** 3 * math.log(k) * bounds.b1 ** 1.5 * bounds.beta ** 2 / tail.alpha
-        return max(math.ceil(raw) + 1, k * k)
+        return max(math.ceil(raw) + 1, FOUR_SPLIT.min_n(k))
     except OverflowError:
         raise ValueError("sample budget is not finite: k, beta, b1 or c_n is too large") from None
 

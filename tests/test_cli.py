@@ -228,13 +228,18 @@ def test_bad_param_string_exits_1(tmp_path):
     assert code == 1
 
 
-def test_reps_with_input_rejected(tmp_path):
+def test_reps_with_input_rejected(tmp_path, capsys):
+    # --reps, --n and --params only shape --dist draws; with a file they
+    # would be ignored, so each is refused with one error line.
     sample_file = tmp_path / "s.txt"
     sample_file.write_text("\n".join(str(v / 10) for v in range(1, 200)) + "\n")
-    code = run_cli(["test", "--input", str(sample_file), "--reps", "3",
-                    "--k", "8", "--alpha", "0.25", "--rho", "0.5",
-                    "--beta", "1", "--b1", "1", "--b2", "1", "--weak"])
-    assert code == 1
+    for extra in (["--reps", "3"], ["--n", "7"], ["--params", "a=3"]):
+        code = run_cli(["test", "--input", str(sample_file), *extra,
+                        "--k", "8", "--alpha", "0.25", "--rho", "0.5",
+                        "--beta", "1", "--b1", "1", "--b2", "1", "--weak"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_both_input_and_dist_rejected(tmp_path):

@@ -68,6 +68,12 @@ def test_invalid_parameters_rejected():
         StretchedExponential(1.0, 1.0)  # exponent must be < 1
     with pytest.raises(ValueError):
         StretchedExponential(1.0, 0.0)
+    # every rate, shape and scale must also be finite
+    for family, args in [(Exponential, (math.inf,)), (Lomax, (math.inf, 1.0)),
+                         (Lomax, (1.0, math.inf)), (HalfGaussian, (math.inf,)),
+                         (StretchedExponential, (math.inf, 0.5))]:
+        with pytest.raises(ValueError, match="finite"):
+            family(*args)
 
 
 # ---------------------------------------------------------------------------
