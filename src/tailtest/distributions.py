@@ -6,8 +6,10 @@ hazard rate and its analytic derivative.  All evaluators accept scalars
 or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
-from the open interval (0, 1) and maps them through the quantile
-function, so identical seeds give bit-identical output.
+above 0 and maps them through the quantile function, so identical seeds
+give bit-identical output.  The uniforms are drawn and transformed
+65,536 at a time into the one output array, so no temporary outgrows a
+chunk.
 """
 
 from __future__ import annotations
@@ -315,23 +317,29 @@ def quantile(model: DistributionModel, u):
     return out
 
 
-def _open_uniform(n: int, seed: int) -> np.ndarray:
-    """n uniforms on the open interval (0, 1), reproducible per seed.
-
-    PCG64 seeded through SeedSequence yields 53-bit integers j; the
-    variate (j + 0.5) * 2**-53 can never hit 0 or 1, so the quantile
-    transform never diverges.
-    """
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    ints = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-    return (ints.astype(np.float64) + 0.5) * 2.0 ** -53
+# Values drawn and transformed per pass of ``sample``: 512 KiB of float64,
+# so a chunk and the quantile's temporaries stay in L2.
+_CHUNK = 1 << 16
 
 
 def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
-    """n inverse-transform samples; same seed gives bit-identical output."""
+    """n inverse-transform samples; same seed gives bit-identical output.
+
+    PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
+    53-bit integer; adding 2**-54 gives the variate (j + 0.5) * 2**-53,
+    which never hits 0, so the quantile transform never diverges at the
+    origin.  Each chunk is transformed where it was drawn.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return model.quantile(_open_uniform(int(n), seed))
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = np.empty(int(n))
+    for start in range(0, out.size, _CHUNK):
+        chunk = out[start:start + _CHUNK]
+        gen.random(out=chunk)
+        chunk += 2.0 ** -54
+        chunk[...] = model.quantile(chunk)
+    return out
 
 
 def _longest_run(flags: np.ndarray) -> int:

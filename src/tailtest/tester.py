@@ -97,8 +97,8 @@ class TestConfig:
                 f"bounds hold only up to mass {1 - self.bounds.zeta}; "
                 f"k={self.k} requires zeta <= 1/(2k)"
             )
-        if not self.noise_sigmas >= 0.0:
-            raise ValueError("noise_sigmas must be >= 0")
+        if not 0.0 <= self.noise_sigmas < math.inf:
+            raise ValueError("noise_sigmas must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,17 @@ def test_complexity_infinite_bound_is_one_error_line(flag, capsys):
     assert captured.err == "error: bucket budget is not finite: beta, b1, b2 or c_k is too large\n"
 
 
+def test_infinite_noise_sigmas_is_one_error_line(capsys):
+    # An infinite noise floor would put every boundary at -inf, which no
+    # JSON report can hold; the config refuses it before any sampling.
+    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
+                    "--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
+                    "--b1", "1", "--b2", "1", "--noise-sigmas", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: noise_sigmas must be finite and >= 0\n"
+
+
 def test_scipy_loaded_only_by_the_half_gaussian():
     # Start-up cost: importing the package and running a command that
     # needs no half-Gaussian must not import scipy; the half-Gaussian

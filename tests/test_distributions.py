@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,39 @@ def test_sampling_positive_and_finite():
     xs = tt.sample(StretchedExponential(1.0, 0.5), 10_000, seed=3)
     assert np.all(xs > 0.0)
     assert np.all(np.isfinite(xs))
+
+
+# Sizes around the sampler's 65,536-value chunk: one value, a chunk less
+# one, one chunk, a chunk plus one, and three chunks plus a partial one.
+CHUNK_EDGE_SIZES = [1, 65_535, 65_536, 65_537, 3 * 65_536 + 5]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGE_SIZES)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_sampling_matches_whole_array_formula(model, n):
+    # The reference draws all 53-bit integers j at once and maps
+    # (j + 0.5) * 2**-53 through the quantile; the chunked sampler must
+    # give the same bytes.
+    for seed in (0, 7, 2 ** 40 + 3):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        ints = gen.integers(0, 1 << 53, n, dtype=np.uint64)
+        expected = model.quantile((ints + 0.5) * 2.0 ** -53)
+        assert tt.sample(model, n, seed).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", [Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
+                                   StretchedExponential(1.0, 0.5)], ids=repr)
+def test_sampling_peak_memory_per_value(model):
+    # The output array is 8 B per value; every temporary is chunk-sized.
+    tt.sample(model, 1, seed=0)  # loads scipy for the half-Gaussian first
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        tt.sample(model, n, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 10.0
 
 
 # ---------------------------------------------------------------------------

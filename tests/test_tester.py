@@ -97,6 +97,8 @@ def test_config_validation():
         TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 0.2), k=16)  # zeta too big
     with pytest.raises(ValueError):
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=-1.0)
+    with pytest.raises(ValueError, match="noise_sigmas must be finite and >= 0"):
+        TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=math.inf)
 
 
 def test_variant_mismatch_rejected():
