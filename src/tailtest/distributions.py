@@ -8,8 +8,9 @@ or numpy arrays.
 Sampling is inverse-transform only: a seeded generator draws uniforms
 above 0 and maps them through the quantile function, so identical seeds
 give bit-identical output.  The uniforms are drawn and transformed
-65,536 at a time into the one output array, so no temporary outgrows a
-chunk.
+16,384 at a time into one reused buffer, so no temporary outgrows a
+chunk; ``sample`` copies the chunks into its output, and the sampling
+front ends in ``harness`` deal them straight into their splits.
 """
 
 from __future__ import annotations
@@ -317,28 +318,60 @@ def quantile(model: DistributionModel, u):
     return out
 
 
-# Values drawn and transformed per pass of ``sample``: 512 KiB of float64,
-# so a chunk and the quantile's temporaries stay in L2.
-_CHUNK = 1 << 16
+# Values drawn and transformed per pass: 128 KiB of float64, so a chunk
+# and the quantile's temporaries stay in L2.  Small chunks also keep a
+# call's transient heap small: with 512 KiB chunks, glibc returned the
+# heap top to the kernel after each of many small full tests and paged
+# it back in on the next one.
+_CHUNK = 1 << 14
+
+# The largest double below 1, where every family's quantile is finite.
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
-def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
-    """n inverse-transform samples; same seed gives bit-identical output.
+def _variates(u: np.ndarray) -> np.ndarray:
+    """Map ``Generator.random()`` output j * 2**-53 in place to the variate.
+
+    Adding 2**-54 gives (j + 0.5) * 2**-53, which never hits 0, so the
+    quantile transform never diverges at the origin.  For the one j =
+    2**53 - 1 the sum rounds up to exactly 1, where every quantile is
+    infinite; the clamp maps it to 1 - 2**-53 and changes no other value.
+    """
+    u += 2.0 ** -54
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _draw(model: DistributionModel, gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
+    """Fill chunk with the next chunk.size samples of gen's stream, in place."""
+    gen.random(out=chunk)
+    chunk[...] = model.quantile(_variates(chunk))
+    return chunk
+
+
+def sample_chunks(model: DistributionModel, n: int, seed: int):
+    """n inverse-transform samples in stream order, _CHUNK at a time.
 
     PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
-    53-bit integer; adding 2**-54 gives the variate (j + 0.5) * 2**-53,
-    which never hits 0, so the quantile transform never diverges at the
-    origin.  Each chunk is transformed where it was drawn.
+    53-bit integer, which ``_variates`` maps into (0, 1).  Every chunk is
+    a view of one reused buffer, so a consumer copies each out before it
+    takes the next.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    n = int(n)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    buf = np.empty(min(n, _CHUNK))
+    return (_draw(model, gen, buf[:min(_CHUNK, n - start)]) for start in range(0, n, _CHUNK))
+
+
+def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
+    """n inverse-transform samples; same seed gives bit-identical output."""
+    chunks = sample_chunks(model, n, seed)
     out = np.empty(int(n))
-    for start in range(0, out.size, _CHUNK):
-        chunk = out[start:start + _CHUNK]
-        gen.random(out=chunk)
-        chunk += 2.0 ** -54
-        chunk[...] = model.quantile(chunk)
+    start = 0
+    for chunk in chunks:
+        out[start:start + chunk.size] = chunk
+        start += chunk.size
     return out
 
 

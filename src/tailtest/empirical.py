@@ -67,7 +67,7 @@ class SortedSampleSplit:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "SortedSampleSplit":
-        """Sort a copy of raw samples.
+        """Sort a copy of raw samples; the caller's array is left unchanged.
 
         numpy's default sort kind (a SIMD quicksort where the CPU has
         one) is not stable, and need not be: equal floats are

@@ -1,17 +1,21 @@
 """Experiment replication, sample-file ingestion, and report serialization.
 
 Sampling for the four-split test draws one stream of 4n variates and
-deals them round-robin before sorting, exactly how a sample file is
-split on ingestion, so piping a file through ``load_samples`` and
-testing it gives the same verdict as testing the seeded stream
-directly.
+deals them round-robin, exactly how a sample file is split on
+ingestion, so piping a file through ``load_samples`` and testing it
+gives the same verdict as testing the seeded stream directly.  The
+stream is dealt chunk by chunk as it is drawn into one (4, n) array
+whose rows are then sorted in place: each drawn value is held once.
+Every array this module sorts is its own, so it sorts in place; equal
+floats are interchangeable, so that gives the bytes of sorting a copy
+(see ``SortedSampleSplit.from_samples``).
 
 Text sample files are read in one ``float()`` pass over the lines into
 an array; a file that pass cannot read whole (comments, blank lines, a
 bad literal) is read again line by line, which gives the same values or
 names the offending line.  Either way a negative or non-finite value is
-named by its file line.  Raw f64 files are viewed in place, and a bad
-value is named by its position.
+named by its file line.  Raw f64 files are read straight into one
+array, and a bad value is named by its position.
 
 Each report type has one format: ``serialize_report`` writes a
 TestOutcome as JSON and a ReplicationReport as CSV.  ``csv_bytes`` is
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from array import array
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
@@ -74,19 +79,42 @@ class ReplicationReport:
 # sampling front ends
 # ---------------------------------------------------------------------------
 
+def _sorted(values: np.ndarray) -> SortedSampleSplit:
+    """A split of an array this module owns, sorted in place."""
+    values.sort()
+    return SortedSampleSplit(values)
+
+
 def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSplit:
     """One sorted split of n seeded samples."""
-    return SortedSampleSplit.from_samples(distributions.sample(model, n, seed))
+    return _sorted(distributions.sample(model, n, seed))
 
 
-def _deal(values: np.ndarray) -> list[SortedSampleSplit]:
-    """Deal values round-robin by position into four splits, then sort each."""
-    return [SortedSampleSplit.from_samples(values[j::4]) for j in range(4)]
+def _deal(chunks, n: int) -> list[SortedSampleSplit]:
+    """Deal a stream of 4n values round-robin into four splits, each sorted in place.
+
+    Stream position p goes to ``grid[p % 4, p // 4]`` of one C-order
+    (4, n) array, whatever the chunk boundaries.  Each row is
+    contiguous, so sorting it needs no buffer.
+    """
+    grid = np.empty((4, n))
+    p = 0
+    for chunk in chunks:
+        for j in range(4):
+            first = (j - p) % 4  # the chunk's first offset at a position of split j
+            part = chunk[first::4]
+            col = (p + first) // 4
+            grid[j, col:col + part.size] = part
+        p += chunk.size
+    if p != grid.size:
+        raise ValueError(f"dealt {p} values into four splits of {n}")
+    grid.sort(axis=1)
+    return [SortedSampleSplit(row) for row in grid]
 
 
 def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSampleSplit]:
     """Four sorted splits of n samples each, dealt round-robin from one stream."""
-    return _deal(distributions.sample(model, 4 * n, seed))
+    return _deal(distributions.sample_chunks(model, 4 * n, seed), n)
 
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
@@ -147,8 +175,11 @@ def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
     """Raise on the first non-finite value, else on the first negative one.
 
     The message names value j as ``where`` number ``numbers[j]``, or
-    j + 1 when no numbers are given.
+    j + 1 when no numbers are given.  Clean data costs two reductions
+    and no temporary array: NaN fails both comparisons.
     """
+    if arr.min() >= 0.0 and arr.max() < math.inf:
+        return
     for what, bad, note in (("non-finite", ~np.isfinite(arr), ""),
                             ("negative", arr < 0.0, "; domain is [0, inf)")):
         if np.any(bad):
@@ -200,15 +231,20 @@ def _parse_text_lines(path: Path) -> np.ndarray:
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) == 0:
-        raise ValueError(f"{path}: empty file")
-    if len(raw) % 8 != 0:
-        raise ValueError(
-            f"{path}: length {len(raw)} is not a multiple of 8 "
-            f"(trailing fragment at offset {len(raw) - len(raw) % 8})"
-        )
-    arr = np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+    """Read a raw file, sized by its length on disk, into one writable array."""
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:
+            raise ValueError(f"{path}: empty file")
+        if size % 8 != 0:
+            raise ValueError(
+                f"{path}: length {size} is not a multiple of 8 "
+                f"(trailing fragment at offset {size - size % 8})"
+            )
+        arr = np.empty(size // 8, dtype="<f8")
+        if fh.readinto(arr) != size:
+            raise ValueError(f"{path}: file changed size while being read")
+    arr = arr.astype(float, copy=False)
     _reject_bad_values(arr, "value")
     return arr
 
@@ -221,15 +257,17 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
     Negative and non-finite values are rejected.  With ``split=True``
     the values are dealt round-robin on input order into four splits
     before sorting - fine for i.i.d. data, a deliberate warning sign
-    for time-ordered data.
+    for time-ordered data - and their count must be a multiple of 4.
     """
     path = Path(path)
     arr = _parse_text(path) if fmt is FileFormat.TEXT else _parse_raw_f64(path)
     if not split:
-        return SortedSampleSplit.from_samples(arr)
+        return _sorted(arr)
     if arr.size < 4:
         raise ValueError(f"{path}: need at least 4 values to build four splits")
-    return _deal(arr)
+    if arr.size % 4:
+        raise ValueError("all four splits must hold the same number of samples")
+    return _deal([arr], arr.size // 4)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,18 @@ def test_both_input_and_dist_rejected(tmp_path):
     assert code == 1
 
 
+def test_full_input_of_uneven_count_is_one_error_line(tmp_path, capsys):
+    # Five values cannot fill four equal splits; the benchmark's file
+    # workload matches this exact refusal.
+    sample_file = tmp_path / "five.txt"
+    sample_file.write_text("1.0\n2.0\n3.0\n4.0\n5.0\n")
+    code = run_cli(["test", "--input", str(sample_file), "--k", "8", "--alpha", "0.25",
+                    "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: all four splits must hold the same number of samples\n"
+
+
 BOUNDS_FLAGS = {"--alpha", "--rho", "--beta", "--b1", "--b2"}
 
 

@@ -13,7 +13,7 @@ from tailtest import (
     TailClass,
     TailParams,
 )
-from tailtest.distributions import _longest_run
+from tailtest.distributions import _longest_run, _variates
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -232,8 +232,9 @@ def test_sampling_positive_and_finite():
     assert np.all(np.isfinite(xs))
 
 
-# Sizes around the sampler's 65,536-value chunk: one value, a chunk less
-# one, one chunk, a chunk plus one, and three chunks plus a partial one.
+# Sizes around multiples of the sampler's 16,384-value chunk: one value,
+# four chunks less one, four chunks, four chunks plus one, and twelve
+# chunks plus a partial one.
 CHUNK_EDGE_SIZES = [1, 65_535, 65_536, 65_537, 3 * 65_536 + 5]
 
 
@@ -242,7 +243,8 @@ CHUNK_EDGE_SIZES = [1, 65_535, 65_536, 65_537, 3 * 65_536 + 5]
 def test_sampling_matches_whole_array_formula(model, n):
     # The reference draws all 53-bit integers j at once and maps
     # (j + 0.5) * 2**-53 through the quantile; the chunked sampler must
-    # give the same bytes.
+    # give the same bytes.  (They part only at j = 2**53 - 1, which the
+    # sampler clamps below 1 and these seeds never draw.)
     for seed in (0, 7, 2 ** 40 + 3):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         ints = gen.integers(0, 1 << 53, n, dtype=np.uint64)
@@ -250,10 +252,23 @@ def test_sampling_matches_whole_array_formula(model, n):
         assert tt.sample(model, n, seed).tobytes() == expected.tobytes()
 
 
+def test_largest_draw_maps_below_one():
+    # random() returns j * 2**-53; at j = 2**53 - 1 adding 2**-54 rounds
+    # up to exactly 1, where every quantile is infinite.
+    raw = np.array([1.0 - 2.0 ** -53, 0.0])
+    u = _variates(raw.copy())
+    assert u[0] == 1.0 - 2.0 ** -53 and u[0] < 1.0
+    assert u[1] == 2.0 ** -54
+    for model in (Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
+                  StretchedExponential(1.0, 0.5)):
+        assert np.all(np.isfinite(model.quantile(u))), model
+
+
 @pytest.mark.parametrize("model", [Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
                                    StretchedExponential(1.0, 0.5)], ids=repr)
 def test_sampling_peak_memory_per_value(model):
-    # The output array is 8 B per value; every temporary is chunk-sized.
+    # The output array is 8 B per value; the chunk buffer and every
+    # temporary are chunk-sized.
     tt.sample(model, 1, seed=0)  # loads scipy for the half-Gaussian first
     n = 1_000_000
     tracemalloc.start()

@@ -72,14 +72,27 @@ def test_from_samples_sorts():
     assert np.array_equal(split.values, [1.0, 2.0, 3.0])
 
 
-def test_from_samples_matches_stable_sort_bytes():
-    # Ties (rounded draws) and the strided views that sample_splits and
-    # load_samples pass in must sort to the bytes of a stable sort.
+def test_from_samples_matches_stable_sort_bytes(tmp_path):
+    # Ties (rounded draws), strided views, and the rows load_samples
+    # deals from a file and sorts in place must all give the bytes of a
+    # stable sort.
     stream = np.round(tt.sample(Lomax(1.0, 1.0), 40_000, seed=5), 1)
     assert np.unique(stream).size < stream.size // 10
     for x in [stream] + [stream[j::4] for j in range(4)]:
         got = SortedSampleSplit.from_samples(x).values
         assert got.tobytes() == np.sort(x, kind="stable").tobytes()
+    p = tmp_path / "rounded.txt"
+    p.write_text("".join(f"{v!r}\n" for v in stream.tolist()))
+    for j, split in enumerate(tt.load_samples(p, tt.FileFormat.TEXT, split=True)):
+        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
+
+
+def test_from_samples_leaves_caller_array_unchanged():
+    samples = tt.sample(Lomax(1.0, 1.0), 1000, seed=3)
+    before = samples.tobytes()
+    split = SortedSampleSplit.from_samples(samples)
+    assert samples.tobytes() == before
+    assert not np.shares_memory(split.values, samples)
 
 
 # ---------------------------------------------------------------------------

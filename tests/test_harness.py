@@ -18,7 +18,14 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest.harness import ReplicationRow, _parse_text, _parse_text_lines, serialize_report
+from tailtest.distributions import _CHUNK
+from tailtest.harness import (
+    ReplicationRow,
+    _deal,
+    _parse_text,
+    _parse_text_lines,
+    serialize_report,
+)
 from tailtest.tester import BucketRecord, TestOutcome
 
 TAIL = TailParams(0.25, 0.5)
@@ -67,6 +74,68 @@ def test_replicate_seed_hygiene():
     assert not np.any(a == b)
 
 
+# ---------------------------------------------------------------------------
+# dealing
+# ---------------------------------------------------------------------------
+
+# Four-split sizes whose 4n ends mid-chunk (3 * 16384 + 5) or inside the
+# first chunk (100).
+@pytest.mark.parametrize("n", [3 * (_CHUNK // 4) + 5, 100])
+def test_sample_splits_match_strided_stable_sort(n):
+    model = Lomax(1.0, 1.0)
+    stream = tt.sample(model, 4 * n, seed=6)
+    splits = tt.sample_splits(model, n, seed=6)
+    for j, split in enumerate(splits):
+        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
+
+
+def test_deal_any_chunk_boundaries():
+    # Chunks of every size mod 4, so no split's first offset is assumed.
+    stream = np.round(tt.sample(Lomax(1.0, 1.0), 4 * 1000, seed=8), 2)
+    cuts = np.cumsum([1, 2, 3, 5, 6, 7, 9, 13, 1000, 1, 2001])
+    chunks = np.split(stream, cuts)
+    assert sum(c.size for c in chunks) == stream.size and chunks[-1].size > 0
+    splits = _deal(chunks, 1000)
+    for j, split in enumerate(splits):
+        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
+
+
+def test_deal_refuses_a_stream_of_the_wrong_length():
+    with pytest.raises(ValueError, match="dealt 7 values into four splits of 2"):
+        _deal([np.ones(7)], 2)
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of one call, above the level at its start."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def test_sample_splits_peak_memory_per_value():
+    # The (4, n) array holds each drawn value once (8 B); the chunk
+    # buffer and the quantile's temporaries are chunk-sized.  Sorting
+    # copies of the splits beside the whole stream took 16.25 B.
+    n = 250_000
+    splits, peak = _peak_bytes(tt.sample_splits, Lomax(1.0, 1.0), n, 5)
+    assert [s.n for s in splits] == [n] * 4
+    assert peak / (4 * n) <= 10.0
+
+
+def test_sample_single_peak_memory_per_value():
+    # Sorting the drawn array in place adds nothing; a sorted copy took 17 B.
+    n = 1_000_000
+    split, peak = _peak_bytes(tt.sample_single, Lomax(1.0, 1.0), n, 5)
+    assert split.n == n
+    assert peak / n <= 10.0
+
+
 def test_replicate_requires_two_reps():
     with pytest.raises(ValueError):
         tt.replicate(Exponential(1.0), 1, 1000, weak_config(), base_seed=0)
@@ -108,8 +177,40 @@ def test_load_raw_f64_sorts(tmp_path):
 def test_load_raw_f64_rejects_fragment(tmp_path):
     p = tmp_path / "frag.f64"
     p.write_bytes(b"\x00" * 12)
-    with pytest.raises(ValueError, match="multiple of 8"):
+    with pytest.raises(ValueError) as exc:
         tt.load_samples(p, FileFormat.RAW_F64)
+    assert str(exc.value) == \
+        f"{p}: length 12 is not a multiple of 8 (trailing fragment at offset 8)"
+
+
+def test_load_raw_f64_rejects_empty(tmp_path):
+    p = tmp_path / "empty.f64"
+    p.write_bytes(b"")
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.RAW_F64)
+    assert str(exc.value) == f"{p}: empty file"
+
+
+def test_load_raw_peak_memory_per_value(tmp_path):
+    # The file is read straight into the array it is sorted in: 8 B per
+    # value.  Viewing the file's bytes and sorting a copy took about 17 B.
+    n = 1_000_000
+    p = tmp_path / "big.f64"
+    values = tt.sample(Lomax(1.0, 1.0), n, seed=4)
+    p.write_bytes(values.astype("<f8").tobytes())
+    split, peak = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64)
+    assert split.values.tobytes() == np.sort(values).tobytes()
+    assert peak / n <= 10.0
+
+
+@pytest.mark.parametrize("count", [5, 6, 7, 4 * 1000 + 3])
+def test_load_split_refuses_uneven_count(tmp_path, count):
+    # The benchmark's file workload matches this exact message.
+    p = tmp_path / "uneven.txt"
+    p.write_text("".join(f"{v}.5\n" for v in range(count)))
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.TEXT, split=True)
+    assert str(exc.value) == "all four splits must hold the same number of samples"
 
 
 def test_load_preserves_multiset(tmp_path):
@@ -217,21 +318,14 @@ def test_load_raw_f64_names_value_position(tmp_path):
 
 def test_load_text_peak_memory_per_value(tmp_path):
     # The line loop held a list of Python floats: about 40 B/value at
-    # peak.  Reading into the array directly, then sorting a copy, stays
-    # near 16 B/value.
+    # peak.  Reading into the array directly, which grows as it reads,
+    # and sorting it in place peaks near 12 B/value.
     n = 200_000
     p = tmp_path / "big.txt"
     p.write_text("\n".join(_lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))) + "\n")
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        split = tt.load_samples(p, FileFormat.TEXT)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    split, peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
     assert split.n == n
-    assert (peak - base) / n <= 20.0
+    assert peak / n <= 20.0
 
 
 # ---------------------------------------------------------------------------
