@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -203,6 +204,12 @@ def _bounds(args, k: int) -> WellBehavedBounds:
 
 
 def _make_config(args) -> TestConfig:
+    # A TestConfig takes infinite bounds, the honest estimate for a density
+    # unbounded at 0 (its gap is then 0), but a bounds flag of inf leaves
+    # the report unwritable (JSON holds no inf) or its gap silently 0.
+    for name in ("beta", "b1", "b2"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite")
     return TestConfig(
         tail=TailParams(alpha=args.alpha, rho=args.rho),
         bounds=_bounds(args, args.k),

@@ -7,10 +7,14 @@ or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
 above 0 and maps them through the quantile function, so identical seeds
-give bit-identical output.  The uniforms are drawn and transformed
-16,384 at a time into one reused buffer, so no temporary outgrows a
-chunk; ``sample`` copies the chunks into its output, and the sampling
-front ends in ``harness`` deal them straight into their splits.
+give bit-identical output.  ``uniforms`` draws the raw stream 16,384
+values at a time into one reused buffer and deals it round-robin into
+the rows of one array; ``transform`` maps raw draws to samples in place,
+16,384 at a time, so no temporary outgrows a chunk.  Every family's
+quantile is nondecreasing, so transforming a sorted row gives the sorted
+samples: ``sample`` transforms the stream as drawn, and the sampling
+front ends in ``harness`` sort first and then transform either every
+value or only the order statistics the test reads.
 """
 
 from __future__ import annotations
@@ -341,38 +345,61 @@ def _variates(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def _draw(model: DistributionModel, gen: np.random.Generator, chunk: np.ndarray) -> np.ndarray:
-    """Fill chunk with the next chunk.size samples of gen's stream, in place."""
-    gen.random(out=chunk)
-    chunk[...] = model.quantile(_variates(chunk))
-    return chunk
+def _deal(chunks, grid: np.ndarray) -> np.ndarray:
+    """Deal a stream of chunks round-robin into the rows of grid, in place.
+
+    Stream position p goes to ``grid[p % rows, p // rows]`` of a C-order
+    (rows, n) array, whatever the chunk boundaries, so each row is
+    contiguous.
+    """
+    rows, n = grid.shape
+    p = 0
+    for chunk in chunks:
+        for j in range(rows):
+            first = (j - p) % rows  # the chunk's first offset at a position of row j
+            part = chunk[first::rows]
+            col = (p + first) // rows
+            grid[j, col:col + part.size] = part
+        p += chunk.size
+    if p != grid.size:
+        raise ValueError(f"dealt {p} values into {rows} rows of {n}")
+    return grid
 
 
-def sample_chunks(model: DistributionModel, n: int, seed: int):
-    """n inverse-transform samples in stream order, _CHUNK at a time.
+def uniforms(n: int, seed: int, rows: int = 1) -> np.ndarray:
+    """The seed's first rows * n raw draws, dealt round-robin into a (rows, n) array.
 
     PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
-    53-bit integer, which ``_variates`` maps into (0, 1).  Every chunk is
-    a view of one reused buffer, so a consumer copies each out before it
-    takes the next.
+    53-bit integer, which ``transform`` maps to samples.  They are drawn
+    _CHUNK at a time into one reused buffer, so the array holds each
+    draw once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    n = int(n)
+    total = rows * int(n)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    buf = np.empty(min(n, _CHUNK))
-    return (_draw(model, gen, buf[:min(_CHUNK, n - start)]) for start in range(0, n, _CHUNK))
+    buf = np.empty(min(total, _CHUNK))
+    chunks = (gen.random(out=buf[:min(_CHUNK, total - start)])
+              for start in range(0, total, _CHUNK))
+    return _deal(chunks, np.empty((rows, int(n))))
+
+
+def transform(model: DistributionModel, u: np.ndarray) -> np.ndarray:
+    """Map raw draws u to samples of model in place, _CHUNK at a time.
+
+    The quantile acts on each value alone and gives the same bits on a
+    chunk, a gathered subset or the whole array, so the chunking never
+    shows in the output.
+    """
+    for start in range(0, u.size, _CHUNK):
+        chunk = u[start:start + _CHUNK]
+        chunk[...] = model.quantile(_variates(chunk))
+    return u
 
 
 def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
-    """n inverse-transform samples; same seed gives bit-identical output."""
-    chunks = sample_chunks(model, n, seed)
-    out = np.empty(int(n))
-    start = 0
-    for chunk in chunks:
-        out[start:start + chunk.size] = chunk
-        start += chunk.size
-    return out
+    """n inverse-transform samples in stream order; same seed gives bit-identical output."""
+    return transform(model, uniforms(n, seed)[0])
 
 
 def _longest_run(flags: np.ndarray) -> int:

@@ -9,6 +9,13 @@ independent splits so the terms are independent; the single-granularity
 (weak) layout reads three coarse bucket endpoints from one split, the
 middle one twice.
 
+The statistics read a split through one call, ``split.at(ranks)``: its
+size ``n`` and its values at a batch of 1-based ranks, every rank the
+layout reads from it at once.  ``SortedSampleSplit`` answers by
+indexing the whole sorted sample; ``OrderStatistics`` holds only the
+values at the ranks a layout reads, which is all the sampled test maps
+through the quantile.
+
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
 tester reads as light evidence at that bucket rather than an error.
@@ -46,24 +53,18 @@ class SortedSampleSplit:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("values must be a one-dimensional array with n >= 1")
-        # One pass accepts exactly what the checks below accept: NaN fails
-        # every comparison, so ascending from a nonnegative start to a
-        # finite end means all finite.  The checks name the first failure.
-        if not (np.all(values[1:] >= values[:-1]) and values[0] >= 0.0
-                and math.isfinite(values[-1])):
-            if not np.all(np.isfinite(values)):
-                raise ValueError("values must all be finite")
-            if values[0] < 0.0:
-                raise ValueError("values must be nonnegative")
-            raise ValueError("values must be sorted ascending")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked_sorted(self.values))
 
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    def at(self, ranks) -> np.ndarray:
+        """The values at 1-based ranks in [1, n], in the shape of ranks."""
+        ranks = np.asarray(ranks)
+        if np.any((ranks < 1) | (ranks > self.n)):
+            raise ValueError(f"ranks must lie in [1, {self.n}]")
+        return self.values[ranks - 1]
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "SortedSampleSplit":
@@ -78,6 +79,56 @@ class SortedSampleSplit:
         """
         arr = np.asarray(samples, dtype=float)
         return cls(values=np.sort(arr))
+
+
+def _checked_sorted(values) -> np.ndarray:
+    """values as a float array, if one-dimensional, nonempty, nonnegative,
+    finite and ascending; else a ValueError naming the first failure."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError("values must be a one-dimensional array with n >= 1")
+    # One pass accepts exactly what the checks below accept: NaN fails
+    # every comparison, so ascending from a nonnegative start to a
+    # finite end means all finite.  The checks name the first failure.
+    if not (np.all(values[1:] >= values[:-1]) and values[0] >= 0.0
+            and math.isfinite(values[-1])):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must all be finite")
+        if values[0] < 0.0:
+            raise ValueError("values must be nonnegative")
+        raise ValueError("values must be sorted ascending")
+    return values
+
+
+@dataclass(frozen=True)
+class OrderStatistics:
+    """The order statistics of a sorted sample of n at a few ranks only.
+
+    ``values[j]`` is the value at 1-based rank ``ranks[j]``; the ranks
+    ascend without repeats, so the values must ascend too.  ``at``
+    answers only for the ranks held.
+    """
+
+    n: int
+    ranks: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        ranks = np.asarray(self.ranks, dtype=np.int64)
+        values = _checked_sorted(self.values)
+        if not (ranks.shape == values.shape and np.all(ranks[1:] > ranks[:-1])
+                and 1 <= ranks[0] and ranks[-1] <= self.n):
+            raise ValueError(f"ranks must ascend within [1, {self.n}], one per value")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "values", values)
+
+    def at(self, ranks) -> np.ndarray:
+        """The values at 1-based ranks, in the shape of ranks; each must be held."""
+        ranks = np.asarray(ranks)
+        pos = np.minimum(np.searchsorted(self.ranks, ranks), self.ranks.size - 1)
+        if np.any(self.ranks[pos] != ranks):
+            raise ValueError("rank not held")
+        return self.values[pos]
 
 
 def rank_index(n: int, q):
@@ -171,29 +222,51 @@ ONE_SPLIT = RankLayout(
     lambda k: range(1, k - 2), lambda k: k, _null_se_single_scale)
 
 
-def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
-    """Statistic at each bucket, plus the realized rank fractions.
+def layout_ranks(layout: RankLayout, n: int, buckets, k: int) -> np.ndarray:
+    """The 1-based ranks the layout reads for buckets of k from splits of n.
 
-    The fractions, shape (4, len(buckets)), are idx/(n+1) for each
-    endpoint: what the index rounding actually landed on, where the
-    tester evaluates its reference curve.
+    Shape (4, len(buckets)): endpoint j of bucket ``buckets[b]`` is the
+    order statistic at rank ``[j, b]`` of split ``layout.splits[j]``.
+    Needs only (n, k, buckets), so it can be computed before any sample
+    exists.
     """
-    if len(splits) != len(set(layout.splits)):
-        raise ValueError(f"exactly {len(set(layout.splits))} split(s) are required")
     if k < 4:
         raise ValueError("k must be >= 4")
     valid = layout.buckets(k)
     for i in buckets:
         if i not in valid:
             raise ValueError(f"bucket index {i} outside [{valid.start}, {valid.stop - 1}]")
+    if n < layout.min_n(k):
+        raise ValueError(f"need at least {layout.min_n(k)} samples per split, got {n}")
+    return rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
+
+
+def ranks_by_split(layout: RankLayout, n: int, buckets, k: int) -> list[np.ndarray]:
+    """Per split, the distinct ranks the layout reads from it, ascending."""
+    idx = layout_ranks(layout, n, buckets, k)
+    # Not np.unique: its first call imports numpy.ma, about 17 ms.
+    return [np.array(sorted(set(idx[np.asarray(layout.splits) == s].flat)))
+            for s in range(len(set(layout.splits)))]
+
+
+def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
+    """Statistic at each bucket, plus the realized rank fractions.
+
+    Each split is read by one ``at`` call with every rank the layout
+    reads from it.  The fractions, shape (4, len(buckets)), are
+    idx/(n+1) for each endpoint: what the index rounding actually landed
+    on, where the tester evaluates its reference curve.
+    """
+    if len(splits) != len(set(layout.splits)):
+        raise ValueError(f"exactly {len(set(layout.splits))} split(s) are required")
     n = splits[0].n
     if any(s.n != n for s in splits):
         raise ValueError("all four splits must hold the same number of samples")
-    if n < layout.min_n(k):
-        raise ValueError(f"need at least {layout.min_n(k)} samples per split, got {n}")
-
-    idx = rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
-    ends = [splits[s].values[idx[j] - 1] for j, s in enumerate(layout.splits)]
+    idx = layout_ranks(layout, n, buckets, k)
+    ends = np.empty(idx.shape)
+    for s, split in enumerate(splits):
+        mine = np.asarray(layout.splits) == s
+        ends[mine] = split.at(idx[mine])
     return four_point_ratio(*ends, k), idx / (n + 1)
 
 

@@ -3,12 +3,19 @@
 Sampling for the four-split test draws one stream of 4n variates and
 deals them round-robin, exactly how a sample file is split on
 ingestion, so piping a file through ``load_samples`` and testing it
-gives the same verdict as testing the seeded stream directly.  The
-stream is dealt chunk by chunk as it is drawn into one (4, n) array
-whose rows are then sorted in place: each drawn value is held once.
-Every array this module sorts is its own, so it sorts in place; equal
-floats are interchangeable, so that gives the bytes of sorting a copy
-(see ``SortedSampleSplit.from_samples``).
+gives the same verdict as testing the seeded stream directly.  Both
+variants draw through one path: the raw draws are dealt chunk by chunk
+into one (rows, n) array whose rows are sorted in place, so each drawn
+value is held once.  Every family's quantile is nondecreasing on the
+draws, so the value at rank r of a sorted split is the quantile of the
+draw at rank r.  ``sample_single`` and ``sample_splits`` therefore map
+every sorted draw in place; ``run_sampled_test`` maps only the draws at
+the ranks its layout reads, at most four per bucket, after the array is
+freed.  A sample file's four splits are the rows of its own array
+viewed as (n, 4) and transposed, sorted where they lie.  Every array
+this module sorts is its own, so it sorts in place; equal floats are
+interchangeable, so that gives the bytes of sorting a copy (see
+``SortedSampleSplit.from_samples``).
 
 Text sample files are read in one ``float()`` pass over the lines into
 an array; a file that pass cannot read whole (comments, blank lines, a
@@ -36,9 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import DistributionModel
-from .empirical import SortedSampleSplit
+from .empirical import OrderStatistics, SortedSampleSplit, ranks_by_split
 from .proxy import proxy_value
-from .tester import TestConfig, TestOutcome, Variant, run_full_test, run_weak_test
+from .tester import (TestConfig, TestOutcome, Variant, run_full_test, run_weak_test,
+                     scan_layout)
 from . import distributions
 
 __all__ = [
@@ -79,50 +87,58 @@ class ReplicationReport:
 # sampling front ends
 # ---------------------------------------------------------------------------
 
-def _sorted(values: np.ndarray) -> SortedSampleSplit:
-    """A split of an array this module owns, sorted in place."""
-    values.sort()
-    return SortedSampleSplit(values)
+def _sorted_rows(grid: np.ndarray) -> list[SortedSampleSplit]:
+    """One split per row of an array this module owns, each sorted in place.
 
-
-def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSplit:
-    """One sorted split of n seeded samples."""
-    return _sorted(distributions.sample(model, n, seed))
-
-
-def _deal(chunks, n: int) -> list[SortedSampleSplit]:
-    """Deal a stream of 4n values round-robin into four splits, each sorted in place.
-
-    Stream position p goes to ``grid[p % 4, p // 4]`` of one C-order
-    (4, n) array, whatever the chunk boundaries.  Each row is
-    contiguous, so sorting it needs no buffer.
+    A strided row (a file dealt by reshaping) is sorted through one
+    row-sized buffer; a contiguous row needs none.
     """
-    grid = np.empty((4, n))
-    p = 0
-    for chunk in chunks:
-        for j in range(4):
-            first = (j - p) % 4  # the chunk's first offset at a position of split j
-            part = chunk[first::4]
-            col = (p + first) // 4
-            grid[j, col:col + part.size] = part
-        p += chunk.size
-    if p != grid.size:
-        raise ValueError(f"dealt {p} values into four splits of {n}")
     grid.sort(axis=1)
     return [SortedSampleSplit(row) for row in grid]
 
 
+def _samples(model: DistributionModel, split: SortedSampleSplit) -> SortedSampleSplit:
+    """A sorted split of raw draws, mapped in place to sorted samples."""
+    return SortedSampleSplit(distributions.transform(model, split.values))
+
+
+def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSplit:
+    """One sorted split of n seeded samples."""
+    [split] = _sorted_rows(distributions.uniforms(n, seed))
+    return _samples(model, split)
+
+
 def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSampleSplit]:
     """Four sorted splits of n samples each, dealt round-robin from one stream."""
-    return _deal(distributions.sample_chunks(model, 4 * n, seed), n)
+    splits = _sorted_rows(distributions.uniforms(n, seed, 4))
+    return [_samples(model, split) for split in splits]
+
+
+def _gathered_uniforms(n: int, seed: int, ranks) -> list[np.ndarray]:
+    """The sorted raw draws of each split at its ranks.
+
+    The (len(ranks), n) array of draws is garbage once this returns.
+    """
+    splits = _sorted_rows(distributions.uniforms(n, seed, len(ranks)))
+    return [split.at(r) for split, r in zip(splits, ranks)]
 
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
                      config: TestConfig) -> TestOutcome:
-    """Draw per the configured variant and run the decision procedure."""
+    """Draw per the configured variant and run the decision procedure.
+
+    The raw draws are sorted before any quantile, and only those at the
+    ranks the layout reads are mapped, once no n-sized array is alive.
+    The variate map and the quantile are nondecreasing, so these are the
+    order statistics of the sorted samples, bit for bit.
+    """
+    layout, buckets = scan_layout(config)
+    ranks = ranks_by_split(layout, n, buckets, config.k)
+    splits = [OrderStatistics(n, r, distributions.transform(model, u))
+              for r, u in zip(ranks, _gathered_uniforms(n, seed, ranks))]
     if config.variant is Variant.WEAK:
-        return run_weak_test(sample_single(model, n, seed), config, seed=seed)
-    return run_full_test(sample_splits(model, n, seed), config, seed=seed)
+        return run_weak_test(splits[0], config, seed=seed)
+    return run_full_test(splits, config, seed=seed)
 
 
 def run_replicates(model: DistributionModel, reps: int, n: int, config: TestConfig,
@@ -262,12 +278,14 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
     path = Path(path)
     arr = _parse_text(path) if fmt is FileFormat.TEXT else _parse_raw_f64(path)
     if not split:
-        return _sorted(arr)
+        return _sorted_rows(arr.reshape(1, -1))[0]
     if arr.size < 4:
         raise ValueError(f"{path}: need at least 4 values to build four splits")
     if arr.size % 4:
         raise ValueError("all four splits must hold the same number of samples")
-    return _deal([arr], arr.size // 4)
+    # Row j of the transposed (n, 4) view is every fourth value from j:
+    # the round-robin deal, sorted where the values lie.
+    return _sorted_rows(arr.reshape(-1, 4).T)
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,15 @@ def _decide(splits, config: TestConfig, layout: RankLayout, buckets,
 # ---------------------------------------------------------------------------
 
 def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
-    """Four-split test over coarse buckets 2..k-2."""
+    """Four-split test over coarse buckets 2..k-2.
+
+    A split is anything with ``n`` and ``at(ranks)``: a
+    ``SortedSampleSplit`` or the ``OrderStatistics`` the sampled test
+    gathers.
+    """
     if config.variant is not Variant.FULL:
         raise ValueError("config.variant must be FULL for run_full_test")
-    return _decide(list(splits), config, FOUR_SPLIT, FOUR_SPLIT.buckets(config.k), seed)
+    return _decide(list(splits), config, *scan_layout(config), seed)
 
 
 def weak_scan_range(k: int) -> range:
@@ -216,9 +221,16 @@ def weak_scan_range(k: int) -> range:
                  min(math.floor(0.8 * k), valid.stop - 1) + 1)
 
 
+def scan_layout(config: TestConfig) -> tuple[RankLayout, range]:
+    """The rank layout and the scanned buckets of the configured variant."""
+    if config.variant is Variant.WEAK:
+        return ONE_SPLIT, weak_scan_range(config.k)
+    return FOUR_SPLIT, FOUR_SPLIT.buckets(config.k)
+
+
 def run_weak_test(split: SortedSampleSplit, config: TestConfig,
                   seed: int | None = None) -> TestOutcome:
     """Single-split test scanning the middle bucket range ``weak_scan_range(k)``."""
     if config.variant is not Variant.WEAK:
         raise ValueError("config.variant must be WEAK for run_weak_test")
-    return _decide([split], config, ONE_SPLIT, weak_scan_range(config.k), seed)
+    return _decide([split], config, *scan_layout(config), seed)

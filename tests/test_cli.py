@@ -41,6 +41,22 @@ def test_infinite_noise_sigmas_is_one_error_line(capsys):
     assert captured.err == "error: noise_sigmas must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("command,flag", [("test", "--beta"), ("test", "--b2"),
+                                          ("simulate", "--b1")])
+def test_infinite_bound_flag_is_one_error_line(tmp_path, command, flag, capsys):
+    # Refused before any sampling: an infinite bound made `test` run in
+    # full and then fail to write its JSON, and `simulate` write a zero gap.
+    bounds = {"--beta": "1", "--b1": "1", "--b2": "1", flag: "inf"}
+    out = tmp_path / "out"
+    extra = ["--reps", "2"] if command == "simulate" else []
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
+                    "--seed", "1", "--k", "8", "--alpha", "0.25", "--rho", "0.5",
+                    *[v for item in bounds.items() for v in item], *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: {flag[2:]} must be finite\n"
+
+
 def test_scipy_loaded_only_by_the_half_gaussian():
     # Start-up cost: importing the package and running a command that
     # needs no half-Gaussian must not import scipy; the half-Gaussian

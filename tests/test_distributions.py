@@ -13,7 +13,7 @@ from tailtest import (
     TailClass,
     TailParams,
 )
-from tailtest.distributions import _longest_run, _variates
+from tailtest.distributions import _longest_run, _variates, uniforms
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -262,6 +262,76 @@ def test_largest_draw_maps_below_one():
     for model in (Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
                   StretchedExponential(1.0, 0.5)):
         assert np.all(np.isfinite(model.quantile(u))), model
+
+
+# The sampled test sorts raw draws and maps only the few it reads through
+# the quantile.  That gives the order statistics of the sorted samples
+# only if every family's quantile is nondecreasing on the values
+# ``_variates`` returns, and gives the same bits on a gathered subset as
+# on the whole array.
+
+def _sorted_variates(n, seed):
+    u = uniforms(n, seed)[0]
+    u.sort()
+    return _variates(u)
+
+
+def _assert_nondecreasing_over(model, u, chunk=1 << 20):
+    """Check model.quantile over ascending u a chunk at a time, seams included."""
+    last = -np.inf
+    for start in range(0, u.size, chunk):
+        x = model.quantile(u[start:start + chunk])
+        assert last <= x[0] and np.all(x[1:] >= x[:-1]), (model, start)
+        last = x[-1]
+
+
+@pytest.fixture(scope="module")
+def sorted_variates():
+    return _sorted_variates(4_000_000, seed=20)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_nondecreasing_over_sorted_draws(model, sorted_variates):
+    _assert_nondecreasing_over(model, sorted_variates)
+
+
+@pytest.mark.slow
+def test_quantile_nondecreasing_over_1e8_sorted_draws():
+    # 800 MB of sorted draws, shared by every family.
+    u = _sorted_variates(100_000_000, seed=21)
+    for model in ALL_MODELS:
+        _assert_nondecreasing_over(model, u)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_nondecreasing_over_consecutive_doubles(model):
+    # Runs of 4,096 consecutive doubles each side of the smallest variate,
+    # of 0.5 and of the largest variate.
+    for x in (2.0 ** -54, 0.5, 1.0 - 2.0 ** -53):
+        for toward in (0.0, 1.0):
+            run = np.sort(np.nextafter.accumulate(np.r_[x, np.full(4096, toward)]))
+            run = run[(run > 0.0) & (run < 1.0)]
+            if isinstance(model, HalfGaussian) and (x, toward) == (0.5, 0.0):
+                # scipy's erfinv steps down between some neighbouring
+                # doubles below 0.5 (67 of these 4,096), never between two
+                # odd multiples of 2**-54.  There ``_variates`` returns
+                # (2j + 1) * 2**-54 exactly: only odd multiples are drawn.
+                run = run[run * 2.0 ** 54 % 2.0 == 1.0]
+            q = model.quantile(run)
+            assert np.all(q[1:] >= q[:-1]), (x, toward)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_of_a_gathered_subset_matches_the_whole_array(model):
+    # numpy's SIMD loops take an array's body and its tail apart, so every
+    # length from 1 to 17 must give the bits the whole array gives there.
+    u = np.r_[2.0 ** -54, _variates(uniforms(4096, seed=22)[0]), 1.0 - 2.0 ** -53]
+    whole = model.quantile(u)
+    rng = np.random.default_rng(0)
+    for length in range(1, 18):
+        for _ in range(20):
+            pos = np.sort(rng.choice(u.size, length, replace=False))
+            assert model.quantile(u[pos]).tobytes() == whole[pos].tobytes(), length
 
 
 @pytest.mark.parametrize("model", [Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),

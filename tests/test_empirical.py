@@ -5,7 +5,12 @@ import pytest
 import tailtest as tt
 from tailtest import Exponential, Lomax, SortedSampleSplit
 from tailtest.empirical import (
+    FOUR_SPLIT,
+    ONE_SPLIT,
+    OrderStatistics,
+    bucket_statistics,
     rank_index,
+    ranks_by_split,
     single_scale_statistic,
     two_scale_statistic,
 )
@@ -93,6 +98,29 @@ def test_from_samples_leaves_caller_array_unchanged():
     split = SortedSampleSplit.from_samples(samples)
     assert samples.tobytes() == before
     assert not np.shares_memory(split.values, samples)
+
+
+@pytest.mark.parametrize("layout", [FOUR_SPLIT, ONE_SPLIT], ids=["four", "one"])
+def test_order_statistics_answer_like_the_split(layout):
+    # Holding only the ranks a layout reads gives the statistics of the
+    # whole sorted split; any other rank is refused.
+    k, n = 12, 5_000
+    buckets = layout.buckets(k)
+    splits = [SortedSampleSplit.from_samples(tt.sample(Lomax(1.0, 1.0), n, seed))
+              for seed in range(len(set(layout.splits)))]
+    held = [OrderStatistics(n, r, split.at(r))
+            for split, r in zip(splits, ranks_by_split(layout, n, buckets, k))]
+    for got, want in zip(bucket_statistics(layout, held, buckets, k),
+                         bucket_statistics(layout, splits, buckets, k)):
+        assert got.tobytes() == want.tobytes()
+    missing = next(r for r in range(1, n + 1) if r not in held[0].ranks)
+    with pytest.raises(ValueError, match="rank not held"):
+        held[0].at([missing])
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError, match="ranks must lie in"):
+            splits[0].at([bad])
+    with pytest.raises(ValueError, match="ranks must ascend"):
+        OrderStatistics(n, [3, 2], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest.distributions import _CHUNK
+from tailtest.distributions import _CHUNK, _deal
 from tailtest.harness import (
     ReplicationRow,
-    _deal,
     _parse_text,
     _parse_text_lines,
     serialize_report,
@@ -31,9 +30,13 @@ from tailtest.tester import BucketRecord, TestOutcome
 TAIL = TailParams(0.25, 0.5)
 
 
-def weak_config(k=32):
+def config_for(variant, k):
     return TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / (2 * k)),
-                      k=k, variant=Variant.WEAK)
+                      k=k, variant=variant)
+
+
+def weak_config(k=32):
+    return config_for(Variant.WEAK, k)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +98,14 @@ def test_deal_any_chunk_boundaries():
     cuts = np.cumsum([1, 2, 3, 5, 6, 7, 9, 13, 1000, 1, 2001])
     chunks = np.split(stream, cuts)
     assert sum(c.size for c in chunks) == stream.size and chunks[-1].size > 0
-    splits = _deal(chunks, 1000)
-    for j, split in enumerate(splits):
-        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
+    grid = _deal(chunks, np.empty((4, 1000)))
+    for j in range(4):
+        assert grid[j].tobytes() == stream[j::4].tobytes()
 
 
 def test_deal_refuses_a_stream_of_the_wrong_length():
-    with pytest.raises(ValueError, match="dealt 7 values into four splits of 2"):
-        _deal([np.ones(7)], 2)
+    with pytest.raises(ValueError, match="dealt 7 values into 4 rows of 2"):
+        _deal([np.ones(7)], np.empty((4, 2)))
 
 
 def _peak_bytes(fn, *args):
@@ -134,6 +137,58 @@ def test_sample_single_peak_memory_per_value():
     split, peak = _peak_bytes(tt.sample_single, Lomax(1.0, 1.0), n, 5)
     assert split.n == n
     assert peak / n <= 10.0
+
+
+@pytest.mark.parametrize("model", [Exponential(1.0), Lomax(2.0, 0.5), tt.HalfGaussian(1.0),
+                                   tt.StretchedExponential(1.0, 0.5)], ids=repr)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sampled_test_reads_the_sorted_samples(model, variant):
+    # Mapping only the order statistics the test reads must give the
+    # report of testing every sample, sorted.
+    config = config_for(variant, 16)
+    for n, seed in ((300, 1), (20_000, 2)):
+        if variant is Variant.FULL:
+            expected = tt.run_full_test(tt.sample_splits(model, n, seed), config, seed=seed)
+        else:
+            expected = tt.run_weak_test(tt.sample_single(model, n, seed), config, seed=seed)
+        got = tt.run_sampled_test(model, n, seed, config)
+        assert serialize_report(got) == serialize_report(expected)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sampled_test_maps_only_what_it_reads(monkeypatch, variant):
+    # The quantile sees at most the four endpoints of each scanned bucket,
+    # and only once no n-sized array is alive.
+    n = 400_000
+    seen, alive = [], []
+    quantile = Lomax.quantile
+
+    def counted(self, u):
+        seen.append(np.size(u))
+        alive.append(tracemalloc.get_traced_memory()[0] - base)
+        return quantile(self, u)
+
+    monkeypatch.setattr(Lomax, "quantile", counted)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        outcome = tt.run_sampled_test(Lomax(1.0, 1.0), n, 4, config_for(variant, 16))
+    finally:
+        tracemalloc.stop()
+    assert 0 < sum(seen) <= 4 * len(outcome.records)
+    assert max(alive) < 4 * n
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sampled_test_peak_memory_per_value(variant):
+    # The sorted draws, 8 B each, and a chunk buffer; the quantile runs on
+    # a handful of values after they are gone.
+    n = 1_000_000 if variant is Variant.WEAK else 250_000
+    drawn = n if variant is Variant.WEAK else 4 * n
+    config = config_for(variant, 16)
+    outcome, peak = _peak_bytes(tt.run_sampled_test, Lomax(1.0, 1.0), n, 5, config)
+    assert outcome.n == n
+    assert peak / drawn <= 10.0
 
 
 def test_replicate_requires_two_reps():
@@ -201,6 +256,23 @@ def test_load_raw_peak_memory_per_value(tmp_path):
     split, peak = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64)
     assert split.values.tobytes() == np.sort(values).tobytes()
     assert peak / n <= 10.0
+
+
+def test_load_split_holds_each_value_once(tmp_path):
+    # The four splits are the sorted rows of the file's own array, viewed
+    # as (n, 4) and transposed; sorting a strided row takes a row-sized
+    # buffer (2 B per value), and checking one whole split a 1 B mask.
+    # Dealing into a second (4, n) array took 16.25 B per value against
+    # 9.0 B for one split.
+    n = 1_000_000
+    p = tmp_path / "big.f64"
+    values = tt.sample(Lomax(1.0, 1.0), n, seed=4)
+    p.write_bytes(values.astype("<f8").tobytes())
+    _, whole = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, False)
+    splits, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
+    for j, split in enumerate(splits):
+        assert split.values.tobytes() == np.sort(values[j::4]).tobytes()
+    assert (dealt - whole) / n <= 1.5
 
 
 @pytest.mark.parametrize("count", [5, 6, 7, 4 * 1000 + 3])
