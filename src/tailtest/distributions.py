@@ -7,10 +7,12 @@ or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
 above 0 and maps them through the quantile function, so identical seeds
-give bit-identical output.  ``uniforms`` draws the raw stream 16,384
-values at a time into one reused buffer and deals it round-robin into
-the rows of one array; ``transform`` maps raw draws to samples in place,
-16,384 at a time, so no temporary outgrows a chunk.  Every family's
+give bit-identical output.  ``uniforms`` deals the raw stream
+round-robin into the rows of one array, drawing a large array's column
+blocks on one thread per core, each from a generator advanced to the
+block's first draw, 16,384 values at a time into the thread's one
+buffer; ``transform`` maps raw draws to samples in place, 16,384 at a
+time, so no temporary outgrows a chunk.  Every family's
 quantile is nondecreasing, so transforming a sorted row gives the sorted
 samples: ``sample`` transforms the stream as drawn, and the sampling
 front ends in ``harness`` sort first and then transform either every
@@ -20,6 +22,8 @@ value or only the order statistics the test reads.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -348,40 +352,83 @@ def _variates(u: np.ndarray) -> np.ndarray:
 def _deal(chunks, grid: np.ndarray) -> np.ndarray:
     """Deal a stream of chunks round-robin into the rows of grid, in place.
 
-    Stream position p goes to ``grid[p % rows, p // rows]`` of a C-order
-    (rows, n) array, whatever the chunk boundaries, so each row is
-    contiguous.
+    Stream position p goes to ``grid[p % rows, p // rows]`` of a (rows, n)
+    array.  Each chunk fills whole columns in one strided assignment, so
+    it must hold a multiple of rows values.
     """
     rows, n = grid.shape
-    p = 0
+    col = 0
     for chunk in chunks:
-        for j in range(rows):
-            first = (j - p) % rows  # the chunk's first offset at a position of row j
-            part = chunk[first::rows]
-            col = (p + first) // rows
-            grid[j, col:col + part.size] = part
-        p += chunk.size
-    if p != grid.size:
-        raise ValueError(f"dealt {p} values into {rows} rows of {n}")
+        cols, part = divmod(chunk.size, rows)
+        if part:
+            raise ValueError(f"a chunk of {chunk.size} values does not fill "
+                             f"whole columns of {rows} rows")
+        grid[:, col:col + cols] = chunk.reshape(cols, rows).T
+        col += cols
+    if col != n:
+        raise ValueError(f"dealt {rows * col} values into {rows} rows of {n}")
     return grid
+
+
+# The fewest values a thread is given: on a 2-core Xeon two threads lost
+# at 2**16 values each and won from 2**18 each; 2**19 leaves a margin.
+_PER_WORKER = 1 << 19
+
+
+def on_workers(fn, size: int, values: int) -> None:
+    """Call fn(start, stop) on contiguous blocks covering range(size), one per thread.
+
+    One block per usable core, at most ``size``, each worth at least
+    _PER_WORKER of the call's ``values``; the first runs on this thread.
+    Once all have joined, an exception of this thread's block, else the
+    first one a worker raised, is raised here.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cores or 1, values // _PER_WORKER, size))
+    cuts = [size * w // workers for w in range(workers + 1)]
+    errors = []
+
+    def work(start, stop):
+        try:
+            fn(start, stop)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=block) for block in zip(cuts[1:-1], cuts[2:])]
+    for thread in threads:
+        thread.start()
+    try:
+        fn(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def uniforms(n: int, seed: int, rows: int = 1) -> np.ndarray:
     """The seed's first rows * n raw draws, dealt round-robin into a (rows, n) array.
 
     PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
-    53-bit integer, which ``transform`` maps to samples.  They are drawn
-    _CHUNK at a time into one reused buffer, so the array holds each
-    draw once.
+    53-bit integer, which ``transform`` maps to samples.  Each double
+    consumes one 64-bit output, so columns [c0, c1), draws [rows * c0,
+    rows * c1), are drawn by a generator advanced rows * c0 outputs.
+    The array holds each draw once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = rows * int(n)
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    buf = np.empty(min(total, _CHUNK))
-    chunks = (gen.random(out=buf[:min(_CHUNK, total - start)])
-              for start in range(0, total, _CHUNK))
-    return _deal(chunks, np.empty((rows, int(n))))
+    grid = np.empty((rows, int(n)))
+    step = rows * max(1, _CHUNK // rows)  # whole columns per chunk
+
+    def fill(c0, c1):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(rows * c0))
+        total = rows * (c1 - c0)
+        buf = np.empty(min(total, step))
+        _deal((gen.random(out=buf[:min(step, total - start)])
+               for start in range(0, total, step)), grid[:, c0:c1])
+
+    on_workers(fill, grid.shape[1], grid.size)
+    return grid
 
 
 def transform(model: DistributionModel, u: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ ingestion, so piping a file through ``load_samples`` and testing it
 gives the same verdict as testing the seeded stream directly.  Both
 variants draw through one path: the raw draws are dealt chunk by chunk
 into one (rows, n) array whose rows are sorted in place, so each drawn
-value is held once.  Every family's quantile is nondecreasing on the
+value is held once.  A large array is drawn, sorted and checked on one
+thread per core (``distributions.on_workers``), a file's strided rows
+on one thread.  Every family's quantile is nondecreasing on the
 draws, so the value at rank r of a sorted split is the quantile of the
 draw at rank r.  ``sample_single`` and ``sample_splits`` therefore map
 every sorted draw in place; ``run_sampled_test`` maps only the draws at
@@ -90,11 +92,19 @@ class ReplicationReport:
 def _sorted_rows(grid: np.ndarray) -> list[SortedSampleSplit]:
     """One split per row of an array this module owns, each sorted in place.
 
-    A strided row (a file dealt by reshaping) is sorted through one
-    row-sized buffer; a contiguous row needs none.
+    Contiguous rows need no buffer and are sorted and checked on
+    ``distributions.on_workers``.  Strided rows (a file dealt by
+    reshaping) are sorted on this thread through one row-sized buffer,
+    which each further thread would repeat.
     """
-    grid.sort(axis=1)
-    return [SortedSampleSplit(row) for row in grid]
+    splits = [None] * len(grid)
+
+    def sort(r0, r1):
+        grid[r0:r1].sort(axis=1)
+        splits[r0:r1] = [SortedSampleSplit(row) for row in grid[r0:r1]]
+
+    distributions.on_workers(sort, len(grid), grid.size if grid.flags.c_contiguous else 0)
+    return splits
 
 
 def _samples(model: DistributionModel, split: SortedSampleSplit) -> SortedSampleSplit:
@@ -114,15 +124,6 @@ def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSam
     return [_samples(model, split) for split in splits]
 
 
-def _gathered_uniforms(n: int, seed: int, ranks) -> list[np.ndarray]:
-    """The sorted raw draws of each split at its ranks.
-
-    The (len(ranks), n) array of draws is garbage once this returns.
-    """
-    splits = _sorted_rows(distributions.uniforms(n, seed, len(ranks)))
-    return [split.at(r) for split, r in zip(splits, ranks)]
-
-
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
                      config: TestConfig) -> TestOutcome:
     """Draw per the configured variant and run the decision procedure.
@@ -134,8 +135,11 @@ def run_sampled_test(model: DistributionModel, n: int, seed: int,
     """
     layout, buckets = scan_layout(config)
     ranks = ranks_by_split(layout, n, buckets, config.k)
+    drawn = _sorted_rows(distributions.uniforms(n, seed, len(ranks)))
+    gathered = [split.at(r) for split, r in zip(drawn, ranks)]
+    del drawn  # frees the (len(ranks), n) array of draws
     splits = [OrderStatistics(n, r, distributions.transform(model, u))
-              for r, u in zip(ranks, _gathered_uniforms(n, seed, ranks))]
+              for r, u in zip(ranks, gathered)]
     if config.variant is Variant.WEAK:
         return run_weak_test(splits[0], config, seed=seed)
     return run_full_test(splits, config, seed=seed)

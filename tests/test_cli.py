@@ -79,6 +79,35 @@ def test_scipy_loaded_only_by_the_half_gaussian():
     assert out == ["[]", "0x1.5956b87528a4ap-1"]
 
 
+def test_worker_threads_load_no_module():
+    # Start-up cost: `complexity` loads only argparse's lazy locale
+    # lookup, and a full test drawn and sorted on two threads (4n at the
+    # floor of 2**19 values per thread) loads nothing that a test on one
+    # thread has not loaded.
+    src = Path(tt.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "import tailtest.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "bounds = ['--alpha', '0.25', '--rho', '0.5', '--beta', '1', '--b1', '1', '--b2', '1']\n"
+        "test = ['test', '--dist', 'lomax', '--params', 'a=1,lambda=1', '--k', '12', *bounds]\n"
+        "for argv in (['complexity', *bounds], [*test, '--n', str(2**18 - 1)],\n"
+        "             [*test, '--n', str(2**18)]):\n"
+        "    before = set(sys.modules)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert tailtest.cli.run_cli(argv) == 0\n"
+        "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'concurrent']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    complexity, below, above, concurrent = map(json.loads, out)
+    assert set(complexity) <= {"_locale", "locale"}
+    assert below and above == [] and concurrent == []
+
+
 def test_sample_text_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     args = ["sample", "--dist", "exponential", "--params", "lambda=1",

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from tailtest import (
     TailClass,
     TailParams,
 )
-from tailtest.distributions import _longest_run, _variates, uniforms
+from tailtest import distributions
+from tailtest.distributions import _CHUNK, _PER_WORKER, _longest_run, _variates, uniforms
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -262,6 +264,40 @@ def test_largest_draw_maps_below_one():
     for model in (Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
                   StretchedExponential(1.0, 0.5)):
         assert np.all(np.isfinite(model.quantile(u))), model
+
+
+def _one_stream(n, seed, rows):
+    """The oracle: the seed's whole stream drawn at once, draw p at [p % rows, p // rows]."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return gen.random(rows * n).reshape(n, rows).T
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+# With one value per worker enough, two workers cut n columns at n // 2,
+# for c the columns one chunk fills.
+BLOCK_CUTS = {"on_chunk_edge": lambda c: 2 * c, "odd_n": lambda c: 2 * c + 1,
+              "mid_chunk": lambda c: c + 2, "inside_one_chunk": lambda c: 5}
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("cut", BLOCK_CUTS)
+def test_uniforms_worker_blocks_match_one_stream(monkeypatch, rows, cut):
+    n = BLOCK_CUTS[cut](_CHUNK // rows)
+    monkeypatch.setattr(distributions, "_PER_WORKER", 1)
+    _cores(monkeypatch, 2)
+    assert uniforms(n, 11, rows).tobytes() == _one_stream(n, 11, rows).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_uniforms_match_one_stream_at_the_worker_floor(monkeypatch, rows, offset):
+    # Just below 2 * _PER_WORKER values one thread draws; at and above it, two.
+    _cores(monkeypatch, 2)
+    n = 2 * _PER_WORKER // rows + offset
+    assert uniforms(n, 12, rows).tobytes() == _one_stream(n, 12, rows).tobytes()
 
 
 # The sampled test sorts raw draws and maps only the few it reads through

@@ -1,7 +1,10 @@
 import functools
 import json
 import math
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,11 +21,13 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest.distributions import _CHUNK, _deal
+from tailtest import distributions
+from tailtest.distributions import _CHUNK, _PER_WORKER, _deal, on_workers
 from tailtest.harness import (
     ReplicationRow,
     _parse_text,
     _parse_text_lines,
+    _sorted_rows,
     serialize_report,
 )
 from tailtest.tester import BucketRecord, TestOutcome
@@ -92,20 +97,84 @@ def test_sample_splits_match_strided_stable_sort(n):
         assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
 
 
-def test_deal_any_chunk_boundaries():
-    # Chunks of every size mod 4, so no split's first offset is assumed.
-    stream = np.round(tt.sample(Lomax(1.0, 1.0), 4 * 1000, seed=8), 2)
-    cuts = np.cumsum([1, 2, 3, 5, 6, 7, 9, 13, 1000, 1, 2001])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_deal_whole_column_chunks_of_any_size(rows):
+    # Whole-column chunks of 1 to 1000 columns, none of the sampler's
+    # size, so no chunk's first column is assumed.
+    stream = np.round(tt.sample(Lomax(1.0, 1.0), rows * 2000, seed=8), 2)
+    cuts = rows * np.cumsum([1, 2, 3, 5, 6, 7, 9, 13, 1000, 1])
     chunks = np.split(stream, cuts)
     assert sum(c.size for c in chunks) == stream.size and chunks[-1].size > 0
-    grid = _deal(chunks, np.empty((4, 1000)))
-    for j in range(4):
-        assert grid[j].tobytes() == stream[j::4].tobytes()
+    grid = _deal(chunks, np.empty((rows, 2000)))
+    for j in range(rows):
+        assert grid[j].tobytes() == stream[j::rows].tobytes()
+
+
+def test_deal_refuses_a_chunk_of_part_columns():
+    with pytest.raises(ValueError, match="chunk of 6 values does not fill whole columns of 4"):
+        _deal([np.ones(4), np.ones(6)], np.empty((4, 10)))
 
 
 def test_deal_refuses_a_stream_of_the_wrong_length():
-    with pytest.raises(ValueError, match="dealt 7 values into 4 rows of 2"):
-        _deal([np.ones(7)], np.empty((4, 2)))
+    with pytest.raises(ValueError, match="dealt 4 values into 4 rows of 2"):
+        _deal([np.ones(4)], np.empty((4, 2)))
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_on_workers_takes_a_core_per_floor_of_values(monkeypatch):
+    def blocks(size, values):
+        seen = []
+        on_workers(lambda a, b: seen.append((a, b, threading.get_ident() == caller)),
+                   size, values)
+        return sorted(seen)
+
+    caller = threading.get_ident()
+    _cores(monkeypatch, 2)
+    assert blocks(10, 2 * _PER_WORKER - 1) == [(0, 10, True)]
+    assert blocks(10, 2 * _PER_WORKER) == [(0, 5, True), (5, 10, False)]
+    assert blocks(10, 9 * _PER_WORKER) == [(0, 5, True), (5, 10, False)]
+    _cores(monkeypatch, 8)
+    assert blocks(3, 9 * _PER_WORKER) == [(0, 1, True), (1, 2, False), (2, 3, False)]
+
+
+def test_more_workers_than_cores_fill_every_block(monkeypatch):
+    # Eight threads on blocks of a few values each, switching every
+    # microsecond: a lost or misplaced block breaks the equalities.
+    monkeypatch.setattr(distributions, "_PER_WORKER", 1)
+    _cores(monkeypatch, 8)
+    baseline, interval = threading.active_count(), sys.getswitchinterval()
+    grid = np.random.default_rng(2).random((8, 5000))
+    expected = np.sort(grid, axis=1)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    stream = gen.random(4 * 5000).reshape(5000, 4).T
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rows = grid.copy()
+            assert [s.values.tobytes() for s in _sorted_rows(rows)] == \
+                [row.tobytes() for row in expected]
+            assert distributions.uniforms(5000, 3, 4).tobytes() == stream.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("bad,message", [(math.nan, "values must all be finite"),
+                                         (-1.0, "values must be nonnegative")])
+def test_worker_failure_reaches_the_caller(monkeypatch, bad, message):
+    # Rows 2 and 3 of a contiguous (4, n) grid above the floor are sorted
+    # and checked on the second thread.
+    _cores(monkeypatch, 2)
+    baseline = threading.active_count()
+    grid = np.random.default_rng(1).random((4, _PER_WORKER // 2))
+    grid[3, 7] = bad
+    with pytest.raises(ValueError, match=message):
+        _sorted_rows(grid)
+    assert threading.active_count() == baseline
+    assert np.all(grid[:3, 1:] >= grid[:3, :-1])
 
 
 def _peak_bytes(fn, *args):
@@ -126,6 +195,16 @@ def test_sample_splits_peak_memory_per_value():
     # buffer and the quantile's temporaries are chunk-sized.  Sorting
     # copies of the splits beside the whole stream took 16.25 B.
     n = 250_000
+    splits, peak = _peak_bytes(tt.sample_splits, Lomax(1.0, 1.0), n, 5)
+    assert [s.n for s in splits] == [n] * 4
+    assert peak / (4 * n) <= 10.0
+
+
+def test_sample_splits_peak_memory_per_value_on_two_workers(monkeypatch):
+    # Above the floor each thread holds its own chunk buffer and checks
+    # its own rows.
+    _cores(monkeypatch, 2)
+    n = 300_000
     splits, peak = _peak_bytes(tt.sample_splits, Lomax(1.0, 1.0), n, 5)
     assert [s.n for s in splits] == [n] * 4
     assert peak / (4 * n) <= 10.0
@@ -189,6 +268,39 @@ def test_sampled_test_peak_memory_per_value(variant):
     outcome, peak = _peak_bytes(tt.run_sampled_test, Lomax(1.0, 1.0), n, 5, config)
     assert outcome.n == n
     assert peak / drawn <= 10.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sampled_test_peak_memory_per_value_on_two_workers(monkeypatch, variant):
+    _cores(monkeypatch, 2)
+    n = 1_200_000 if variant is Variant.WEAK else 300_000
+    drawn = n if variant is Variant.WEAK else 4 * n
+    outcome, peak = _peak_bytes(tt.run_sampled_test, Lomax(1.0, 1.0), n, 5,
+                                config_for(variant, 16))
+    assert outcome.n == n
+    assert peak / drawn <= 10.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sampled_test_matches_one_stream_at_the_worker_floor(monkeypatch, variant, offset):
+    # Just below 2 * _PER_WORKER draws one thread draws and sorts; at and
+    # above it, two.  The oracle draws the whole stream at once, deals it
+    # by slicing and sorts mapped copies.
+    _cores(monkeypatch, 2)
+    model, seed, config = Lomax(1.0, 1.0), 9, config_for(variant, 16)
+    rows = 1 if variant is Variant.WEAK else 4
+    n = 2 * _PER_WORKER // rows + offset
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    stream = gen.random(rows * n)
+    splits = [tt.SortedSampleSplit.from_samples(distributions.transform(model, stream[j::rows]))
+              for j in range(rows)]
+    if variant is Variant.WEAK:
+        expected = tt.run_weak_test(splits[0], config, seed=seed)
+    else:
+        expected = tt.run_full_test(splits, config, seed=seed)
+    got = tt.run_sampled_test(model, n, seed, config)
+    assert serialize_report(got) == serialize_report(expected)
 
 
 def test_replicate_requires_two_reps():
@@ -272,6 +384,17 @@ def test_load_split_holds_each_value_once(tmp_path):
     splits, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
     for j, split in enumerate(splits):
         assert split.values.tobytes() == np.sort(values[j::4]).tobytes()
+    assert (dealt - whole) / n <= 1.5
+
+
+def test_load_split_sorts_strided_rows_on_one_thread(monkeypatch, tmp_path):
+    # Above the floor a second thread would hold a second row buffer.
+    _cores(monkeypatch, 2)
+    n = 1_200_000
+    p = tmp_path / "big.f64"
+    p.write_bytes(tt.sample(Lomax(1.0, 1.0), n, seed=4).astype("<f8").tobytes())
+    _, whole = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, False)
+    _, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
     assert (dealt - whole) / n <= 1.5
 
 
