@@ -8,7 +8,8 @@ and ``complexity`` (bucket and sample budgets).
 Exit codes: 0 success, 1 domain or parse failure, 2 usage error; with
 ``--exit-verdict`` the ``test`` subcommand exits 3 for a heavy verdict
 and 4 for light.  Output files are written atomically (temp file then
-rename).  All output is byte-deterministic for a given seed.
+rename) with the mode of a plain new file.  All output is
+byte-deterministic for a given seed.
 
 ``sample --format text`` formats ``_TEXT_CHUNK`` values at a time and
 streams the chunks into the temp file, so neither one string per value
@@ -82,13 +83,17 @@ def _parse_params(spec: str) -> dict[str, float]:
 def _atomic_write(path: str, chunks: Iterable) -> None:
     """Write bytes-like chunks via a temp file in the target directory, then rename.
 
-    If producing or writing a chunk fails, the temp file is removed and
-    the target is left as it was.
+    The file gets the mode a plain ``open`` gives a new file, 0666 less
+    the umask, not the temp file's 0600.  If producing or writing a chunk
+    fails, the temp file is removed and the target is left as it was.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     try:
+        umask = os.umask(0)  # read by setting; the CLI writes on one thread
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, target)
@@ -167,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dist_args(p, required=False)
     p.add_argument("--n", type=int, default=None,
                    help="samples per split when drawing via --dist")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed when drawing via --dist (default 0)")
     p.add_argument("--k", type=int, required=True, help="coarse bucket count")
     _add_bounds_args(p)
     _add_variant_args(p)
@@ -245,8 +251,9 @@ def _cmd_test(args) -> int:
     config = _make_config(args)
 
     if args.input is not None:
-        if args.n is not None or args.params or args.reps is not None:
-            raise ValueError("--n, --params and --reps apply only to --dist; file data is fixed")
+        if args.n is not None or args.params or args.reps is not None or args.seed is not None:
+            raise ValueError("--n, --params, --reps and --seed apply only to --dist; "
+                             "file data is fixed")
         weak = config.variant is Variant.WEAK
         data = load_samples(args.input, FileFormat(args.format), split=not weak)
         outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
@@ -254,13 +261,14 @@ def _cmd_test(args) -> int:
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
+        seed = 0 if args.seed is None else args.seed
         if args.reps is not None:
-            outcomes = run_replicates(model, args.reps, args.n, config, args.seed)
+            outcomes = run_replicates(model, args.reps, args.n, config, seed)
             heavies = sum(o.verdict is Verdict.HEAVY for o in outcomes)
             voted = Verdict.HEAVY if 2 * heavies > args.reps else Verdict.LIGHT
             outcome = dataclasses.replace(outcomes[0], verdict=voted)
         else:
-            outcome = run_sampled_test(model, args.n, args.seed, config)
+            outcome = run_sampled_test(model, args.n, seed, config)
 
     payload = serialize_report(outcome)
     if args.out is not None:

@@ -349,27 +349,6 @@ def _variates(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def _deal(chunks, grid: np.ndarray) -> np.ndarray:
-    """Deal a stream of chunks round-robin into the rows of grid, in place.
-
-    Stream position p goes to ``grid[p % rows, p // rows]`` of a (rows, n)
-    array.  Each chunk fills whole columns in one strided assignment, so
-    it must hold a multiple of rows values.
-    """
-    rows, n = grid.shape
-    col = 0
-    for chunk in chunks:
-        cols, part = divmod(chunk.size, rows)
-        if part:
-            raise ValueError(f"a chunk of {chunk.size} values does not fill "
-                             f"whole columns of {rows} rows")
-        grid[:, col:col + cols] = chunk.reshape(cols, rows).T
-        col += cols
-    if col != n:
-        raise ValueError(f"dealt {rows * col} values into {rows} rows of {n}")
-    return grid
-
-
 # The fewest values a thread is given: on a 2-core Xeon two threads lost
 # at 2**16 values each and won from 2**18 each; 2**19 leaves a margin.
 _PER_WORKER = 1 << 19
@@ -413,19 +392,20 @@ def uniforms(n: int, seed: int, rows: int = 1) -> np.ndarray:
     53-bit integer, which ``transform`` maps to samples.  Each double
     consumes one 64-bit output, so columns [c0, c1), draws [rows * c0,
     rows * c1), are drawn by a generator advanced rows * c0 outputs.
-    The array holds each draw once.
+    Each chunk of whole columns is drawn into the block's one buffer and
+    written straight into its columns, so the array holds each draw once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = np.empty((rows, int(n)))
-    step = rows * max(1, _CHUNK // rows)  # whole columns per chunk
+    step = max(1, _CHUNK // rows)  # whole columns per chunk
 
     def fill(c0, c1):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(rows * c0))
-        total = rows * (c1 - c0)
-        buf = np.empty(min(total, step))
-        _deal((gen.random(out=buf[:min(step, total - start)])
-               for start in range(0, total, step)), grid[:, c0:c1])
+        buf = np.empty(rows * min(step, c1 - c0))
+        for c in range(c0, c1, step):
+            cols = min(step, c1 - c)
+            grid[:, c:c + cols] = gen.random(out=buf[:rows * cols]).reshape(cols, rows).T
 
     on_workers(fill, grid.shape[1], grid.size)
     return grid

@@ -6,18 +6,20 @@ ingestion, so piping a file through ``load_samples`` and testing it
 gives the same verdict as testing the seeded stream directly.  Both
 variants draw through one path: the raw draws are dealt chunk by chunk
 into one (rows, n) array whose rows are sorted in place, so each drawn
-value is held once.  A large array is drawn, sorted and checked on one
-thread per core (``distributions.on_workers``), a file's strided rows
-on one thread.  Every family's quantile is nondecreasing on the
-draws, so the value at rank r of a sorted split is the quantile of the
-draw at rank r.  ``sample_single`` and ``sample_splits`` therefore map
-every sorted draw in place; ``run_sampled_test`` maps only the draws at
-the ranks its layout reads, at most four per bucket, after the array is
-freed.  A sample file's four splits are the rows of its own array
-viewed as (n, 4) and transposed, sorted where they lie.  Every array
-this module sorts is its own, so it sorts in place; equal floats are
-interchangeable, so that gives the bytes of sorting a copy (see
-``SortedSampleSplit.from_samples``).
+value is held once.  A large array is drawn and sorted on one thread
+per core (``distributions.on_workers``), a file's strided rows on the
+calling thread.  Every family's quantile is nondecreasing on the draws,
+so the value at rank r of a sorted split is the quantile of the draw at
+rank r.  Sorted draws are the generator's own, so they are not checked;
+a split is built, and its values checked, only where values are kept.
+``sample_single`` and ``sample_splits`` map every sorted draw in place
+and wrap each row; ``run_sampled_test`` gathers the draws at the ranks
+its layout reads, at most four per bucket, and maps only those after
+the array is freed.  A sample file's four splits are the rows of its
+own array viewed as (n, 4) and transposed, sorted where they lie.
+Every array this module sorts is its own, so it sorts in place; equal
+floats are interchangeable, so that gives the bytes of sorting a copy
+(see ``SortedSampleSplit.from_samples``).
 
 Text sample files are read in one ``float()`` pass over the lines into
 an array; a file that pass cannot read whole (comments, blank lines, a
@@ -89,39 +91,28 @@ class ReplicationReport:
 # sampling front ends
 # ---------------------------------------------------------------------------
 
-def _sorted_rows(grid: np.ndarray) -> list[SortedSampleSplit]:
-    """One split per row of an array this module owns, each sorted in place.
+def _sorted_draws(n: int, seed: int, rows: int = 1) -> np.ndarray:
+    """The seed's (rows, n) array of raw draws, each row sorted in place.
 
-    Contiguous rows need no buffer and are sorted and checked on
-    ``distributions.on_workers``.  Strided rows (a file dealt by
-    reshaping) are sorted on this thread through one row-sized buffer,
-    which each further thread would repeat.
+    The rows are sorted on ``distributions.on_workers``, a block of rows
+    per thread.  They are the generator's own draws, so nothing is
+    checked: a caller checks the values it keeps.
     """
-    splits = [None] * len(grid)
-
-    def sort(r0, r1):
-        grid[r0:r1].sort(axis=1)
-        splits[r0:r1] = [SortedSampleSplit(row) for row in grid[r0:r1]]
-
-    distributions.on_workers(sort, len(grid), grid.size if grid.flags.c_contiguous else 0)
-    return splits
-
-
-def _samples(model: DistributionModel, split: SortedSampleSplit) -> SortedSampleSplit:
-    """A sorted split of raw draws, mapped in place to sorted samples."""
-    return SortedSampleSplit(distributions.transform(model, split.values))
+    grid = distributions.uniforms(n, seed, rows)
+    distributions.on_workers(lambda r0, r1: grid[r0:r1].sort(axis=1), rows, grid.size)
+    return grid
 
 
 def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSplit:
     """One sorted split of n seeded samples."""
-    [split] = _sorted_rows(distributions.uniforms(n, seed))
-    return _samples(model, split)
+    [row] = _sorted_draws(n, seed)
+    return SortedSampleSplit(distributions.transform(model, row))
 
 
 def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSampleSplit]:
     """Four sorted splits of n samples each, dealt round-robin from one stream."""
-    splits = _sorted_rows(distributions.uniforms(n, seed, 4))
-    return [_samples(model, split) for split in splits]
+    return [SortedSampleSplit(distributions.transform(model, row))
+            for row in _sorted_draws(n, seed, 4)]
 
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
@@ -135,9 +126,9 @@ def run_sampled_test(model: DistributionModel, n: int, seed: int,
     """
     layout, buckets = scan_layout(config)
     ranks = ranks_by_split(layout, n, buckets, config.k)
-    drawn = _sorted_rows(distributions.uniforms(n, seed, len(ranks)))
-    gathered = [split.at(r) for split, r in zip(drawn, ranks)]
-    del drawn  # frees the (len(ranks), n) array of draws
+    grid = _sorted_draws(n, seed, len(ranks))
+    gathered = [row[r - 1] for row, r in zip(grid, ranks)]
+    del grid  # frees the (len(ranks), n) array of draws
     splits = [OrderStatistics(n, r, distributions.transform(model, u))
               for r, u in zip(ranks, gathered)]
     if config.variant is Variant.WEAK:
@@ -282,14 +273,18 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
     path = Path(path)
     arr = _parse_text(path) if fmt is FileFormat.TEXT else _parse_raw_f64(path)
     if not split:
-        return _sorted_rows(arr.reshape(1, -1))[0]
+        arr.sort()
+        return SortedSampleSplit(arr)
     if arr.size < 4:
         raise ValueError(f"{path}: need at least 4 values to build four splits")
     if arr.size % 4:
         raise ValueError("all four splits must hold the same number of samples")
     # Row j of the transposed (n, 4) view is every fourth value from j:
-    # the round-robin deal, sorted where the values lie.
-    return _sorted_rows(arr.reshape(-1, 4).T)
+    # the round-robin deal, sorted where the values lie through one
+    # row-sized buffer, on this thread so that only one is alive.
+    rows = arr.reshape(-1, 4).T
+    rows.sort(axis=1)
+    return [SortedSampleSplit(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

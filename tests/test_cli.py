@@ -141,6 +141,27 @@ def test_atomic_write_failure_leaves_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_outputs_get_the_mode_of_a_plain_new_file(tmp_path):
+    # The temp file behind an atomic write is created 0600; the output
+    # must have the mode open() gives a new file under the umask, and
+    # overwriting a file must not narrow it.
+    plain, out = tmp_path / "plain.txt", tmp_path / "out.txt"
+    previous = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o027):
+            os.umask(umask)
+            for target in (plain, out):
+                target.unlink(missing_ok=True)
+            plain.write_bytes(b"")
+            for _ in range(2):  # a new file, then an overwrite
+                assert run_cli(["sample", "--dist", "exponential", "--params", "lambda=1",
+                                "--n", "10", "--seed", "1", "--out", str(out)]) == 0
+                assert out.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 \
+                    == 0o666 & ~umask
+    finally:
+        os.umask(previous)
+
+
 def test_sample_f64_matches_library(tmp_path):
     out = tmp_path / "x.f64"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -285,11 +306,11 @@ def test_bad_param_string_exits_1(tmp_path):
 
 
 def test_reps_with_input_rejected(tmp_path, capsys):
-    # --reps, --n and --params only shape --dist draws; with a file they
-    # would be ignored, so each is refused with one error line.
+    # --reps, --n, --params and --seed only shape --dist draws; with a
+    # file they would be ignored, so each is refused with one error line.
     sample_file = tmp_path / "s.txt"
     sample_file.write_text("\n".join(str(v / 10) for v in range(1, 200)) + "\n")
-    for extra in (["--reps", "3"], ["--n", "7"], ["--params", "a=3"]):
+    for extra in (["--reps", "3"], ["--n", "7"], ["--params", "a=3"], ["--seed", "3"]):
         code = run_cli(["test", "--input", str(sample_file), *extra,
                         "--k", "8", "--alpha", "0.25", "--rho", "0.5",
                         "--beta", "1", "--b1", "1", "--b2", "1", "--weak"])
