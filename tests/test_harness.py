@@ -15,6 +15,7 @@ from tailtest import (
     Exponential,
     FileFormat,
     Lomax,
+    SortedSampleSplit,
     TailParams,
     TestConfig,
     Variant,
@@ -97,6 +98,20 @@ def test_sample_splits_match_strided_stable_sort(n):
         assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+def test_deal_whole_column_chunks_of_any_size(monkeypatch, rows):
+    # uniforms draws whole columns a chunk at a time; chunks of 1 to 1000
+    # columns, none of the sampler's size, and a chunk smaller than a
+    # column, which is drawn as one column, all deal the one stream.
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8)))
+    stream = gen.random(rows * 2000)
+    for chunk in sorted({1, rows, 2 * rows, 3 * rows, 7 * rows, 13 * rows, 1000 * rows}):
+        monkeypatch.setattr(distributions, "_CHUNK", chunk)
+        grid = distributions.uniforms(2000, 8, rows)
+        for j in range(rows):
+            assert grid[j].tobytes() == stream[j::rows].tobytes()
+
+
 def _cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
@@ -136,27 +151,46 @@ def test_more_workers_than_cores_fill_every_block(monkeypatch):
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("caller_fails", [False, True])
-def test_worker_failure_reaches_the_caller(monkeypatch, caller_fails):
-    # The second block runs on a worker thread; its error is raised here
-    # once every thread has joined, unless this thread's block failed too.
+@pytest.mark.parametrize("bad,message", [(math.nan, "values must all be finite"),
+                                         (-1.0, "values must be nonnegative")])
+def test_worker_failure_reaches_the_caller(monkeypatch, bad, message):
+    # Rows 2 and 3 of a (4, n) grid above the floor are wrapped, and their
+    # values checked, on the second thread; its error is raised here once
+    # every thread has joined.
+    _cores(monkeypatch, 2)
+    baseline, caller = threading.active_count(), threading.get_ident()
+    grid = np.sort(np.random.default_rng(1).random((4, _PER_WORKER // 2)), axis=1)
+    grid[3, 0] = bad  # first, so the row stays sorted
+    checked = []
+
+    def check(r0, r1):
+        checked.extend((r, threading.get_ident() == caller) for r in range(r0, r1))
+        for row in grid[r0:r1]:
+            SortedSampleSplit(row)
+
+    with pytest.raises(ValueError, match=message):
+        on_workers(check, len(grid), grid.size)
+    assert threading.active_count() == baseline
+    assert sorted(checked) == [(0, True), (1, True), (2, False), (3, False)]
+
+
+def test_caller_failure_wins_over_a_worker_failure(monkeypatch):
+    # Both blocks fail; the worker's error is dropped for this thread's,
+    # and only after the worker has joined.
     _cores(monkeypatch, 2)
     baseline, caller = threading.active_count(), threading.get_ident()
     done = []
 
     def block(start, stop):
+        done.append((start, stop))
         if threading.get_ident() != caller:
             raise ValueError(f"worker block [{start}, {stop}) failed")
-        done.append((start, stop))
-        if caller_fails:
-            raise RuntimeError("caller block failed")
+        raise RuntimeError("caller block failed")
 
-    error, message = (RuntimeError, "caller block") if caller_fails else \
-        (ValueError, r"worker block \[2, 4\) failed")
-    with pytest.raises(error, match=message):
+    with pytest.raises(RuntimeError, match="caller block"):
         on_workers(block, 4, 2 * _PER_WORKER)
     assert threading.active_count() == baseline
-    assert done == [(0, 2)]
+    assert sorted(done) == [(0, 2), (2, 4)]
 
 
 def _peak_bytes(fn, *args):
