@@ -38,7 +38,6 @@ from .harness import (
     load_samples,
     replicate,
     run_replicates,
-    run_sampled_test,
     serialize_report,
 )
 from .proxy import proxy_curve
@@ -178,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(p)
     _add_variant_args(p)
     p.add_argument("--reps", type=int, default=None,
-                   help="repeat with seeds seed..seed+reps-1 and take the majority verdict")
+                   help="run seeds seed..seed+reps-1; the majority verdict wins, a tie is light")
     p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--exit-verdict", action="store_true",
                    help="exit 3 on heavy, 4 on light (otherwise always 0)")
@@ -209,13 +208,17 @@ def _bounds(args, k: int) -> WellBehavedBounds:
     return WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=1.0 / (2 * k))
 
 
-def _make_config(args) -> TestConfig:
+def _require_finite(args, *names: str) -> None:
     # A TestConfig takes infinite bounds, the honest estimate for a density
     # unbounded at 0 (its gap is then 0), but a bounds flag of inf leaves
     # the report unwritable (JSON holds no inf) or its gap silently 0.
-    for name in ("beta", "b1", "b2"):
+    for name in names:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"{name} must be finite")
+
+
+def _make_config(args) -> TestConfig:
+    _require_finite(args, "beta", "b1", "b2")
     return TestConfig(
         tail=TailParams(alpha=args.alpha, rho=args.rho),
         bounds=_bounds(args, args.k),
@@ -237,6 +240,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_proxy(args) -> int:
+    _require_finite(args, "beta", "b1")
     model = model_from_name(args.dist, _parse_params(args.params))
     tail = TailParams(alpha=args.alpha, rho=0.5)
     bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=1.0,
@@ -255,28 +259,25 @@ def _cmd_test(args) -> int:
             raise ValueError("--n, --params, --reps and --seed apply only to --dist; "
                              "file data is fixed")
         weak = config.variant is Variant.WEAK
-        data = load_samples(args.input, FileFormat(args.format), split=not weak)
-        outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
+        data = load_samples(args.input, args.format, split=not weak)
+        outcomes = [run_weak_test(data, config) if weak else run_full_test(data, config)]
     else:
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
-        seed = 0 if args.seed is None else args.seed
-        if args.reps is not None:
-            outcomes = run_replicates(model, args.reps, args.n, config, seed)
-            heavies = sum(o.verdict is Verdict.HEAVY for o in outcomes)
-            voted = Verdict.HEAVY if 2 * heavies > args.reps else Verdict.LIGHT
-            outcome = dataclasses.replace(outcomes[0], verdict=voted)
-        else:
-            outcome = run_sampled_test(model, args.n, seed, config)
+        outcomes = run_replicates(model, 1 if args.reps is None else args.reps, args.n, config,
+                                  0 if args.seed is None else args.seed)
 
-    payload = serialize_report(outcome)
+    # The runs' majority verdict with the first run's buckets; a tie answers light.
+    heavies = sum(o.verdict is Verdict.HEAVY for o in outcomes)
+    voted = Verdict.HEAVY if 2 * heavies > len(outcomes) else Verdict.LIGHT
+    payload = serialize_report(dataclasses.replace(outcomes[0], verdict=voted))
     if args.out is not None:
         _atomic_write(args.out, [payload])
     else:
         sys.stdout.write(payload.decode("utf-8"))
     if args.exit_verdict:
-        return EXIT_HEAVY if outcome.verdict is Verdict.HEAVY else EXIT_LIGHT
+        return EXIT_HEAVY if voted is Verdict.HEAVY else EXIT_LIGHT
     return EXIT_OK
 
 

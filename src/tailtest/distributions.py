@@ -104,32 +104,12 @@ class TailClass(Enum):
 class DistributionModel:
     """Base for the analytic families.
 
-    Subclasses supply vectorized pdf/cdf/sf/pdf_derivative/quantile plus the
-    analytic hazard rate and its derivative.  The pdf is non-increasing on
-    [0, inf) for every admissible parameterization.
+    Every family supplies vectorized ``pdf``, ``cdf``, ``sf`` (the
+    survival 1 - cdf, computed without its cancellation),
+    ``pdf_derivative`` and ``quantile``, plus the analytic
+    ``hazard_rate`` and ``hazard_derivative``.  The pdf is
+    non-increasing on [0, inf) for every admissible parameterization.
     """
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def sf(self, x):
-        """Survival 1 - cdf, computed without the cancellation of 1 - cdf."""
-        raise NotImplementedError
-
-    def pdf_derivative(self, x):
-        raise NotImplementedError
-
-    def quantile(self, u):
-        raise NotImplementedError
-
-    def hazard_rate(self, x):
-        raise NotImplementedError
-
-    def hazard_derivative(self, x):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -249,8 +229,8 @@ class StretchedExponential(DistributionModel):
     """cdf 1 - exp(-rate * x**m) with 0 < m < 1.
 
     The density is unbounded at the origin and the hazard rate
-    rate*m*x^(m-1) decreases everywhere, so hazard quantities at x = 0
-    come back infinite.
+    rate*m*x^(m-1) decreases everywhere: at x = 0 the formulas give
+    +inf for the pdf and hazard rate and -inf for their derivatives.
     """
 
     rate: float = 1.0
@@ -266,12 +246,7 @@ class StretchedExponential(DistributionModel):
         x = np.asarray(x, dtype=float)
         m = self.exponent
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(
-                x > 0.0,
-                self.rate * m * x ** (m - 1.0) * np.exp(-self.rate * x ** m),
-                np.inf,
-            )
-        return out
+            return self.rate * m * x ** (m - 1.0) * np.exp(-self.rate * x ** m)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -285,12 +260,7 @@ class StretchedExponential(DistributionModel):
         m, g = self.exponent, self.rate
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inner = (m - 1.0) * x ** (m - 2.0) - g * m * x ** (2.0 * m - 2.0)
-            out = np.where(
-                x > 0.0,
-                g * m * np.exp(-g * x ** m) * inner,
-                -np.inf,
-            )
-        return out
+            return g * m * np.exp(-g * x ** m) * inner
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -300,15 +270,13 @@ class StretchedExponential(DistributionModel):
         x = np.asarray(x, dtype=float)
         m = self.exponent
         with np.errstate(divide="ignore"):
-            return np.where(x > 0.0, self.rate * m * x ** (m - 1.0), np.inf)
+            return self.rate * m * x ** (m - 1.0)
 
     def hazard_derivative(self, x):
         x = np.asarray(x, dtype=float)
         m = self.exponent
         with np.errstate(divide="ignore"):
-            return np.where(
-                x > 0.0, self.rate * m * (m - 1.0) * x ** (m - 2.0), -np.inf
-            )
+            return self.rate * m * (m - 1.0) * x ** (m - 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ def rank_index(n: int, q):
     [1, n]; the (n+1) centering matches where order statistics
     concentrate.  Accepts a scalar or an array of ranks.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     q_arr = np.asarray(q, dtype=float)
     if not np.all((0.0 < q_arr) & (q_arr < 1.0)):
         raise ValueError("fractional rank must lie in (0, 1)")

@@ -40,7 +40,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -223,7 +223,7 @@ def _parse_text(path: Path) -> np.ndarray:
 
 
 def _parse_text_lines(path: Path) -> np.ndarray:
-    out, linenos = [], array("q")  # a machine int per value, not an int object
+    out, linenos = array("d"), array("q")  # machine values, not Python objects
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -236,7 +236,7 @@ def _parse_text_lines(path: Path) -> np.ndarray:
             linenos.append(lineno)
     if not out:
         raise ValueError(f"{path}: no sample values found")
-    arr = np.asarray(out, dtype=float)
+    arr = np.frombuffer(out, dtype=float)  # writable: the array's own buffer
     _reject_bad_values(arr, "line", linenos)
     return arr
 
@@ -260,18 +260,19 @@ def _parse_raw_f64(path: Path) -> np.ndarray:
     return arr
 
 
-def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
+def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT, split: bool = False):
     """Load a sample file into sorted split(s).
 
-    Text files hold one decimal literal per line; '#' comment lines and
-    blank lines are skipped.  RAW_F64 is packed little-endian IEEE-754.
-    Negative and non-finite values are rejected.  With ``split=True``
+    ``fmt`` is a FileFormat or its value ("text" or "f64").  Text files
+    hold one decimal literal per line; '#' comment lines and blank lines
+    are skipped.  RAW_F64 is packed little-endian IEEE-754.  Negative
+    and non-finite values are rejected.  With ``split=True``
     the values are dealt round-robin on input order into four splits
     before sorting - fine for i.i.d. data, a deliberate warning sign
     for time-ordered data - and their count must be a multiple of 4.
     """
     path = Path(path)
-    arr = _parse_text(path) if fmt is FileFormat.TEXT else _parse_raw_f64(path)
+    arr = _parse_text(path) if FileFormat(fmt) is FileFormat.TEXT else _parse_raw_f64(path)
     if not split:
         arr.sort()
         return SortedSampleSplit(arr)
@@ -293,15 +294,10 @@ def load_samples(path, fmt: FileFormat = FileFormat.TEXT, split: bool = False):
 
 def _outcome_json(outcome: TestOutcome) -> dict:
     cfg = outcome.config
-    buckets = []
-    for r in outcome.records:
-        buckets.append({
-            "i": r.i,
-            "s_hat": None if r.degenerate else r.s_hat,
-            "boundary": r.boundary,
-            "margin": None if r.degenerate else r.margin,
-            "degenerate": r.degenerate,
-        })
+    buckets = [asdict(r) for r in outcome.records]  # BucketRecord's fields, in order
+    for bucket in buckets:
+        if bucket["degenerate"]:  # s_hat and margin are inf, which JSON cannot hold
+            bucket.update(s_hat=None, margin=None)
     return {
         "verdict": outcome.verdict.value,
         "k": cfg.k,

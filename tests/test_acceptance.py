@@ -231,8 +231,8 @@ def test_criterion_9_calculator_regression(capsys):
 
 @pytest.mark.slow
 def test_full_size_replication():
-    # k=32 with n = Theta(k^4) ~ 51 million samples per run; about 72 s of
-    # wall time and 1.2 GB peak RSS on a 2-vCPU Xeon with numpy 2.4
+    # k=32 with n = Theta(k^4) ~ 51 million samples per run; about 27 s of
+    # wall time and 455 MB peak RSS on a 2-vCPU Xeon with numpy 2.4
     k = 32
     n = 51_000_000
     lomax = Lomax(1.0, 1.0)

@@ -42,16 +42,18 @@ def test_infinite_noise_sigmas_is_one_error_line(capsys):
 
 
 @pytest.mark.parametrize("command,flag", [("test", "--beta"), ("test", "--b2"),
-                                          ("simulate", "--b1")])
+                                          ("simulate", "--b1"), ("proxy", "--beta"),
+                                          ("proxy", "--b1")])
 def test_infinite_bound_flag_is_one_error_line(tmp_path, command, flag, capsys):
     # Refused before any sampling: an infinite bound made `test` run in
-    # full and then fail to write its JSON, and `simulate` write a zero gap.
-    bounds = {"--beta": "1", "--b1": "1", "--b2": "1", flag: "inf"}
+    # full and then fail to write its JSON, and `simulate` and `proxy`
+    # write a zero gap.  `proxy` draws nothing and takes no --rho or --b2.
+    sampled = ["--n", "2000", "--seed", "1", "--rho", "0.5", "--b2", "1"]
+    extra = {"test": sampled, "simulate": [*sampled, "--reps", "2"], "proxy": []}[command]
     out = tmp_path / "out"
-    extra = ["--reps", "2"] if command == "simulate" else []
-    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
-                    "--seed", "1", "--k", "8", "--alpha", "0.25", "--rho", "0.5",
-                    *[v for item in bounds.items() for v in item], *extra, "--out", str(out)])
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", "8",
+                    "--alpha", "0.25", *extra, "--beta", "1", "--b1", "1", flag, "inf",
+                    "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err == f"error: {flag[2:]} must be finite\n"
@@ -259,6 +261,17 @@ def test_test_majority_vote(tmp_path):
                     "--b1", "1", "--b2", "1", "--weak", "--exit-verdict",
                     "--out", str(out)]) == 3
     assert json.loads(out.read_text())["verdict"] == "heavy"
+
+
+@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
+def test_test_one_rep_is_the_plain_report(tmp_path, variant):
+    # One run's vote is its own verdict, so --reps 1 writes plain test's bytes.
+    args = ["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "20000", "--seed", "3",
+            "--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1",
+            "--b2", "1", *variant, "--out"]
+    assert run_cli([*args, str(tmp_path / "plain")]) == 0
+    assert run_cli([*args, str(tmp_path / "once"), "--reps", "1"]) == 0
+    assert (tmp_path / "once").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 def test_proxy_curve_csv(tmp_path):

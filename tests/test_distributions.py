@@ -149,6 +149,15 @@ def test_hazard_lomax_at_origin():
     assert float(model.hazard_derivative(0.0)) == pytest.approx(-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_stretched_exponential_infinite_at_origin():
+    # At x = 0 the formulas diverge quietly, to the signs of an unbounded
+    # decreasing density and hazard.
+    m = StretchedExponential(1.0, 0.5)
+    got = [float(f(0.0)) for f in (m.pdf, m.pdf_derivative, m.hazard_rate, m.hazard_derivative)]
+    assert got == [math.inf, -math.inf, math.inf, -math.inf]
+
+
 def test_hazard_halfgaussian_at_origin():
     model = HalfGaussian(1.0)
     f0 = 2.0 / math.sqrt(2.0 * math.pi)

@@ -46,9 +46,9 @@ def test_rank_clamping():
 
 
 def test_order_statistic_domain():
-    for q in (0.0, 1.0, np.array([0.5, 1.0])):
+    for n, q in ((2, 0.0), (2, 1.0), (2, np.array([0.5, 1.0])), (0, 0.5)):
         with pytest.raises(ValueError):
-            rank_index(2, q)
+            rank_index(n, q)
 
 
 def test_split_validation():

@@ -340,8 +340,8 @@ def test_replicate_requires_two_reps():
 def test_load_text_with_comments(tmp_path):
     p = tmp_path / "samples.txt"
     p.write_text("1.0\n# a comment\n\n2.5\n")
-    split = tt.load_samples(p, FileFormat.TEXT)
-    assert np.array_equal(split.values, [1.0, 2.5])
+    for fmt in (FileFormat.TEXT, "text"):
+        assert np.array_equal(tt.load_samples(p, fmt).values, [1.0, 2.5])
 
 
 def test_load_text_rejects_negative(tmp_path):
@@ -350,6 +350,13 @@ def test_load_text_rejects_negative(tmp_path):
         "negative value -1.0 at line 3; domain is [0, inf)"
     assert _load_error(tmp_path, "comment_negative") == \
         "negative value -0.5 at line 3; domain is [0, inf)"
+
+
+def test_load_refuses_an_unknown_format(tmp_path):
+    p = tmp_path / "eight.txt"  # 40 bytes, which the raw reader took for five doubles
+    p.write_text("".join(f"{v}.00\n" for v in range(1, 9)))
+    with pytest.raises(ValueError, match="'csv' is not a valid FileFormat"):
+        tt.load_samples(p, "csv")
 
 
 def test_load_text_parse_error_carries_line(tmp_path):
@@ -362,8 +369,8 @@ def test_load_text_parse_error_carries_line(tmp_path):
 def test_load_raw_f64_sorts(tmp_path):
     p = tmp_path / "two.f64"
     p.write_bytes(struct.pack("<2d", 3.0, 1.0))
-    split = tt.load_samples(p, FileFormat.RAW_F64)
-    assert np.array_equal(split.values, [1.0, 3.0])
+    for fmt in (FileFormat.RAW_F64, "f64"):
+        assert np.array_equal(tt.load_samples(p, fmt).values, [1.0, 3.0])
 
 
 def test_load_raw_f64_rejects_fragment(tmp_path):
@@ -537,15 +544,17 @@ def test_load_raw_f64_names_value_position(tmp_path):
 
 
 def test_load_text_peak_memory_per_value(tmp_path):
-    # The line loop held a list of Python floats: about 40 B/value at
-    # peak.  Reading into the array directly, which grows as it reads,
-    # and sorting it in place peaks near 12 B/value.
+    # The one-pass reader peaks near 12 B/value.  A header comment sends the
+    # file to the line loop: near 17 B/value with a machine double and line
+    # number per value, about 49 B/value with a list of Python floats.
     n = 200_000
-    p = tmp_path / "big.txt"
-    p.write_text("\n".join(_lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))) + "\n")
-    split, peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
-    assert split.n == n
-    assert peak / n <= 20.0
+    body = "\n".join(_lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))) + "\n"
+    for name, text in (("plain", body), ("commented", "# Lomax(1, 1), seed 4\n" + body)):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(text)
+        split, peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
+        assert split.n == n, name
+        assert peak / n <= 20.0, name
 
 
 # ---------------------------------------------------------------------------
