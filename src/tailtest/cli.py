@@ -7,14 +7,13 @@ and ``complexity`` (bucket and sample budgets).
 
 Exit codes: 0 success, 1 domain or parse failure, 2 usage error; with
 ``--exit-verdict`` the ``test`` subcommand exits 3 for a heavy verdict
-and 4 for light.  Output files are written atomically (temp file then
-rename) with the mode of a plain new file.  All output is
-byte-deterministic for a given seed.
+and 4 for light.  All output is byte-deterministic for a given seed.
 
-``sample --format text`` formats ``_TEXT_CHUNK`` values at a time and
-streams the chunks into the temp file, so neither one string per value
-nor the whole payload is ever held at once; ``--format f64`` writes the
-array's own buffer.
+This module only parses flags, builds objects and writes bytes: every
+byte format is ``tailtest.harness``'s (``sample_file_chunks`` for sample
+files, ``serialize_report`` for reports).  Output files are written
+atomically (temp file then rename), chunk by chunk, with the mode of a
+plain new file.
 """
 
 from __future__ import annotations
@@ -25,19 +24,17 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
-
-import numpy as np
 
 from . import distributions
 from .distributions import TailParams, WellBehavedBounds, model_from_name
 from .harness import (
     FileFormat,
-    csv_bytes,
     load_samples,
     replicate,
     run_replicates,
+    sample_file_chunks,
     serialize_report,
 )
 from .proxy import proxy_curve
@@ -59,8 +56,6 @@ EXIT_USAGE = 2
 EXIT_HEAVY = 3
 EXIT_LIGHT = 4
 
-_TEXT_CHUNK = 65_536  # values formatted per write by ``sample --format text``
-
 
 def _parse_params(spec: str) -> dict[str, float]:
     """Parse 'k=v[,k=v...]' parameter strings."""
@@ -72,10 +67,13 @@ def _parse_params(spec: str) -> dict[str, float]:
         if "=" not in item:
             raise ValueError(f"parameter {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given more than once")
         try:
-            params[key.strip()] = float(value)
+            params[key] = float(value)
         except ValueError:
-            raise ValueError(f"parameter {key.strip()!r} has non-numeric value {value!r}") from None
+            raise ValueError(f"parameter {key!r} has non-numeric value {value!r}") from None
     return params
 
 
@@ -102,13 +100,6 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
         except OSError:
             pass
         raise
-
-
-def _text_chunks(values: np.ndarray) -> Iterator[bytes]:
-    """One shortest round-trip decimal per line, _TEXT_CHUNK values per chunk."""
-    for start in range(0, values.size, _TEXT_CHUNK):
-        chunk = values[start:start + _TEXT_CHUNK].tolist()
-        yield ("\n".join(map(repr, chunk)) + "\n").encode("ascii")
 
 
 def _add_dist_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -203,9 +194,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _zeta(k: int) -> float:
+    """1/(2k): k buckets need the smoothness bounds held on [0, 1 - zeta]."""
+    if k < 4:  # before the division, which k = 0 would fail
+        raise ValueError("k must be >= 4")
+    return 1.0 / (2 * k)
+
+
 def _bounds(args, k: int) -> WellBehavedBounds:
-    """The flags' smoothness bounds, held on [0, 1 - 1/(2k)] as k buckets need."""
-    return WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=1.0 / (2 * k))
+    """The flags' smoothness bounds, held as k buckets need."""
+    return WellBehavedBounds(beta=args.beta, b1=args.b1, b2=args.b2, zeta=_zeta(k))
 
 
 def _require_finite(args, *names: str) -> None:
@@ -231,11 +229,7 @@ def _make_config(args) -> TestConfig:
 def _cmd_sample(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     values = distributions.sample(model, args.n, args.seed)
-    if FileFormat(args.format) is FileFormat.TEXT:
-        chunks = _text_chunks(np.asarray(values, dtype=float))
-    else:
-        chunks = [np.ascontiguousarray(values, dtype="<f8")]
-    _atomic_write(args.out, chunks)
+    _atomic_write(args.out, sample_file_chunks(values, args.format))
     return EXIT_OK
 
 
@@ -243,9 +237,8 @@ def _cmd_proxy(args) -> int:
     _require_finite(args, "beta", "b1")
     model = model_from_name(args.dist, _parse_params(args.params))
     tail = TailParams(alpha=args.alpha, rho=0.5)
-    bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=1.0,
-                               zeta=1.0 / (2 * args.k))
-    _atomic_write(args.out, [csv_bytes(proxy_curve(model, args.k, tail, bounds))])
+    bounds = WellBehavedBounds(beta=args.beta, b1=args.b1, b2=1.0, zeta=_zeta(args.k))
+    _atomic_write(args.out, [serialize_report(proxy_curve(model, args.k, tail, bounds))])
     return EXIT_OK
 
 
@@ -284,8 +277,8 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     config = _make_config(args)
-    report = replicate(model, args.reps, args.n, config, args.seed)
-    _atomic_write(args.out, [serialize_report(report)])
+    rows = replicate(model, args.reps, args.n, config, args.seed)
+    _atomic_write(args.out, [serialize_report(rows)])
     return EXIT_OK
 
 
@@ -312,8 +305,9 @@ def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A bare MemoryError has no message of its own.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -1,4 +1,4 @@
-"""Experiment replication, sample-file ingestion, and report serialization.
+"""Experiment replication, and every byte format the package reads or writes.
 
 Sampling for the four-split test draws one stream of 4n variates and
 deals them round-robin, exactly how a sample file is split on
@@ -21,17 +21,18 @@ Every array this module sorts is its own, so it sorts in place; equal
 floats are interchangeable, so that gives the bytes of sorting a copy
 (see ``SortedSampleSplit.from_samples``).
 
-Text sample files are read in one ``float()`` pass over the lines into
-an array; a file that pass cannot read whole (comments, blank lines, a
-bad literal) is read again line by line, which gives the same values or
-names the offending line.  Either way a negative or non-finite value is
-named by its file line.  Raw f64 files are read straight into one
-array, and a bad value is named by its position.
+Sample files: ``sample_file_chunks`` writes them and ``load_samples``
+reads them.  Text is written ``distributions._CHUNK`` values at a time
+and read in one ``float()`` pass over the lines into an array; a file
+that pass cannot read whole (comments, blank lines, a bad literal) is
+read again line by line, which gives the same values or names the
+offending line.  Either way a negative or non-finite value is named by
+its file line.  Raw f64 files are the array's own buffer, read straight
+into one array, and a bad value is named by its position.
 
-Each report type has one format: ``serialize_report`` writes a
-TestOutcome as JSON and a ReplicationReport as CSV.  ``csv_bytes`` is
-the one CSV writer, headed by the row dataclass's field names; the
-CLI's proxy table of ProxyPoint rows goes through it too.
+Reports: ``serialize_report`` writes a TestOutcome as JSON and a
+non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
+and ``proxy_curve`` return) as CSV headed by the row type's field names.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import math
 import os
 from array import array
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -48,7 +50,7 @@ import numpy as np
 
 from .distributions import DistributionModel
 from .empirical import OrderStatistics, SortedSampleSplit, ranks_by_split
-from .proxy import proxy_value
+from .proxy import ProxyPoint, proxy_value
 from .tester import (TestConfig, TestOutcome, Variant, run_full_test, run_weak_test,
                      scan_layout)
 from . import distributions
@@ -56,13 +58,11 @@ from . import distributions
 __all__ = [
     "FileFormat",
     "ReplicationRow",
-    "ReplicationReport",
     "sample_single",
     "sample_splits",
     "run_sampled_test",
     "replicate",
     "load_samples",
-    "csv_bytes",
     "serialize_report",
 ]
 
@@ -80,11 +80,6 @@ class ReplicationRow:
     proxy_s: float
     threshold: float
     boundary: float
-
-
-@dataclass(frozen=True)
-class ReplicationReport:
-    rows: tuple[ReplicationRow, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +140,7 @@ def run_replicates(model: DistributionModel, reps: int, n: int, config: TestConf
 
 
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
-              base_seed: int) -> ReplicationReport:
+              base_seed: int) -> tuple[ReplicationRow, ...]:
     """Run the configured tester reps times with seeds base_seed + index.
 
     Per bucket, aggregates mean and sample standard deviation of the
@@ -175,12 +170,27 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
             threshold=1.0 - i / config.k,
             boundary=float(np.mean([o.records[j].boundary for o in outcomes])),
         ))
-    return ReplicationReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
-# file ingestion
+# sample files
 # ---------------------------------------------------------------------------
+
+def sample_file_chunks(values: np.ndarray, fmt: FileFormat | str) -> Iterable:
+    """A sample file's bytes in ``fmt``, as bytes-like chunks to write in order.
+
+    RAW_F64 is the values' own little-endian buffer.  Text is one
+    shortest round-trip decimal per line, formatted ``_CHUNK`` values at
+    a time, so neither a string per value nor the whole text is held at
+    once.
+    """
+    if FileFormat(fmt) is FileFormat.RAW_F64:
+        return [np.ascontiguousarray(values, dtype="<f8")]
+    values, step = np.asarray(values, dtype=float), distributions._CHUNK
+    return (("\n".join(map(repr, values[i:i + step].tolist())) + "\n").encode("ascii")
+            for i in range(0, values.size, step))
+
 
 def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
     """Raise on the first non-finite value, else on the first negative one.
@@ -312,24 +322,20 @@ def _outcome_json(outcome: TestOutcome) -> dict:
     }
 
 
-def csv_bytes(rows) -> bytes:
-    """CSV of dataclass rows headed by their field names: per row its integer
-    index, then its values as shortest round-trip decimals (>= 12 significant
-    digits where needed)."""
-    lines = [",".join(f.name for f in fields(rows[0]))]
-    lines += [",".join([str(r[0]), *(repr(float(v)) for v in r[1:])]) for r in map(astuple, rows)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def serialize_report(report) -> bytes:
-    """Stable bytes of a TestOutcome as JSON or a ReplicationReport as CSV.
+    """Stable bytes of a report: a TestOutcome as JSON, rows as CSV.
 
-    Outcome JSON follows the fixed report schema; the replication CSV
-    columns are ReplicationRow's fields.
+    Outcome JSON follows the fixed report schema.  A non-empty tuple of
+    ReplicationRow or of ProxyPoint rows becomes CSV headed by the row
+    type's field names: per row its integer index, then its values as
+    shortest round-trip decimals (>= 12 significant digits where needed).
     """
     if isinstance(report, TestOutcome):
         text = json.dumps(_outcome_json(report), indent=2, allow_nan=False)
         return (text + "\n").encode("utf-8")
-    if isinstance(report, ReplicationReport):
-        return csv_bytes(report.rows)
+    if isinstance(report, tuple) and {type(r) for r in report} in ({ReplicationRow}, {ProxyPoint}):
+        lines = [",".join(f.name for f in fields(report[0]))]
+        lines += [",".join([str(r[0]), *(repr(float(v)) for v in r[1:])])
+                  for r in map(astuple, report)]
+        return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"cannot serialize {type(report).__name__}")

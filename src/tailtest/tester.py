@@ -130,7 +130,7 @@ def required_buckets(tail: TailParams, bounds: WellBehavedBounds,
     """Coarse bucket count: max of the smoothness and mass-resolution terms.
 
     ceil(max(c_k * b2 * beta^4 * (2*b1 + b2) / alpha, 4/rho)), at
-    least 4.  A budget that overflows a float is a ValueError.
+    least 5 since rho < 1.  A budget that overflows a float is a ValueError.
     """
     if not tail.alpha > 0.0:
         raise ValueError("alpha must be > 0 for the bucket calculator")
@@ -138,10 +138,9 @@ def required_buckets(tail: TailParams, bounds: WellBehavedBounds,
         raise ValueError("c_k must be > 0")
     try:
         smooth = c_k * bounds.b2 * bounds.beta ** 4 * (2.0 * bounds.b1 + bounds.b2) / tail.alpha
-        k = math.ceil(max(smooth, 4.0 / tail.rho))
+        return math.ceil(max(smooth, 4.0 / tail.rho))
     except OverflowError:
         raise ValueError("bucket budget is not finite: beta, b1, b2 or c_k is too large") from None
-    return max(k, 4)
 
 
 def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest.cli import _TEXT_CHUNK, _atomic_write, _build_parser, run_cli
+from tailtest import distributions
+from tailtest.cli import _atomic_write, _build_parser, run_cli
+from tailtest.distributions import _CHUNK
 
 
 def test_complexity_prints_budgets(capsys):
@@ -41,22 +43,67 @@ def test_infinite_noise_sigmas_is_one_error_line(capsys):
     assert captured.err == "error: noise_sigmas must be finite and >= 0\n"
 
 
+# Each command's own flags besides --dist, --params, --k, --alpha, --beta,
+# --b1 and --out: `proxy` draws nothing and takes no --rho or --b2.
+_SAMPLED = ["--n", "2000", "--seed", "1", "--rho", "0.5", "--b2", "1"]
+_OWN_FLAGS = {"test": _SAMPLED, "simulate": [*_SAMPLED, "--reps", "2"], "proxy": []}
+
+
 @pytest.mark.parametrize("command,flag", [("test", "--beta"), ("test", "--b2"),
                                           ("simulate", "--b1"), ("proxy", "--beta"),
                                           ("proxy", "--b1")])
 def test_infinite_bound_flag_is_one_error_line(tmp_path, command, flag, capsys):
     # Refused before any sampling: an infinite bound made `test` run in
     # full and then fail to write its JSON, and `simulate` and `proxy`
-    # write a zero gap.  `proxy` draws nothing and takes no --rho or --b2.
-    sampled = ["--n", "2000", "--seed", "1", "--rho", "0.5", "--b2", "1"]
-    extra = {"test": sampled, "simulate": [*sampled, "--reps", "2"], "proxy": []}[command]
+    # write a zero gap.
     out = tmp_path / "out"
     code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", "8",
-                    "--alpha", "0.25", *extra, "--beta", "1", "--b1", "1", flag, "inf",
-                    "--out", str(out)])
+                    "--alpha", "0.25", *_OWN_FLAGS[command], "--beta", "1", "--b1", "1",
+                    flag, "inf", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err == f"error: {flag[2:]} must be finite\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("command", ["test", "simulate", "proxy"])
+def test_bucket_count_below_four_is_one_error_line(tmp_path, command, k, capsys):
+    # Refused before zeta = 1/(2k) is formed: k = 0 divided by zero, and
+    # k = -1 gave a negative zeta's message.
+    out = tmp_path / "out"
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", k,
+                    "--alpha", "0.25", *_OWN_FLAGS[command], "--beta", "1", "--b1", "1",
+                    "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: k must be >= 4\n"
+
+
+def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1,a=2", "--n", "2000",
+                    "--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
+                    "--b1", "1", "--b2", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: parameter 'a' is given more than once\n"
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 29.1 TiB"), "error: Unable to allocate 29.1 TiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["message", "bare"])
+def test_refused_allocation_is_one_error_line(monkeypatch, exc, line, capsys):
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(distributions, "uniforms", refuse)
+    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", "1000000000000", "--k", "8", "--alpha", "0.25", "--rho", "0.5",
+                    "--beta", "1", "--b1", "1", "--b2", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == line
 
 
 def test_scipy_loaded_only_by_the_half_gaussian():
@@ -119,7 +166,7 @@ def test_sample_text_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2 * _TEXT_CHUNK + 3])
+@pytest.mark.parametrize("n", [1, 2 * _CHUNK + 3])
 def test_sample_text_is_one_repr_per_line(tmp_path, n):
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",

@@ -29,6 +29,8 @@ from tailtest.harness import (
     _parse_text,
     _parse_text_lines,
     _sorted_draws,
+    run_replicates,
+    sample_file_chunks,
     serialize_report,
 )
 from tailtest.tester import BucketRecord, TestOutcome
@@ -58,8 +60,8 @@ def test_replicate_deterministic_bytes():
 
 def test_replicate_exponential_mean_tracks_threshold():
     cfg = weak_config()
-    report = tt.replicate(Exponential(1.0), 10, 200_000, cfg, base_seed=11)
-    mid = [r for r in report.rows if 0.2 <= r.i / cfg.k <= 0.6]
+    rows = tt.replicate(Exponential(1.0), 10, 200_000, cfg, base_seed=11)
+    mid = [r for r in rows if 0.2 <= r.i / cfg.k <= 0.6]
     assert mid
     for row in mid:
         # 3 sigma of run-to-run spread plus the estimator's O(1/k) offset
@@ -73,8 +75,8 @@ def test_replicate_lomax_dips_below_boundary_every_rep():
     for r in range(10):
         outcome = tt.run_sampled_test(model, 200_000, 11 + r, cfg)
         assert outcome.verdict is Verdict.HEAVY
-    report = tt.replicate(model, 10, 200_000, cfg, base_seed=11)
-    assert any(row.s_hat_mean < row.boundary for row in report.rows)
+    rows = tt.replicate(model, 10, 200_000, cfg, base_seed=11)
+    assert any(row.s_hat_mean < row.boundary for row in rows)
 
 
 def test_replicate_seed_hygiene():
@@ -557,6 +559,14 @@ def test_load_text_peak_memory_per_value(tmp_path):
         assert peak / n <= 20.0, name
 
 
+def test_sample_file_chunks_text_peak_memory():
+    # One chunk of text at a time: its floats, their strings and the
+    # joined line block, about 2 MB for a 16,384-value chunk.
+    values = tt.sample(Lomax(1.0, 1.0), 1_000_001, seed=4)
+    _, peak = _peak_bytes(lambda: sum(len(c) for c in sample_file_chunks(values, "text")))
+    assert peak <= 4_000_000
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
@@ -594,13 +604,9 @@ def test_json_degenerate_bucket_serializes_null():
     assert doc["buckets"][0]["degenerate"] is True
 
 
-def report_with(rows):
-    return tt.ReplicationReport(rows=tuple(rows))
-
-
 def test_csv_row_count_for_three_bucket_report():
-    rows = [ReplicationRow(i, 0.5, 0.1, 0.6, 1 - i / 16, 0.4) for i in (2, 3, 4)]
-    text = serialize_report(report_with(rows)).decode()
+    rows = tuple(ReplicationRow(i, 0.5, 0.1, 0.6, 1 - i / 16, 0.4) for i in (2, 3, 4))
+    text = serialize_report(rows).decode()
     lines = text.strip().split("\n")
     assert len(lines) == 4
     assert lines[0] == "i,s_hat_mean,s_hat_std,proxy_s,threshold,boundary"
@@ -609,13 +615,24 @@ def test_csv_row_count_for_three_bucket_report():
 def test_serialization_is_byte_stable():
     outcome = outcome_with([BucketRecord(2, 1 / 3, 0.25, 1 / 3 - 0.25, False)])
     assert serialize_report(outcome) == serialize_report(outcome)
-    report = report_with([ReplicationRow(2, 1 / 3, 1 / 7, 0.9, 0.875, 0.25)])
-    assert serialize_report(report) == serialize_report(report)
+    rows = (ReplicationRow(2, 1 / 3, 1 / 7, 0.9, 0.875, 0.25),)
+    assert serialize_report(rows) == serialize_report(rows)
+
+
+def test_proxy_rows_serialize_as_csv():
+    rows = tt.proxy_curve(Lomax(1.0, 1.0), 8, TAIL, WellBehavedBounds(1, 1, 1, 1 / 16))
+    lines = serialize_report(rows).decode().splitlines()
+    assert lines[0] == "i,z,proxy_s,s_tilde,threshold,gap"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [r.i for r in rows]
 
 
 def test_serialize_rejects_other_types():
-    with pytest.raises(ValueError):
-        serialize_report(outcome_with([]).records)
+    row = ReplicationRow(2, 0.5, 0.1, 0.6, 0.875, 0.4)
+    outcomes = run_replicates(Exponential(1.0), 2, 2_000, weak_config(k=8), 3)
+    proxy_row = tt.ProxyPoint(2, 0.25, 0.75, 0.75, 0.75, 0.0)
+    for report in ((), outcomes, [row], (row, proxy_row)):
+        with pytest.raises(ValueError, match="cannot serialize"):
+            serialize_report(report)
 
 
 def test_json_round_trip_is_lossless():
@@ -635,6 +652,6 @@ def test_json_round_trip_is_lossless():
 
 def test_csv_floats_carry_full_precision():
     row = ReplicationRow(2, 0.123456789012345, 0.1, 0.6, 0.875, 0.023456789012345)
-    text = serialize_report(report_with([row])).decode()
+    text = serialize_report((row,)).decode()
     assert "0.123456789012345" in text
     assert "0.023456789012345" in text
