@@ -304,6 +304,9 @@ _HANDLERS = {
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # numpy's own refusal of a negative seed names neither flag nor value.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError("seed must be >= 0")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         # A bare MemoryError has no message of its own.

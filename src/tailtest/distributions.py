@@ -6,24 +6,25 @@ hazard rate and its analytic derivative.  All evaluators accept scalars
 or numpy arrays.
 
 Sampling is inverse-transform only: a seeded generator draws uniforms
-above 0 and maps them through the quantile function, so identical seeds
-give bit-identical output.  ``uniforms`` deals the raw stream
-round-robin into the rows of one array, drawing a large array's column
-blocks on one thread per core, each from a generator advanced to the
-block's first draw, 16,384 values at a time into the thread's one
-buffer; ``transform`` maps raw draws to samples in place, 16,384 at a
-time, so no temporary outgrows a chunk.  Every family's
-quantile is nondecreasing, so transforming a sorted row gives the sorted
-samples: ``sample`` transforms the stream as drawn, and the sampling
-front ends in ``harness`` sort first and then transform either every
-value or only the order statistics the test reads.
+and maps them through the quantile function, so identical seeds give
+bit-identical output.  ``uniforms`` deals one generator's raw stream
+round-robin into the rows of one array, 16,384 values at a time through
+one buffer; ``transform`` maps raw draws to samples in place, 16,384 at
+a time, so no temporary outgrows a chunk.  Every family's quantile is
+nondecreasing, so transforming a sorted row gives the sorted samples:
+``sample`` transforms the stream as drawn, and ``harness``'s
+``sample_single`` and ``sample_splits`` sort first and then transform.
+
+A test reads only a few order statistics, and
+``uniform_order_statistics`` draws those exactly, without the other
+samples: O(k) gamma draws per split whatever n is.  They come from
+their own stream, so a sampled test is not the test of ``sample``'s
+values at the same seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -317,66 +318,42 @@ def _variates(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-# The fewest values a thread is given: on a 2-core Xeon two threads lost
-# at 2**16 values each and won from 2**18 each; 2**19 leaves a margin.
-_PER_WORKER = 1 << 19
-
-
-def on_workers(fn, size: int, values: int) -> None:
-    """Call fn(start, stop) on contiguous blocks covering range(size), one per thread.
-
-    One block per usable core, at most ``size``, each worth at least
-    _PER_WORKER of the call's ``values``; the first runs on this thread.
-    Once all have joined, an exception of this thread's block, else the
-    first one a worker raised, is raised here.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cores or 1, values // _PER_WORKER, size))
-    cuts = [size * w // workers for w in range(workers + 1)]
-    errors = []
-
-    def work(start, stop):
-        try:
-            fn(start, stop)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=block) for block in zip(cuts[1:-1], cuts[2:])]
-    for thread in threads:
-        thread.start()
-    try:
-        fn(cuts[0], cuts[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def uniforms(n: int, seed: int, rows: int = 1) -> np.ndarray:
     """The seed's first rows * n raw draws, dealt round-robin into a (rows, n) array.
 
     PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
-    53-bit integer, which ``transform`` maps to samples.  Each double
-    consumes one 64-bit output, so columns [c0, c1), draws [rows * c0,
-    rows * c1), are drawn by a generator advanced rows * c0 outputs.
-    Each chunk of whole columns is drawn into the block's one buffer and
-    written straight into its columns, so the array holds each draw once.
+    53-bit integer, which ``transform`` maps to samples.  Each chunk of
+    whole columns is drawn into one buffer and written straight into its
+    columns, so the array holds each draw once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = np.empty((rows, int(n)))
     step = max(1, _CHUNK // rows)  # whole columns per chunk
-
-    def fill(c0, c1):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(rows * c0))
-        buf = np.empty(rows * min(step, c1 - c0))
-        for c in range(c0, c1, step):
-            cols = min(step, c1 - c)
-            grid[:, c:c + cols] = gen.random(out=buf[:rows * cols]).reshape(cols, rows).T
-
-    on_workers(fill, grid.shape[1], grid.size)
+    gen = np.random.default_rng(seed)
+    buf = np.empty(rows * min(step, grid.shape[1]))
+    for c in range(0, grid.shape[1], step):
+        cols = min(step, grid.shape[1] - c)
+        grid[:, c:c + cols] = gen.random(out=buf[:rows * cols]).reshape(cols, rows).T
     return grid
+
+
+def uniform_order_statistics(n: int, ranks_by_split, seed: int) -> list[np.ndarray]:
+    """Per split, the order statistics at its 1-based ranks of n uniforms on (0, 1).
+
+    Uniform order statistics at ranks r_1 < ... < r_m are partial sums
+    of independent Gamma(r_j - r_(j-1)) spacings over their Gamma(n+1)
+    total (Renyi's representation), so each split costs m + 1 gamma
+    draws from the seed's one generator, taken split by split.  A
+    quotient that rounds to 1 is clamped to the largest double below 1,
+    where every family's quantile is finite.
+    """
+    gen = np.random.default_rng(seed)
+    out = []
+    for ranks in ranks_by_split:
+        sums = np.cumsum(gen.standard_gamma(np.diff(ranks, prepend=0, append=n + 1)))
+        out.append(np.minimum(sums[:-1] / sums[-1], _BELOW_ONE))
+    return out
 
 
 def transform(model: DistributionModel, u: np.ndarray) -> np.ndarray:

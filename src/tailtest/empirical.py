@@ -13,8 +13,8 @@ The statistics read a split through one call, ``split.at(ranks)``: its
 size ``n`` and its values at a batch of 1-based ranks, every rank the
 layout reads from it at once.  ``SortedSampleSplit`` answers by
 indexing the whole sorted sample; ``OrderStatistics`` holds only the
-values at the ranks a layout reads, which is all the sampled test maps
-through the quantile.
+values at the ranks a layout reads, which is all the sampled test
+draws.
 
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
@@ -140,6 +140,8 @@ def rank_index(n: int, q):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n >= 2 ** 63 - 1:  # every rank, and n + 1, must fit in an int64
+        raise ValueError("n must be < 2**63 - 1")
     q_arr = np.asarray(q, dtype=float)
     if not np.all((0.0 < q_arr) & (q_arr < 1.0)):
         raise ValueError("fractional rank must lie in (0, 1)")

@@ -1,25 +1,25 @@
 """Experiment replication, and every byte format the package reads or writes.
 
-Sampling for the four-split test draws one stream of 4n variates and
-deals them round-robin, exactly how a sample file is split on
-ingestion, so piping a file through ``load_samples`` and testing it
-gives the same verdict as testing the seeded stream directly.  Both
-variants draw through one path: the raw draws are dealt chunk by chunk
-into one (rows, n) array whose rows are sorted in place, so each drawn
-value is held once.  A large array is drawn and sorted on one thread
-per core (``distributions.on_workers``), a file's strided rows on the
-calling thread.  Every family's quantile is nondecreasing on the draws,
-so the value at rank r of a sorted split is the quantile of the draw at
-rank r.  Sorted draws are the generator's own, so they are not checked;
-a split is built, and its values checked, only where values are kept.
-``sample_single`` and ``sample_splits`` map every sorted draw in place
-and wrap each row; ``run_sampled_test`` gathers the draws at the ranks
-its layout reads, at most four per bucket, and maps only those after
-the array is freed.  A sample file's four splits are the rows of its
-own array viewed as (n, 4) and transposed, sorted where they lie.
-Every array this module sorts is its own, so it sorts in place; equal
-floats are interchangeable, so that gives the bytes of sorting a copy
-(see ``SortedSampleSplit.from_samples``).
+A sampled test (``run_sampled_test``, behind ``replicate``) reads at
+most four order statistics per bucket, and draws only those: the
+layout's ranks per split go to ``distributions.uniform_order_statistics``,
+whose exact uniform order statistics the family's quantile maps, so no
+array of n values exists at any point.  They come from their own
+stream, so the test at a seed is not the test of ``sample_splits`` or
+``sample_single`` at that seed, nor of a ``sample`` file.
+
+``sample_splits`` draws one stream of 4n variates and deals it
+round-robin, exactly how ``load_samples`` splits a sample file, so
+testing its splits gives the report of testing ``sample``'s file of 4n
+values at the same seed.  ``sample_single`` and ``sample_splits`` deal
+the raw draws chunk by chunk into one (rows, n) array, sort its rows in
+place and map every sorted draw through the quantile in place: every
+family's quantile is nondecreasing on the draws, so that gives the
+sorted samples and holds each value once.  A sample file's four splits
+are the rows of its own array viewed as (n, 4) and transposed, sorted
+where they lie.  Every array this module sorts is its own, so it sorts
+in place; equal floats are interchangeable, so that gives the bytes of
+sorting a copy (see ``SortedSampleSplit.from_samples``).
 
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  Text is written ``distributions._CHUNK`` values at a time
@@ -89,12 +89,11 @@ class ReplicationRow:
 def _sorted_draws(n: int, seed: int, rows: int = 1) -> np.ndarray:
     """The seed's (rows, n) array of raw draws, each row sorted in place.
 
-    The rows are sorted on ``distributions.on_workers``, a block of rows
-    per thread.  They are the generator's own draws, so nothing is
-    checked: a caller checks the values it keeps.
+    They are the generator's own draws, so nothing is checked: a caller
+    checks the values it keeps.
     """
     grid = distributions.uniforms(n, seed, rows)
-    distributions.on_workers(lambda r0, r1: grid[r0:r1].sort(axis=1), rows, grid.size)
+    grid.sort(axis=1)
     return grid
 
 
@@ -112,20 +111,18 @@ def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSam
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int,
                      config: TestConfig) -> TestOutcome:
-    """Draw per the configured variant and run the decision procedure.
+    """Draw the order statistics the configured variant reads and decide.
 
-    The raw draws are sorted before any quantile, and only those at the
-    ranks the layout reads are mapped, once no n-sized array is alive.
-    The variate map and the quantile are nondecreasing, so these are the
-    order statistics of the sorted samples, bit for bit.
+    Only the values at the ranks the layout reads are drawn, O(k) per
+    split whatever n is.  They are exact uniform order statistics of n
+    draws per split, mapped through the quantile as they are: unlike
+    ``transform``'s variates they lie on no 2**-53 grid, so they need no
+    half-step offset.
     """
     layout, buckets = scan_layout(config)
     ranks = ranks_by_split(layout, n, buckets, config.k)
-    grid = _sorted_draws(n, seed, len(ranks))
-    gathered = [row[r - 1] for row, r in zip(grid, ranks)]
-    del grid  # frees the (len(ranks), n) array of draws
-    splits = [OrderStatistics(n, r, distributions.transform(model, u))
-              for r, u in zip(ranks, gathered)]
+    splits = [OrderStatistics(n, r, model.quantile(u))
+              for r, u in zip(ranks, distributions.uniform_order_statistics(n, ranks, seed))]
     if config.variant is Variant.WEAK:
         return run_weak_test(splits[0], config, seed=seed)
     return run_full_test(splits, config, seed=seed)

@@ -13,6 +13,7 @@ from tailtest import distributions
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
 
+BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
 
 def test_complexity_prints_budgets(capsys):
     code = run_cli(["complexity", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
@@ -93,17 +94,63 @@ def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
     (MemoryError("Unable to allocate 29.1 TiB"), "error: Unable to allocate 29.1 TiB\n"),
     (MemoryError(), "error: MemoryError\n"),
 ], ids=["message", "bare"])
-def test_refused_allocation_is_one_error_line(monkeypatch, exc, line, capsys):
+def test_refused_allocation_is_one_error_line(tmp_path, monkeypatch, exc, line, capsys):
+    # `sample` is the one command that draws n values.
     def refuse(*args):
         raise exc
 
     monkeypatch.setattr(distributions, "uniforms", refuse)
-    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", "1000000000000", "--k", "8", "--alpha", "0.25", "--rho", "0.5",
-                    "--beta", "1", "--b1", "1", "--b2", "1"])
+    out = tmp_path / "x.txt"
+    code = run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", "1000000000000", "--seed", "1", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
+    assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err == line
+
+
+@pytest.mark.parametrize("command", ["sample", "test", "simulate"])
+def test_negative_seed_is_one_error_line(tmp_path, command, capsys):
+    # numpy's refusal, "expected non-negative integer", named no flag.
+    out = tmp_path / "out"
+    own = {"sample": [], "test": ["--k", "8", *BOUNDS],
+           "simulate": ["--k", "8", "--reps", "2", *BOUNDS]}[command]
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
+                    "--seed", "-3", *own, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
+def test_test_answers_at_a_trillion_samples_per_split(variant, capsys):
+    # A sampled test draws only the order statistics it reads.
+    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", "1000000000000", "--seed", "1", "--k", "12", *BOUNDS, *variant])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["n"] == 10 ** 12 and doc["verdict"] == "heavy"
+
+
+@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
+def test_simulate_answers_at_a_trillion_samples_per_split(tmp_path, variant):
+    out = tmp_path / "sim.csv"
+    code = run_cli(["simulate", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", "1000000000000", "--seed", "1", "--k", "12", "--reps", "2",
+                    *BOUNDS, *variant, "--out", str(out)])
+    assert code == 0 and len(out.read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize("command", [["test"], ["test", "--weak"],
+                                     ["simulate", "--reps", "2", "--seed", "1"]],
+                         ids=["test-full", "test-weak", "simulate"])
+def test_n_beyond_int64_is_one_error_line(tmp_path, command, capsys):
+    # A sampled test makes no n-sized array, so the ranks' int64
+    # arithmetic is what bounds n.
+    out = tmp_path / "out"
+    code = run_cli([*command, "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", str(10 ** 20), "--k", "12", *BOUNDS, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: n must be < 2**63 - 1\n"
 
 
 def test_scipy_loaded_only_by_the_half_gaussian():
@@ -128,33 +175,29 @@ def test_scipy_loaded_only_by_the_half_gaussian():
     assert out == ["[]", "0x1.5956b87528a4ap-1"]
 
 
-def test_worker_threads_load_no_module():
+def test_a_second_sampled_test_loads_no_module():
     # Start-up cost: `complexity` loads only argparse's lazy locale
-    # lookup, and a full test drawn and sorted on two threads (4n at the
-    # floor of 2**19 values per thread) loads nothing that a test on one
-    # thread has not loaded.
+    # lookup, and a second sampled test loads nothing the first has not.
     src = Path(tt.__file__).resolve().parents[1]
     script = (
-        "import contextlib, io, json, os, sys\n"
+        "import contextlib, io, json, sys\n"
         "import tailtest.cli\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "bounds = ['--alpha', '0.25', '--rho', '0.5', '--beta', '1', '--b1', '1', '--b2', '1']\n"
         "test = ['test', '--dist', 'lomax', '--params', 'a=1,lambda=1', '--k', '12', *bounds]\n"
-        "for argv in (['complexity', *bounds], [*test, '--n', str(2**18 - 1)],\n"
-        "             [*test, '--n', str(2**18)]):\n"
+        "for argv in (['complexity', *bounds], [*test, '--n', '1000'],\n"
+        "             [*test, '--n', '1000000', '--weak']):\n"
         "    before = set(sys.modules)\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert tailtest.cli.run_cli(argv) == 0\n"
         "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'concurrent']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    complexity, below, above, concurrent = map(json.loads, out)
+    complexity, first, second = map(json.loads, out)
     assert set(complexity) <= {"_locale", "locale"}
-    assert below and above == [] and concurrent == []
+    assert first and second == []
 
 
 def test_sample_text_deterministic(tmp_path):
@@ -221,48 +264,34 @@ def test_sample_f64_matches_library(tmp_path):
     assert np.array_equal(from_file, direct)
 
 
-def test_pipeline_consistency_weak(tmp_path):
-    # sample to a file, test the file: verdict matches the direct path
-    sample_file = tmp_path / "s.txt"
-    n, seed = 120_000, 21
+def _file_test_matches(tmp_path, n, k, variant):
+    """`sample` to a file, then `test --input`: the bytes of the library's
+    test of the seed's sample_single (weak) or sample_splits (full)."""
+    model, seed, weak = tt.Lomax(1.0, 1.0), 21, variant is tt.Variant.WEAK
+    sample_file, report = tmp_path / "s.txt", tmp_path / "r.json"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", str(n), "--seed", str(seed), "--out", str(sample_file)]) == 0
-    common = ["--k", "16", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
-              "--b1", "1", "--b2", "1", "--weak"]
-    direct = tmp_path / "direct.json"
-    via_file = tmp_path / "file.json"
-    assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", str(n), "--seed", str(seed), "--out", str(direct)]
-                   + common) == 0
-    assert run_cli(["test", "--input", str(sample_file), "--out", str(via_file)]
-                   + common) == 0
-    assert json.loads(direct.read_text())["verdict"] == \
-        json.loads(via_file.read_text())["verdict"]
-    # the weak path sorts the same multiset either way, so buckets agree too
-    assert json.loads(direct.read_text())["buckets"] == \
-        json.loads(via_file.read_text())["buckets"]
+                    "--n", str(n if weak else 4 * n), "--seed", str(seed),
+                    "--out", str(sample_file)]) == 0
+    assert run_cli(["test", "--input", str(sample_file), "--k", str(k), *BOUNDS,
+                    *(["--weak"] if weak else []), "--out", str(report)]) == 0
+    config = tt.TestConfig(tail=tt.TailParams(0.25, 0.5),
+                           bounds=tt.WellBehavedBounds(1.0, 1.0, 1.0, 1 / (2 * k)), k=k,
+                           variant=variant)
+    if weak:
+        expected = tt.run_weak_test(tt.sample_single(model, n, seed), config)
+    else:
+        expected = tt.run_full_test(tt.sample_splits(model, n, seed), config)
+    assert report.read_bytes() == tt.serialize_report(expected)
+
+
+def test_pipeline_consistency_weak(tmp_path):
+    _file_test_matches(tmp_path, 120_000, 16, tt.Variant.WEAK)
 
 
 def test_pipeline_consistency_full(tmp_path):
-    # full variant: the direct path deals one 4n stream round-robin, which
-    # is exactly how a sample file is split on ingestion
-    sample_file = tmp_path / "s4.txt"
-    n_split, seed = 10_000, 9
-    assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", str(4 * n_split), "--seed", str(seed),
-                    "--out", str(sample_file)]) == 0
-    common = ["--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
-              "--b1", "1", "--b2", "1"]
-    direct = tmp_path / "direct.json"
-    via_file = tmp_path / "file.json"
-    assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", str(n_split), "--seed", str(seed),
-                    "--out", str(direct)] + common) == 0
-    assert run_cli(["test", "--input", str(sample_file), "--out", str(via_file)]
-                   + common) == 0
-    d1, d2 = json.loads(direct.read_text()), json.loads(via_file.read_text())
-    assert d1["verdict"] == d2["verdict"]
-    assert d1["buckets"] == d2["buckets"]
+    # sample_splits deals one 4n stream round-robin, exactly as a file is
+    # split on ingestion.
+    _file_test_matches(tmp_path, 10_000, 8, tt.Variant.FULL)
 
 
 def test_exit_verdict_codes(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -14,8 +13,7 @@ from tailtest import (
     TailClass,
     TailParams,
 )
-from tailtest import distributions
-from tailtest.distributions import _CHUNK, _PER_WORKER, _longest_run, _variates, uniforms
+from tailtest.distributions import _CHUNK, _longest_run, _variates, uniforms
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -275,45 +273,82 @@ def test_largest_draw_maps_below_one():
         assert np.all(np.isfinite(model.quantile(u))), model
 
 
+class _TinyTailSpacing:
+    """A generator stub whose last gamma spacing is far below one ulp of the sum."""
+
+    def standard_gamma(self, shape):
+        return np.r_[shape[:-1], 1e-300]
+
+
+def test_order_statistics_clamp_below_one(monkeypatch):
+    # With a vanishing tail spacing the top order statistic's quotient
+    # rounds to exactly 1, where every quantile is infinite.
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _TinyTailSpacing())
+    [u] = tt.distributions.uniform_order_statistics(100, [np.array([10, 50, 100])], seed=0)
+    assert u.tolist() == [0.1, 0.5, 1.0 - 2.0 ** -53]
+    for model in ALL_MODELS:
+        assert np.all(np.isfinite(model.quantile(u))), model
+
+
+# (n, ranks) of one split: ends, neighbours and middles, up to the largest
+# n the ranks' int64 arithmetic allows.  Each gives 2 * len(ranks) - 1 p values.
+BETA_CASES = [(1, [1]), (10, [1, 10]), (10, [3, 4, 7]), (2000, [1, 1000, 2000]),
+              (10 ** 12, [1, 5 * 10 ** 11, 10 ** 12]), (10 ** 12, [10 ** 12 - 1, 10 ** 12]),
+              (2 ** 63 - 2, [1])]
+
+
+@pytest.mark.parametrize("n,ranks", BETA_CASES, ids=lambda v: str(v).replace(" ", ""))
+def test_order_statistics_follow_their_beta_laws(n, ranks):
+    # Of n uniforms, the order statistic at rank r is Beta(r, n + 1 - r) and
+    # the gap between ranks r < s is Beta(s - r, n + 1 - (s - r)): one-sample
+    # KS over 1,000 splits of seed 0, at a family-wise level of 1e-3.
+    from scipy.stats import beta, ks_1samp
+
+    u = np.array(tt.distributions.uniform_order_statistics(n, [np.array(ranks)] * 1000, 0))
+    laws = [*zip(ranks, u.T), *zip(np.diff(ranks), np.diff(u, axis=1).T)]
+    pvalues = [ks_1samp(x, beta(m, n + 1 - m).cdf).pvalue for m, x in laws]
+    assert min(pvalues) > 1e-3 / sum(2 * len(r) - 1 for _, r in BETA_CASES)
+
+
+def test_order_statistics_draw_split_by_split_from_one_stream():
+    # Each split's m + 1 gamma spacings come, in split order, from the
+    # seed's one PCG64 stream, so dropping later splits leaves earlier ones.
+    ranks = [np.array([1, 5, 9]), np.array([2, 3]), np.array([10])]
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
+    expected = []
+    for r in ranks:
+        sums = np.cumsum(gen.standard_gamma(np.diff(r, prepend=0, append=11)))
+        expected.append((sums[:-1] / sums[-1]).tobytes())
+    draws = tt.distributions.uniform_order_statistics
+    assert [u.tobytes() for u in draws(10, ranks, 4)] == expected
+    assert [u.tobytes() for u in draws(10, ranks[:2], 4)] == expected[:2]
+    assert draws(10, ranks, 5)[0].tobytes() != expected[0]
+
+
 def _one_stream(n, seed, rows):
     """The oracle: the seed's whole stream drawn at once, draw p at [p % rows, p // rows]."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     return gen.random(rows * n).reshape(n, rows).T
 
 
-def _cores(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-# With one value per worker enough, two workers cut n columns at n // 2,
-# for c the columns one chunk fills.
-BLOCK_CUTS = {"on_chunk_edge": lambda c: 2 * c, "odd_n": lambda c: 2 * c + 1,
-              "mid_chunk": lambda c: c + 2, "inside_one_chunk": lambda c: 5}
+# n columns for c the columns one chunk fills: ending on a chunk edge,
+# one past it, mid-chunk and inside the first chunk.
+CHUNK_EDGE_COLUMNS = {"on_chunk_edge": lambda c: 2 * c, "odd_n": lambda c: 2 * c + 1,
+                      "mid_chunk": lambda c: c + 2, "inside_one_chunk": lambda c: 5}
 
 
 @pytest.mark.parametrize("rows", [1, 4])
-@pytest.mark.parametrize("cut", BLOCK_CUTS)
-def test_uniforms_worker_blocks_match_one_stream(monkeypatch, rows, cut):
-    n = BLOCK_CUTS[cut](_CHUNK // rows)
-    monkeypatch.setattr(distributions, "_PER_WORKER", 1)
-    _cores(monkeypatch, 2)
+@pytest.mark.parametrize("cut", CHUNK_EDGE_COLUMNS)
+def test_uniforms_match_one_stream(rows, cut):
+    n = CHUNK_EDGE_COLUMNS[cut](_CHUNK // rows)
     assert uniforms(n, 11, rows).tobytes() == _one_stream(n, 11, rows).tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 4])
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_uniforms_match_one_stream_at_the_worker_floor(monkeypatch, rows, offset):
-    # Just below 2 * _PER_WORKER values one thread draws; at and above it, two.
-    _cores(monkeypatch, 2)
-    n = 2 * _PER_WORKER // rows + offset
-    assert uniforms(n, 12, rows).tobytes() == _one_stream(n, 12, rows).tobytes()
-
-
-# The sampled test sorts raw draws and maps only the few it reads through
-# the quantile.  That gives the order statistics of the sorted samples
+# ``sample_single`` and ``sample_splits`` sort raw draws and then map them
+# through the quantile a chunk at a time.  That gives the sorted samples
 # only if every family's quantile is nondecreasing on the values
-# ``_variates`` returns, and gives the same bits on a gathered subset as
-# on the whole array.
+# ``_variates`` returns, and gives the same bits on any part of an array,
+# a gathered subset or a short last chunk, as on the whole array.
 
 def _sorted_variates(n, seed):
     u = uniforms(n, seed)[0]

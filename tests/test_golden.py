@@ -69,23 +69,23 @@ GOLDEN = {
     "sample.f64":
         "5dcf46fd2c45f2e95b28fae8f5aa75291cb9312c40ea72cae425cff00a747e4c",
     "full_exponential.json":
-        "223642a762fdb2daba00a38121b14e2cf9aa2fbf330a0c46cc8c4c8239f07832",
+        "c6149d9420480212d5917441b26f26462e48b5ea740bfb4d509f06f23ee3195f",
     "full_lomax.json":
-        "c8c39debbac3f1dbca288151027c346cb26f02ec06a5d59777a55a7239dfa2ec",
+        "84e4880b8648983ddb8e597c71d0d584d7edb98a855ba5bca5339055c894f6ad",
     "full_halfgaussian.json":
-        "251b3e6eb2dadb062bc59bf9d5615a13ae99b59fa733e76cc859f7324129befb",
+        "c202a871138c62dac60dc2848ff347c401e839b02ee9dc72f1868e3efb0d99b7",
     "full_stretchedexponential.json":
-        "614d54b57c4b4f450113c9d1ba0f5817409dcfdd53579338baf51ea961733c3a",
+        "a8858969929f0dc7115703cae1dd4a6855916aeec0c449958f46f89fd4a60fca",
     "weak_exponential.json":
-        "1ee7db0fbd72f438267f36c49eaec820bb2812947f16c7505d58fce761e50e50",
+        "655891894712930f1efdad74fad2d4f598776e86a1f627e436dac67f2b5245ef",
     "weak_lomax.json":
-        "0d4b6651d8ba093bb4a8dfa93bafa5f3184aa54bf800822b67c08c00d1e750f7",
+        "86899e5f5d7b08067b0aa65fc37bd9fad8cd4211515549f7f98013c4383e4fc2",
     "weak_halfgaussian.json":
-        "da51b2d8d2e64d5cf21eb623a657b4144ac27e924402a690de11b5feae7858a5",
+        "ca5c140c55149f1b979e8fe78eaa6ab98de284ce201ddb965255d0dca8cfa90c",
     "weak_stretchedexponential.json":
-        "190e961a16d61de4e212bf257f85c941aaf07b1af26f74edcc11c77ebcbe092a",
+        "4f4902ec0e527b7ba936d3f9ebc91d25e8f5911cac3e570d047400bd88b28b7b",
     "reps.json":
-        "f46be67ec017dffdda1ba9e2b96e66674e059fcef200be030fb30d35f0896f1f",
+        "1ab5a9e938ac61e086fbd7f337ded67305411bcc2279a4c2c271635abdeedf0e",
     "input_text.json":
         "ba4d147365251aeead3c659a79d486957cfa210bd77faffe2ae4cb282d7c63c9",
     "input_f64.json":
@@ -93,17 +93,17 @@ GOLDEN = {
     "input_weak.json":
         "d296945a77421c142a2d068f8b2de7b366a05084eb97549d665ccd031479f763",
     "full_no_noise.json":
-        "f48ec8eea52d0d822cb060bbbda1c2d6c4f1cdaf962142e0e3470434df887bba",
+        "b160a3d86675059083bbda7b201572f900a462c716c3662af91f565c31361526",
     "simulate_full.csv":
-        "34afe0b5752f32b877c72df8fb54f1051567a4563bf630b028b3ad3fd6ad6d72",
+        "27fb2d07c8cd6aad00b73997965fe988957c1bcf2a80bea104620de94c725246",
     "simulate_weak.csv":
-        "3e1735ddeac70f23ab50680ec4770ad352b0ea2651ae0e71959c25c1c6b22e2d",
+        "adb76ac89d266a005b0808d8ff3cfe150c2fe107c59e57889adc619ea093d2e0",
     "small_full.json":
         "b9b6b36fae6a5ac424ba0ee16ea6448fb6a487a7f69b60d0b41d8cebec8db674",
     "small_weak.json":
-        "282c0d7bd4c7d2eedf497c982dd347cc19d128ef04c2dd3790617f327243150e",
+        "460a1b7e09e3e47d32cdfd2013f6c7ed27fbd4fddabffcc20b2fd1402b45313f",
     "small_simulate_weak.csv":
-        "0b251d955ef36990b47b2551f106ac43b0d9c3a4d0412ce6b375e7cecd61748d",
+        "965aed679bf992c9957f7602412cdb49dc2c48fbdd2285b74e80f463ea81715f",
     "proxy_exponential.csv":
         "48dd2af583b070bc400086199d3e8a6c8dfb9b090293ed7813905c2dea49974f",
     "proxy_lomax.csv":

@@ -1,10 +1,7 @@
 import functools
 import json
 import math
-import os
 import struct
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +12,6 @@ from tailtest import (
     Exponential,
     FileFormat,
     Lomax,
-    SortedSampleSplit,
     TailParams,
     TestConfig,
     Variant,
@@ -23,17 +19,17 @@ from tailtest import (
     WellBehavedBounds,
 )
 from tailtest import distributions
-from tailtest.distributions import _CHUNK, _PER_WORKER, on_workers
+from tailtest.distributions import _CHUNK
+from tailtest.empirical import ranks_by_split
 from tailtest.harness import (
     ReplicationRow,
     _parse_text,
     _parse_text_lines,
-    _sorted_draws,
     run_replicates,
     sample_file_chunks,
     serialize_report,
 )
-from tailtest.tester import BucketRecord, TestOutcome
+from tailtest.tester import BucketRecord, TestOutcome, scan_layout
 
 TAIL = TailParams(0.25, 0.5)
 
@@ -114,87 +110,6 @@ def test_deal_whole_column_chunks_of_any_size(monkeypatch, rows):
             assert grid[j].tobytes() == stream[j::rows].tobytes()
 
 
-def _cores(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_on_workers_takes_a_core_per_floor_of_values(monkeypatch):
-    def blocks(size, values):
-        seen = []
-        on_workers(lambda a, b: seen.append((a, b, threading.get_ident() == caller)),
-                   size, values)
-        return sorted(seen)
-
-    caller = threading.get_ident()
-    _cores(monkeypatch, 2)
-    assert blocks(10, 2 * _PER_WORKER - 1) == [(0, 10, True)]
-    assert blocks(10, 2 * _PER_WORKER) == [(0, 5, True), (5, 10, False)]
-    assert blocks(10, 9 * _PER_WORKER) == [(0, 5, True), (5, 10, False)]
-    _cores(monkeypatch, 8)
-    assert blocks(3, 9 * _PER_WORKER) == [(0, 1, True), (1, 2, False), (2, 3, False)]
-
-
-def test_more_workers_than_cores_fill_every_block(monkeypatch):
-    # Eight threads on blocks of a few values each, switching every
-    # microsecond: a lost or misplaced block breaks the equalities.
-    monkeypatch.setattr(distributions, "_PER_WORKER", 1)
-    _cores(monkeypatch, 8)
-    baseline, interval = threading.active_count(), sys.getswitchinterval()
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
-    stream = gen.random(8 * 5000).reshape(5000, 8).T
-    expected = np.sort(stream, axis=1)
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert distributions.uniforms(5000, 3, 8).tobytes() == stream.tobytes()
-            assert _sorted_draws(5000, 3, 8).tobytes() == expected.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == baseline
-
-
-@pytest.mark.parametrize("bad,message", [(math.nan, "values must all be finite"),
-                                         (-1.0, "values must be nonnegative")])
-def test_worker_failure_reaches_the_caller(monkeypatch, bad, message):
-    # Rows 2 and 3 of a (4, n) grid above the floor are wrapped, and their
-    # values checked, on the second thread; its error is raised here once
-    # every thread has joined.
-    _cores(monkeypatch, 2)
-    baseline, caller = threading.active_count(), threading.get_ident()
-    grid = np.sort(np.random.default_rng(1).random((4, _PER_WORKER // 2)), axis=1)
-    grid[3, 0] = bad  # first, so the row stays sorted
-    checked = []
-
-    def check(r0, r1):
-        checked.extend((r, threading.get_ident() == caller) for r in range(r0, r1))
-        for row in grid[r0:r1]:
-            SortedSampleSplit(row)
-
-    with pytest.raises(ValueError, match=message):
-        on_workers(check, len(grid), grid.size)
-    assert threading.active_count() == baseline
-    assert sorted(checked) == [(0, True), (1, True), (2, False), (3, False)]
-
-
-def test_caller_failure_wins_over_a_worker_failure(monkeypatch):
-    # Both blocks fail; the worker's error is dropped for this thread's,
-    # and only after the worker has joined.
-    _cores(monkeypatch, 2)
-    baseline, caller = threading.active_count(), threading.get_ident()
-    done = []
-
-    def block(start, stop):
-        done.append((start, stop))
-        if threading.get_ident() != caller:
-            raise ValueError(f"worker block [{start}, {stop}) failed")
-        raise RuntimeError("caller block failed")
-
-    with pytest.raises(RuntimeError, match="caller block"):
-        on_workers(block, 4, 2 * _PER_WORKER)
-    assert threading.active_count() == baseline
-    assert sorted(done) == [(0, 2), (2, 4)]
-
-
 def _peak_bytes(fn, *args):
     """tracemalloc peak of one call, above the level at its start."""
     tracemalloc.start()
@@ -218,16 +133,6 @@ def test_sample_splits_peak_memory_per_value():
     assert peak / (4 * n) <= 10.0
 
 
-def test_sample_splits_peak_memory_per_value_on_two_workers(monkeypatch):
-    # Above the floor each thread holds its own chunk buffer; the mapped
-    # rows are checked one at a time on this thread.
-    _cores(monkeypatch, 2)
-    n = 300_000
-    splits, peak = _peak_bytes(tt.sample_splits, Lomax(1.0, 1.0), n, 5)
-    assert [s.n for s in splits] == [n] * 4
-    assert peak / (4 * n) <= 10.0
-
-
 def test_sample_single_peak_memory_per_value():
     # Sorting the drawn array in place adds nothing; a sorted copy took 17 B.
     n = 1_000_000
@@ -236,98 +141,112 @@ def test_sample_single_peak_memory_per_value():
     assert peak / n <= 10.0
 
 
-@pytest.mark.parametrize("model", [Exponential(1.0), Lomax(2.0, 0.5), tt.HalfGaussian(1.0),
-                                   tt.StretchedExponential(1.0, 0.5)], ids=repr)
-@pytest.mark.parametrize("variant", list(Variant))
-def test_sampled_test_reads_the_sorted_samples(model, variant):
-    # Mapping only the order statistics the test reads must give the
-    # report of testing every sample, sorted.
-    config = config_for(variant, 16)
-    for n, seed in ((300, 1), (20_000, 2)):
-        if variant is Variant.FULL:
-            expected = tt.run_full_test(tt.sample_splits(model, n, seed), config, seed=seed)
-        else:
-            expected = tt.run_weak_test(tt.sample_single(model, n, seed), config, seed=seed)
-        got = tt.run_sampled_test(model, n, seed, config)
-        assert serialize_report(got) == serialize_report(expected)
+def _s_hats(outcomes) -> np.ndarray:
+    """(buckets, runs) array of the runs' statistics, inf where degenerate."""
+    return np.array([[r.s_hat for r in o.records] for o in outcomes]).T
+
+
+def _two_proportion_p(a: int, b: int, runs: int) -> float:
+    """Two-sided p of a pooled two-proportion z test of a and b hits in runs each."""
+    pooled = (a + b) / (2 * runs)
+    if pooled in (0.0, 1.0):
+        return 1.0
+    z = (a - b) / runs / math.sqrt(pooled * (1.0 - pooled) * 2 / runs)
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+# Exponential and Lomax, full k=8 n=2,000 (five scanned buckets) and weak
+# k=16 n=5,000 (eleven): two p values a bucket, 64 in all.
+DISTRIBUTION_CASES = [(model, variant, k, n) for model in (Exponential(1.0), Lomax(1.0, 1.0))
+                      for variant, k, n in ((Variant.FULL, 8, 2_000), (Variant.WEAK, 16, 5_000))]
+
+
+def sampled_test_p_values(model, variant, k, n, runs=1000):
+    """Per bucket, p of the exact sampler's statistic against sorted samples'.
+
+    Seeds 0 to runs - 1 on each side.  Each bucket gives a two-sample KS
+    p over the finite statistics and a two-proportion p over the
+    degenerate counts.
+    """
+    from scipy.stats import ks_2samp
+
+    config = config_for(variant, k)
+    if variant is Variant.FULL:
+        drawn = [tt.run_full_test(tt.sample_splits(model, n, s), config) for s in range(runs)]
+    else:
+        drawn = [tt.run_weak_test(tt.sample_single(model, n, s), config) for s in range(runs)]
+    exact = [tt.run_sampled_test(model, n, s, config) for s in range(runs)]
+    pvalues = []
+    for a, b in zip(_s_hats(exact), _s_hats(drawn)):
+        fa, fb = a[np.isfinite(a)], b[np.isfinite(b)]
+        pvalues.append(ks_2samp(fa, fb).pvalue)
+        pvalues.append(_two_proportion_p(runs - fa.size, runs - fb.size, runs))
+    return pvalues
+
+
+@pytest.mark.parametrize("model,variant,k,n", DISTRIBUTION_CASES,
+                         ids=[f"{type(m).__name__.lower()}-{v.value}"
+                              for m, v, _, _ in DISTRIBUTION_CASES])
+def test_sampled_test_matches_sorted_samples_in_distribution(model, variant, k, n):
+    # The exact order statistics must give the statistic the law it has
+    # on sorted samples, at a family-wise level of 1e-3 over every case
+    # (Bonferroni).
+    pvalues = sampled_test_p_values(model, variant, k, n)
+    assert len(pvalues) == (10 if variant is Variant.FULL else 22)
+    assert min(pvalues) > 1e-3 / 64
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_sampled_test_maps_only_what_it_reads(monkeypatch, variant):
-    # The quantile sees at most the four endpoints of each scanned bucket,
-    # and only once no n-sized array is alive.
-    n = 400_000
-    seen, alive = [], []
+    # The quantile sees at most the four endpoints of each scanned bucket.
+    seen = []
     quantile = Lomax.quantile
 
     def counted(self, u):
         seen.append(np.size(u))
-        alive.append(tracemalloc.get_traced_memory()[0] - base)
         return quantile(self, u)
 
     monkeypatch.setattr(Lomax, "quantile", counted)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        outcome = tt.run_sampled_test(Lomax(1.0, 1.0), n, 4, config_for(variant, 16))
-    finally:
-        tracemalloc.stop()
+    outcome = tt.run_sampled_test(Lomax(1.0, 1.0), 400_000, 4, config_for(variant, 16))
     assert 0 < sum(seen) <= 4 * len(outcome.records)
-    assert max(alive) < 4 * n
 
 
-# Above 8 B per drawn value and a chunk buffer per thread, a sampled test
-# holds only the ranks, the gathered draws and the Python objects around
-# them: 3 to 8 KiB measured, under this slack.  Checking each sorted row
-# of draws took an n-byte mask per row (up to 1 B per drawn value).
-_SLACK = 16 << 10
-
-
-def _sampled_test_peak(variant, n):
-    """Peak bytes of a sampled test past 8 B per drawn value, after a warm-up
-    call has run the imports the first draw makes."""
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sampled_test_peak_memory_is_fixed_in_n(variant):
+    # Only the order statistics the test reads are drawn, so a test of a
+    # trillion samples per split holds what a test of a thousand holds:
+    # the ranks, their values and the Python objects around them.
     model, config = Lomax(1.0, 1.0), config_for(variant, 16)
-    tt.run_sampled_test(model, 1000, 5, config)
-    outcome, peak = _peak_bytes(tt.run_sampled_test, model, n, 5, config)
-    assert outcome.n == n
-    return peak - 8 * (n if variant is Variant.WEAK else 4 * n)
+    tt.run_sampled_test(model, 1000, 5, config)  # runs the first call's imports
+    for n in (10 ** 3, 10 ** 12):
+        outcome, peak = _peak_bytes(tt.run_sampled_test, model, n, 5, config)
+        assert outcome.n == n
+        assert peak <= 64 << 10, n
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_sampled_test_peak_memory_per_value(variant):
-    # The sorted draws and one chunk buffer; the quantile runs on a
-    # handful of values after they are gone.
-    n = 1_000_000 if variant is Variant.WEAK else 250_000
-    assert _sampled_test_peak(variant, n) <= 8 * _CHUNK + _SLACK
+@pytest.mark.parametrize("n", ["least", 10 ** 6, 10 ** 12])
+def test_order_statistics_fill_every_split_the_layout_reads(variant, n):
+    # One array per split, at that split's ranks, rising strictly inside
+    # (0, 1), from the fewest samples the layout takes to a trillion.
+    config = config_for(variant, 16)
+    layout, buckets = scan_layout(config)
+    n = layout.min_n(16) if n == "least" else n
+    ranks = ranks_by_split(layout, n, buckets, 16)
+    draws = distributions.uniform_order_statistics(n, ranks, 3)
+    assert [u.shape for u in draws] == [r.shape for r in ranks]
+    for u in draws:
+        assert 0.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) > 0.0)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_sampled_test_peak_memory_per_value_on_two_workers(monkeypatch, variant):
-    _cores(monkeypatch, 2)
-    n = 1_200_000 if variant is Variant.WEAK else 300_000
-    assert _sampled_test_peak(variant, n) <= 2 * 8 * _CHUNK + _SLACK
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_sampled_test_matches_one_stream_at_the_worker_floor(monkeypatch, variant, offset):
-    # Just below 2 * _PER_WORKER draws one thread draws and sorts; at and
-    # above it, two.  The oracle draws the whole stream at once, deals it
-    # by slicing and sorts mapped copies.
-    _cores(monkeypatch, 2)
-    model, seed, config = Lomax(1.0, 1.0), 9, config_for(variant, 16)
-    rows = 1 if variant is Variant.WEAK else 4
-    n = 2 * _PER_WORKER // rows + offset
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    stream = gen.random(rows * n)
-    splits = [tt.SortedSampleSplit.from_samples(distributions.transform(model, stream[j::rows]))
-              for j in range(rows)]
-    if variant is Variant.WEAK:
-        expected = tt.run_weak_test(splits[0], config, seed=seed)
-    else:
-        expected = tt.run_full_test(splits, config, seed=seed)
-    got = tt.run_sampled_test(model, n, seed, config)
-    assert serialize_report(got) == serialize_report(expected)
+def test_sampled_test_answers_up_to_the_int64_bound(variant):
+    # Every rank and n + 1 must fit in an int64: the largest n answers,
+    # one more is refused before anything is drawn.
+    model, config = Lomax(1.0, 1.0), config_for(variant, 16)
+    assert tt.run_sampled_test(model, 2 ** 63 - 2, 1, config).n == 2 ** 63 - 2
+    with pytest.raises(ValueError, match=r"n must be < 2\*\*63 - 1"):
+        tt.run_sampled_test(model, 2 ** 63 - 1, 1, config)
 
 
 def test_replicate_requires_two_reps():
@@ -418,17 +337,6 @@ def test_load_split_holds_each_value_once(tmp_path):
     splits, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
     for j, split in enumerate(splits):
         assert split.values.tobytes() == np.sort(values[j::4]).tobytes()
-    assert (dealt - whole) / n <= 1.5
-
-
-def test_load_split_sorts_strided_rows_on_one_thread(monkeypatch, tmp_path):
-    # Above the floor a second thread would hold a second row buffer.
-    _cores(monkeypatch, 2)
-    n = 1_200_000
-    p = tmp_path / "big.f64"
-    p.write_bytes(tt.sample(Lomax(1.0, 1.0), n, seed=4).astype("<f8").tobytes())
-    _, whole = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, False)
-    _, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
     assert (dealt - whole) / n <= 1.5
 
 
