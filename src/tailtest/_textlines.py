@@ -1,0 +1,208 @@
+"""Text sample lines: one codec, run on every usable core.
+
+``format_lines`` writes one shortest round-trip decimal (``repr``) per
+line, and ``parse_lines`` reads the lines of a byte range of a file
+with ``float()``.  ``text_chunks`` and ``read_floats`` cut a file's
+values or bytes into contiguous shares: the calling process does the
+first share, and one worker process per other share does that one at
+the same time.  A worker is this module run as a script, in an
+interpreter that loads neither numpy nor site packages::
+
+    python -I -S _textlines.py format STEP
+        stdin: native doubles; stdout: their lines, formatted STEP
+        values at a time.
+    python -I -S _textlines.py parse START END
+        stdin: an open text file; stdout: the count of the lines that
+        start in bytes START..END, as 8 native bytes, then their
+        values as native doubles.  Exit 1 if a line is not a float.
+
+So this module imports only the standard library, and ``subprocess``
+only where a worker starts.  The worker is ``sys.executable``, so its
+``repr`` and ``float`` are the caller's, and so are its bytes.  It
+finishes its whole share before writing any of it, so it never waits
+on a caller busy with a share of its own.
+"""
+
+import os
+import sys
+from array import array
+
+_BLOCK = 1 << 16  # bytes read at a time: a few thousand lines
+
+
+def format_lines(values, step):
+    """Lines of ``values`` (an ndarray or a memoryview of doubles), ``step`` at a time."""
+    for i in range(0, len(values), step):
+        yield ("\n".join(map(repr, values[i:i + step].tolist())) + "\n").encode("ascii")
+
+
+def _blocks(fd, start, end):
+    """Bytes start..end of file ``fd`` by position; end None reads on to EOF from
+    the file's offset, which must be ``start``.
+
+    A positioned read moves no file offset, so processes that share one
+    open file can each read their own range of it.  Only a sequential
+    read serves a stream, or a platform without ``os.pread``.
+    """
+    while end is None or start < end:
+        block = os.read(fd, _BLOCK) if end is None else os.pread(fd, min(_BLOCK, end - start), start)
+        if not block:
+            return
+        start += len(block)
+        yield block
+
+
+def parse_lines(fd, start, end):
+    """``float()`` of each line that starts in bytes start..end of file ``fd``.
+
+    ``start`` must be 0 or the first byte of a line.  Lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in text mode.
+    ``float`` reads a line's bytes as ASCII, so any line it takes is
+    read as its UTF-8 text would be; any other line (a comment, a blank
+    line, a non-ASCII byte) raises ValueError.  Each block is cut after
+    its last whole line ending, and what follows waits for the next cut,
+    so a long line is joined once.
+    """
+    out, rest = array("d"), []
+    for block in _blocks(fd, start, end):
+        # A final \r may be the first half of \r\n: not an ending yet.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            out.extend(map(float, b"".join([*rest, block[:cut]]).splitlines()))
+            rest = []
+        rest.append(block[cut:])
+    out.extend(map(float, b"".join(rest).splitlines()))
+    return out
+
+
+def _line_start(fd, pos, size):
+    """The first offset at or after pos > 0 where a line starts, else size."""
+    pos -= 1  # a line starts where the byte before it ends one
+    while pos < size:
+        block = os.pread(fd, 4097, pos)  # one byte past what is searched
+        ends = [i for i in (block.find(b"\n", 0, 4096), block.find(b"\r", 0, 4096)) if i >= 0]
+        if ends:
+            return pos + min(ends) + (2 if block[min(ends):min(ends) + 2] == b"\r\n" else 1)
+        pos += 4096
+    return size
+
+
+def _start(argv, fd=None):
+    """A worker running this module on ``argv``, on stdin ``fd`` or else a
+    pipe; None if it cannot start."""
+    import subprocess  # 7.5 ms, paid only where a worker starts
+
+    try:
+        return subprocess.Popen([sys.executable, "-I", "-S", __file__, *argv],
+                                stdin=subprocess.PIPE if fd is None else fd,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    except OSError:
+        return None
+
+
+def _reap(procs):
+    """Kill every worker still running and wait for every one."""
+    for proc in filter(None, procs):
+        proc.kill()  # nothing, once it has exited and been reaped
+        for pipe in filter(None, (proc.stdin, proc.stdout)):
+            try:
+                pipe.close()
+            except OSError:  # unsent input to a dead worker
+                pass
+        proc.wait()
+
+
+def text_chunks(values, step, shares):
+    """The lines of ``values`` (native doubles) as bytes chunks, in ``shares`` shares.
+
+    A worker gets its share's doubles on stdin and sends back its text,
+    which is yielded in its place.  A share whose worker did not start
+    or did not finish is formatted here, from where its text stopped.
+    Closing the iterator ends every worker.
+    """
+    cuts = [len(values) * j // shares for j in range(shares + 1)]
+    procs = []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            procs.append(proc := _start(["format", str(step)]))
+            if proc is not None:
+                try:
+                    proc.stdin.write(values[lo:hi])
+                    proc.stdin.close()
+                except OSError:  # it died: its share is made below
+                    pass
+        yield from format_lines(values[:cuts[1]], step)
+        for proc, lo, hi in zip(procs, cuts[1:], cuts[2:]):
+            sent = 0
+            if proc is not None:
+                for chunk in iter(lambda: proc.stdout.read1(_BLOCK), b""):
+                    sent += len(chunk)
+                    yield chunk
+            if proc is None or proc.wait():
+                for chunk in format_lines(values[lo:hi], step):
+                    if sent < len(chunk):
+                        yield chunk[sent:]
+                    sent = max(sent - len(chunk), 0)
+    finally:
+        _reap(procs)
+
+
+def read_floats(fd, size, shares, empty):
+    """``float()`` of every line of file ``fd``, in up to ``shares`` shares.
+
+    ``size`` is the file's length, or None for a stream, which is one
+    share.  Shares are cut at line starts.  One share is returned as
+    the array('d') it was parsed into; more are joined in file order
+    into ``empty(n)``, a writable buffer of n doubles whose pages cost
+    nothing until written (numpy's ``empty``).  ValueError if a line is
+    not a float or a worker did not send its share.
+    """
+    starts = [0]
+    if size is not None:
+        for at in (_line_start(fd, size * j // shares, size) for j in range(1, shares)):
+            if starts[-1] < at < size:
+                starts.append(at)
+    ends = [*starts[1:], size]
+    procs = []
+    try:
+        for lo, hi in zip(starts[1:], ends[1:]):
+            procs.append(_start(["parse", str(lo), str(hi)], fd))
+        # Alone, this process reads on to EOF, as a stream must.
+        head = parse_lines(fd, 0, ends[0] if procs else None)
+        if not procs:
+            return head
+        words = [proc.stdout.read(8) if proc else b"" for proc in procs]  # sent once parsed
+        if any(len(word) != 8 for word in words):
+            raise ValueError("a worker sent no values")
+        counts = [int.from_bytes(word, sys.byteorder) for word in words]
+        out = empty(len(head) + sum(counts))
+        view, at = memoryview(out), len(head)
+        view[:at] = head
+        del head
+        for proc, count in zip(procs, counts):
+            share = view[at:at + count]
+            if proc.stdout.readinto(share) != share.nbytes or proc.wait():
+                raise ValueError("a worker did not send its share")
+            at += count
+        return out
+    finally:
+        _reap(procs)
+
+
+def _main(argv):
+    out = sys.stdout.buffer
+    if argv[0] == "format":
+        values = memoryview(sys.stdin.buffer.read()).cast("d")
+        out.writelines(list(format_lines(values, int(argv[1]))))
+        return 0
+    try:
+        values = parse_lines(0, int(argv[1]), int(argv[2]))
+    except ValueError:
+        return 1
+    out.write(len(values).to_bytes(8, sys.byteorder))
+    out.write(values)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

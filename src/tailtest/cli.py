@@ -82,7 +82,8 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
 
     The file gets the mode a plain ``open`` gives a new file, 0666 less
     the umask, not the temp file's 0600.  If producing or writing a chunk
-    fails, the temp file is removed and the target is left as it was.
+    fails, the chunk iterator is closed (ending any worker processes it
+    holds), the temp file is removed and the target is left as it was.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -95,6 +96,8 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
             fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
+        if hasattr(chunks, "close"):
+            chunks.close()
         try:
             os.unlink(tmp)
         except OSError:

@@ -27,8 +27,11 @@ and read in one ``float()`` pass over the lines into an array; a file
 that pass cannot read whole (comments, blank lines, a bad literal) is
 read again line by line, which gives the same values or names the
 offending line.  Either way a negative or non-finite value is named by
-its file line.  Raw f64 files are the array's own buffer, read straight
-into one array, and a bad value is named by its position.
+its file line.  Both text passes split a large file into contiguous
+shares, one per usable core: this process does the first, and a
+worker process running ``_textlines``, the codec this process uses
+too, does each other one.  Raw f64 files are the array's own buffer,
+read straight into one array, and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -40,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
@@ -174,19 +178,33 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 # sample files
 # ---------------------------------------------------------------------------
 
+# A text file gets one more share, and so one more process, per _SPLIT
+# values, or per 16 * _SPLIT bytes when read (a sampled double's line
+# takes 16 to 25 bytes), up to one share per usable core.
+_SPLIT = 4 * distributions._CHUNK
+
+
+def _shares(values: int) -> int:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cores, 1 + values // _SPLIT)
+
+
 def sample_file_chunks(values: np.ndarray, fmt: FileFormat | str) -> Iterable:
     """A sample file's bytes in ``fmt``, as bytes-like chunks to write in order.
 
     RAW_F64 is the values' own little-endian buffer.  Text is one
     shortest round-trip decimal per line, formatted ``_CHUNK`` values at
     a time, so neither a string per value nor the whole text is held at
-    once.
+    once; each share after the first is formatted by a worker process
+    (``_textlines.text_chunks``).  Close the iterator to stop early:
+    that ends the workers.
     """
     if FileFormat(fmt) is FileFormat.RAW_F64:
         return [np.ascontiguousarray(values, dtype="<f8")]
-    values, step = np.asarray(values, dtype=float), distributions._CHUNK
-    return (("\n".join(map(repr, values[i:i + step].tolist())) + "\n").encode("ascii")
-            for i in range(0, values.size, step))
+    from ._textlines import text_chunks
+
+    values = np.ascontiguousarray(values, dtype=float)  # workers get native doubles
+    return text_chunks(values, distributions._CHUNK, _shares(values.size))
 
 
 def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
@@ -207,22 +225,30 @@ def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
 
 
 def _parse_text(path: Path) -> np.ndarray:
-    """Read a text sample file: one C-level ``float()`` pass, else the line loop.
+    """Read a text sample file: one ``float()`` pass per share, else the line loop.
 
-    Wherever ``float(line)`` succeeds on every line, the loop would give
-    the same values: ``float`` strips a subset of what ``str.strip``
-    strips (not U+001C..U+001F), and a line it accepts is neither blank
-    nor a comment.  Any failure (a comment, a blank line, a bad literal,
-    undecodable bytes) or an empty file re-reads the file line by line,
-    which returns the values or raises the line-numbered message.
-    Negative and non-finite values are rejected by file line, with the
-    same message on either path.
+    A regular file is cut into ``_shares`` byte ranges at line starts;
+    this process parses the first while a worker process parses each
+    other one (``_textlines.read_floats``), and a stream is one range.
+    Wherever ``float`` takes every line, the loop would give the same
+    values: ``float`` strips a subset of what ``str.strip`` strips (not
+    U+001C..U+001F), and a line it accepts is neither blank nor a
+    comment.  Any failure (a comment, a blank line, a bad literal, a
+    non-ASCII byte, a worker that did not answer) or an empty file
+    re-reads the file line by line, which returns the values or raises
+    the line-numbered message.  Negative and non-finite values are
+    rejected by file line, with the same message on either path.
     """
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            arr = np.fromiter(map(float, fh), dtype=float)
-    except ValueError:
-        arr = np.empty(0)
+    from ._textlines import read_floats
+
+    with path.open("rb", buffering=0) as fh:
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
+        try:
+            arr = np.frombuffer(read_floats(fh.fileno(), size,
+                                            1 if size is None else _shares(size // 16), np.empty))
+        except ValueError:
+            arr = np.empty(0)
     if not arr.size:
         return _parse_text_lines(path)
     _reject_bad_values(arr, "line")  # no line was skipped: value j is on line j + 1

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import tailtest as tt
 from tailtest import distributions
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
+from tailtest.harness import _SPLIT
 
 BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
 
@@ -178,6 +180,8 @@ def test_scipy_loaded_only_by_the_half_gaussian():
 def test_a_second_sampled_test_loads_no_module():
     # Start-up cost: `complexity` loads only argparse's lazy locale
     # lookup, and a second sampled test loads nothing the first has not.
+    # None of them loads what only text files need: the worker codec and
+    # subprocess, which takes 7.5 ms to import.
     src = Path(tt.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -190,14 +194,16 @@ def test_a_second_sampled_test_loads_no_module():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert tailtest.cli.run_cli(argv) == 0\n"
         "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(json.dumps(sorted({'subprocess', 'tailtest._textlines'} & set(sys.modules))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    complexity, first, second = map(json.loads, out)
+    complexity, first, second, workers = map(json.loads, out)
     assert set(complexity) <= {"_locale", "locale"}
     assert first and second == []
+    assert workers == []
 
 
 def test_sample_text_deterministic(tmp_path):
@@ -209,14 +215,60 @@ def test_sample_text_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2 * _CHUNK + 3])
-def test_sample_text_is_one_repr_per_line(tmp_path, n):
+@pytest.mark.parametrize("n", [1, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _CHUNK + 3, 200_003])
+def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
+    # On two cores, from _SPLIT values on, a worker formats the second half.
+    split(2)
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
                     "--n", str(n), "--seed", "4", "--out", str(out)]) == 0
     values = tt.sample(tt.Lomax(1.0, 1.0), n, seed=4)
     expected = "\n".join(repr(float(v)) for v in values) + "\n"
     assert out.read_bytes() == expected.encode("ascii")
+    assert len(workers) == (n >= _SPLIT)
+    assert all(w.returncode is not None for w in workers)
+
+
+def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, split, capsys):
+    # The disk fills after the first chunk: one error line, no temp file,
+    # and the worker formatting the second half is ended and reaped.
+    split(2, values=_CHUNK)
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, mode):
+            self.fh = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            for j, chunk in enumerate(chunks):
+                if j:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.fh.write(chunk)
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    out = tmp_path / "x.txt"
+    assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
+                    "--n", str(4 * _CHUNK), "--seed", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+    assert len(workers) == 1 and workers[0].returncode is not None
+
+
+def test_bad_literal_in_a_worker_share_is_one_error_line(tmp_path, workers, split, capfd):
+    # The worker that meets it writes nothing to the CLI's stderr.
+    split(2, values=1)
+    p = tmp_path / "late.txt"
+    p.write_text("1.0\n" * 500 + "4.0e\n" + "2.0\n" * 100)  # the worker reads lines 302 on
+    assert run_cli(["test", "--input", str(p), "--k", "16", "--alpha", "0.25", "--rho", "0.5",
+                    "--beta", "1", "--b1", "1", "--b2", "1", "--weak"]) == 1
+    assert capfd.readouterr().err == f"error: {p}: line 501: cannot parse '4.0e'\n"
+    assert len(workers) == 1 and workers[0].returncode == 1
 
 
 def test_atomic_write_failure_leaves_target(tmp_path):

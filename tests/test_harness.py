@@ -1,7 +1,10 @@
 import functools
 import json
 import math
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,7 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest import distributions
+from tailtest import _textlines, distributions, harness
 from tailtest.distributions import _CHUNK
 from tailtest.empirical import ranks_by_split
 from tailtest.harness import (
@@ -404,7 +407,40 @@ def _text_corpus() -> dict[str, bytes]:
         "whitespace_only": b"  \n\t\n",
         "bad_literal": b"1.0\n2.0 3.0\n",
         "bad_line_200001": ("\n".join(values + values) + "\n4.0e\n5.0\n").encode(),
+        # Faults only in the last quarter, which a worker reads once a
+        # file is split in two or three.
+        "late_bad_literal": _late(values, [b"4.0e"]),
+        "late_inf": _late(values, [b"inf"]),
+        "late_negative": _late(values, [b"-2.5"]),
+        "late_comment": _late(values, [b"# note"]),
+        "late_blank": _late(values, [b""]),
+        "late_crlf": _late(values, [], b"\r\n"),
+        "late_lone_cr": _late(values, [], b"\r"),
+        "late_invalid_utf8": _late(values, [b"\xff\xfe"]),
+        "long_no_final_newline": "\n".join(values[:2000]).encode(),
+        # Where a file split in two is cut: on a \n, just past one,
+        # between \r and \n, and just past a lone \r.
+        "cut_on_lf": _cut(values, "\n", lambda a, b: b == "\n"),
+        "cut_past_lf": _cut(values, "\n", lambda a, b: a == "\n"),
+        "cut_in_crlf": _cut(values, "\r\n", lambda a, b: (a, b) == ("\r", "\n")),
+        "cut_past_cr": _cut(values, "\r", lambda a, b: a == "\r"),
     }
+
+
+def _late(values, lines: list[bytes], ending: bytes = b"\n") -> bytes:
+    """2,000 values, with ``lines`` after the 1,500th and ``ending`` from there on."""
+    head = b"".join(v.encode() + b"\n" for v in values[:1500])
+    return head + b"".join(line + ending for line in lines + [v.encode() for v in values[1500:2000]])
+
+
+def _cut(values, ending: str, where) -> bytes:
+    """200 lines, the first one padded until ``where`` holds of the bytes around the middle."""
+    for pad in range(64):
+        data = (" " * pad + ending.join(values[:200]) + ending).encode()
+        mid = len(data) // 2
+        if where(chr(data[mid - 1]), chr(data[mid])):
+            return data
+    raise AssertionError("no padding puts the middle there")
 
 
 def _load_error(tmp_path, name) -> str:
@@ -429,6 +465,36 @@ def test_parse_text_matches_line_loop(tmp_path):
         p = tmp_path / f"{name}.txt"
         p.write_bytes(data)
         assert _parse_result(_parse_text, p) == _parse_result(_parse_text_lines, p), name
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_parse_text_split_matches_line_loop(tmp_path, cores, workers, split):
+    # The same, with every file of two lines or more split in two or
+    # three shares, the later ones read by worker processes.
+    split(cores, values=1)
+    for name, data in _text_corpus().items():
+        p = tmp_path / f"{name}.txt"
+        p.write_bytes(data)
+        started = len(workers)
+        assert _parse_result(_parse_text, p) == _parse_result(_parse_text_lines, p), name
+        if len(data) >= 64:
+            assert len(workers) > started, name
+    assert all(w.returncode is not None for w in workers)
+
+
+@pytest.mark.parametrize("name", ["cut_on_lf", "cut_past_lf", "cut_in_crlf", "cut_past_cr",
+                                  "late_crlf", "late_lone_cr", "long_no_final_newline"])
+def test_split_file_is_read_in_one_pass(tmp_path, monkeypatch, workers, split, name):
+    # A share must start at a line start: one that started mid-line or
+    # between \r and \n would fail on an empty or partial line and send
+    # a clean file to the line loop.
+    split(2, values=1)
+    p = tmp_path / f"{name}.txt"
+    p.write_bytes(_text_corpus()[name])
+    expected = _parse_text_lines(p)
+    monkeypatch.setattr(harness, "_parse_text_lines", None)
+    assert _parse_text(p).tobytes() == expected.tobytes()
+    assert len(workers) == 1 and workers[0].returncode == 0
 
 
 def test_parse_text_error_names_late_line(tmp_path):
@@ -473,6 +539,88 @@ def test_sample_file_chunks_text_peak_memory():
     values = tt.sample(Lomax(1.0, 1.0), 1_000_001, seed=4)
     _, peak = _peak_bytes(lambda: sum(len(c) for c in sample_file_chunks(values, "text")))
     assert peak <= 4_000_000
+
+
+def _text(values) -> bytes:
+    return ("\n".join(_lines(values)) + "\n").encode("ascii")
+
+
+def _fake_worker(tmp_path, body: str) -> str:
+    """A worker script: the codec's functions as ``codec``, then ``body``."""
+    script = tmp_path / "worker.py"
+    script.write_text(f"import runpy, sys\ncodec = runpy.run_path({_textlines.__file__!r})\n"
+                      + body)
+    return str(script)
+
+
+def test_stopping_after_the_first_chunk_ends_every_worker(workers, split):
+    split(3, values=_CHUNK)
+    chunks = sample_file_chunks(tt.sample(Lomax(1.0, 1.0), 4 * _CHUNK, seed=4), "text")
+    assert next(chunks)
+    chunks.close()
+    assert len(workers) == 2
+    assert all(w.returncode is not None for w in workers)
+
+
+# A worker that cannot start, one that dies before it reads, and one that
+# dies mid-line after sending half its text: the writer formats what is missing.
+_DYING = {
+    "cannot_start": None,
+    "dies_at_once": "sys.exit(1)",
+    "dies_midway": ("values = memoryview(sys.stdin.buffer.read()).cast('d')\n"
+                    "text = b''.join(codec['format_lines'](values, int(sys.argv[2])))\n"
+                    "sys.stdout.buffer.write(text[:len(text) // 2 + 3])\n"
+                    "sys.exit(1)\n"),
+}
+
+
+@pytest.mark.parametrize("how", _DYING)
+def test_writer_formats_the_share_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+    split(3, values=_CHUNK)
+    if _DYING[how] is None:
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    else:
+        monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
+    values = tt.sample(Lomax(1.0, 1.0), 3 * _CHUNK + 5, seed=4)
+    assert b"".join(sample_file_chunks(values, "text")) == _text(values)
+    assert len(workers) == (0 if how == "cannot_start" else 2)
+    assert all(w.returncode is not None for w in workers)
+
+
+@pytest.mark.parametrize("how", _DYING)
+def test_reader_falls_back_past_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+    split(2, values=1)
+    if _DYING[how] is None:
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    else:
+        monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
+    p = tmp_path / "clean.txt"
+    p.write_bytes(_text_corpus()["late_crlf"])
+    assert _parse_text(p).tobytes() == _parse_text_lines(p).tobytes()
+    assert all(w.returncode is not None for w in workers)
+
+
+def test_bad_literal_in_a_worker_share_names_its_line(tmp_path, workers, split):
+    split(2, values=1)
+    p = tmp_path / "late.txt"
+    p.write_bytes(_text_corpus()["late_bad_literal"])
+    with pytest.raises(ValueError, match=r"line 1501: cannot parse '4\.0e'$"):
+        tt.load_samples(p, FileFormat.TEXT)
+    assert len(workers) == 1 and workers[0].returncode == 1  # it met the literal itself
+
+
+def test_load_text_from_a_fifo_takes_no_worker(tmp_path, workers, split):
+    split(2, values=1)
+    p = tmp_path / "fifo"
+    os.mkfifo(p)
+    values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
+    feeder = threading.Thread(target=p.write_bytes, args=(_text(values),), daemon=True)
+    feeder.start()  # its open blocks until the reader opens the other end
+    loaded = tt.load_samples(p, FileFormat.TEXT)
+    feeder.join(timeout=30)
+    assert not feeder.is_alive()
+    assert loaded.values.tobytes() == np.sort(values).tobytes()
+    assert workers == []
 
 
 # ---------------------------------------------------------------------------
