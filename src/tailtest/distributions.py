@@ -184,6 +184,103 @@ class Lomax(DistributionModel):
         return -self.shape / (self.scale + np.asarray(x, dtype=float)) ** 2
 
 
+def _elementwise(f):
+    """f on each element of an array, as float64 (a scalar for a scalar)."""
+    ufunc = np.frompyfunc(f, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)[()]
+
+
+# The half-Gaussian's erf and erfc come from libm: glibc's are within
+# 2 ulp on [0, 26], and importing scipy.special for them would cost more
+# start-up time than any test spends computing.
+_ERF = _elementwise(math.erf)
+_ERFC = _elementwise(math.erfc)
+
+
+def _coefficients(text: str) -> tuple:
+    return tuple(np.longdouble(c) for c in text.split())
+
+
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988) rational
+# approximations to the standard normal quantile, each a (numerator,
+# denominator) pair, highest power first: the central branch in
+# 0.180625 - q**2 and the two tail branches in sqrt(-log(1 - p)) less
+# 1.6 and less 5.
+_AS241_CENTRAL = (
+    _coefficients("2.5090809287301226727e+3 3.3430575583588128105e+4 "
+                  "6.7265770927008700853e+4 4.5921953931549871457e+4 "
+                  "1.3731693765509461125e+4 1.9715909503065514427e+3 "
+                  "1.3314166789178437745e+2 3.3871328727963666080e+0"),
+    _coefficients("5.2264952788528545610e+3 2.8729085735721942674e+4 "
+                  "3.9307895800092710610e+4 2.1213794301586595867e+4 "
+                  "5.3941960214247511077e+3 6.8718700749205790830e+2 "
+                  "4.2313330701600911252e+1 1.0"),
+)
+_AS241_NEAR = (
+    _coefficients("7.74545014278341407640e-4 2.27238449892691845833e-2 "
+                  "2.41780725177450611770e-1 1.27045825245236838258e+0 "
+                  "3.64784832476320460504e+0 5.76949722146069140550e+0 "
+                  "4.63033784615654529590e+0 1.42343711074968357734e+0"),
+    _coefficients("1.05075007164441684324e-9 5.47593808499534494600e-4 "
+                  "1.51986665636164571966e-2 1.48103976427480074590e-1 "
+                  "6.89767334985100004550e-1 1.67638483018380384940e+0 "
+                  "2.05319162663775882187e+0 1.0"),
+)
+_AS241_FAR = (
+    _coefficients("2.01033439929228813265e-7 2.71155556874348757815e-5 "
+                  "1.24266094738807843860e-3 2.65321895265761230930e-2 "
+                  "2.96560571828504891230e-1 1.78482653991729133580e+0 "
+                  "5.46378491116411436990e+0 6.65790464350110377720e+0"),
+    _coefficients("2.04426310338993978564e-15 1.42151175831644588870e-7 "
+                  "1.84631831751005468180e-5 7.86869131145613259100e-4 "
+                  "1.48753612908506148525e-2 1.36929880922735805310e-1 "
+                  "5.99832206555887937690e-1 1.0"),
+)
+
+
+def _rational(coefficients, r: np.ndarray) -> np.ndarray:
+    """numerator(r) / denominator(r) by Horner's rule, in r's precision."""
+    num, den = (np.full_like(r, c[0]) for c in coefficients)
+    for a, b in zip(coefficients[0][1:], coefficients[1][1:]):
+        num *= r
+        num += a
+        den *= r
+        den += b
+    return num / den
+
+
+def _half_normal_quantile(u, scale: float):
+    """scale * Phi^-1(1/2 + u/2) for u in [0, 1], by AS241 in extended precision.
+
+    Both of AS241's inputs are formed exactly: q = p - 1/2 = u/2, and,
+    past the central branch (u > 0.85), 1 - p = (1 - u)/2, with 1 - u
+    exact by Sterbenz's lemma.  The approximation is evaluated in
+    ``np.longdouble`` (x86-64's 80-bit format, a 64-bit mantissa) and
+    rounded once to float64.  Its rounding noise, about 2**-11 of a
+    double ulp, is far below the quantile's step between neighbouring
+    doubles (at least about 0.6 ulp), so the result is nondecreasing
+    over consecutive doubles; that argument does not reach the seams
+    between branches, u = 0.85 and u = 1 - 2e**-25, which tests pin.
+    Against a 40-digit reference it is within 1 ulp on 3,000 points.
+    At u = 1 it is inf, like every family's quantile.
+    """
+    u = np.asarray(u, dtype=float)
+    x = np.empty(u.shape, dtype=np.longdouble)
+    central = u <= 0.85
+    q = u[central].astype(np.longdouble) / 2
+    x[central] = q * _rational(_AS241_CENTRAL, np.longdouble("0.180625") - q * q)
+    tail = ~central
+    r = np.sqrt(-np.log((1.0 - u[tail]).astype(np.longdouble) / 2))
+    far = r > 5
+    r[~far] = _rational(_AS241_NEAR, r[~far] - np.longdouble("1.6"))
+    with np.errstate(invalid="ignore"):  # inf / inf at u = 1
+        r[far] = _rational(_AS241_FAR, r[far] - 5)
+    x[tail] = r
+    x[u == 1.0] = np.inf
+    x *= scale
+    return x.astype(float)[()]
+
+
 @dataclass(frozen=True)
 class HalfGaussian(DistributionModel):
     """Positive half of a centered Gaussian; increasing hazard rate."""
@@ -198,23 +295,18 @@ class HalfGaussian(DistributionModel):
         z = np.asarray(x, dtype=float) / self.scale
         return (2.0 / (self.scale * _SQRT_2PI)) * np.exp(-0.5 * z * z)
 
-    # scipy is imported on first use, not with the module: it more than
-    # doubles the start-up time of every call that never needs it.
     def cdf(self, x):
-        from scipy.special import erf
-        return erf(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
+        return _ERF(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
     def sf(self, x):
-        from scipy.special import erfc
-        return erfc(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
+        return _ERFC(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
     def pdf_derivative(self, x):
         x = np.asarray(x, dtype=float)
         return -(x / self.scale ** 2) * self.pdf(x)
 
     def quantile(self, u):
-        from scipy.special import erfinv
-        return self.scale * _SQRT2 * erfinv(u)
+        return _half_normal_quantile(u, self.scale)
 
     def hazard_rate(self, x):
         return self.pdf(x) / self.sf(x)

@@ -128,6 +128,36 @@ def test_erf_inverse_domain():
     with pytest.raises(ValueError):
         tt.quantile(HalfGaussian(1.0), 1.0)
     assert tt.quantile(HalfGaussian(1.0), 0.0) == 0.0
+    with np.errstate(divide="ignore"):  # log(0), as in the other families
+        assert HalfGaussian(1.0).quantile(np.array([0.5, 1.0]))[1] == np.inf
+
+
+def test_half_gaussian_quantile_within_5_ulp_of_scipy():
+    # scipy is only the test's oracle: 2M sampled draws plus the ladders
+    # 2**-j (down to the smallest subnormal) and 1 - 2**-j.
+    from scipy.special import erfinv
+
+    model = HalfGaussian(1.0)
+    j = np.arange(1.0, 1075.0)
+    ladder = np.r_[2.0 ** -j, 1.0 - 2.0 ** -j[:53]]
+    pairs = [(model.quantile(ladder), math.sqrt(2.0) * erfinv(ladder)),
+             (tt.sample(model, 2_000_000, seed=18),
+              math.sqrt(2.0) * erfinv(_variates(uniforms(2_000_000, 18)[0])))]
+    for got, want in pairs:
+        assert np.all(np.abs(got - want) <= 5.0 * np.spacing(want))
+
+
+def test_half_gaussian_median_is_correctly_rounded():
+    # sqrt(2) * erfinv(1/2) = 0.67448975019608174320...
+    assert tt.quantile(HalfGaussian(1.0), 0.5).hex() == "0x1.5956b87528a49p-1"
+
+
+def test_half_gaussian_cdf_and_sf_sum_to_one():
+    for model in (HalfGaussian(1.0), HalfGaussian(2.0)):
+        x = np.linspace(0.0, 8.0 * model.scale, 4001)
+        total = model.cdf(x) + model.sf(x)
+        assert total.dtype == np.float64
+        assert np.all(np.abs(total - 1.0) <= 2.0 ** -52)
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +416,12 @@ def test_quantile_nondecreasing_over_1e8_sorted_draws():
 @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
 def test_quantile_nondecreasing_over_consecutive_doubles(model):
     # Runs of 4,096 consecutive doubles each side of the smallest variate,
-    # of 0.5 and of the largest variate.
-    for x in (2.0 ** -54, 0.5, 1.0 - 2.0 ** -53):
+    # of 0.5, of the largest variate and of the two seams between the
+    # half-Gaussian quantile's AS241 branches.
+    for x in (2.0 ** -54, 0.5, 0.85, 1.0 - 2.0 * math.exp(-25.0), 1.0 - 2.0 ** -53):
         for toward in (0.0, 1.0):
             run = np.sort(np.nextafter.accumulate(np.r_[x, np.full(4096, toward)]))
-            run = run[(run > 0.0) & (run < 1.0)]
-            if isinstance(model, HalfGaussian) and (x, toward) == (0.5, 0.0):
-                # scipy's erfinv steps down between some neighbouring
-                # doubles below 0.5 (67 of these 4,096), never between two
-                # odd multiples of 2**-54.  There ``_variates`` returns
-                # (2j + 1) * 2**-54 exactly: only odd multiples are drawn.
-                run = run[run * 2.0 ** 54 % 2.0 == 1.0]
-            q = model.quantile(run)
+            q = model.quantile(run[(run > 0.0) & (run < 1.0)])
             assert np.all(q[1:] >= q[:-1]), (x, toward)
 
 
@@ -419,7 +443,7 @@ def test_quantile_of_a_gathered_subset_matches_the_whole_array(model):
 def test_sampling_peak_memory_per_value(model):
     # The output array is 8 B per value; the chunk buffer and every
     # temporary are chunk-sized.
-    tt.sample(model, 1, seed=0)  # loads scipy for the half-Gaussian first
+    tt.sample(model, 1, seed=0)  # numpy.random's lazy imports come first
     n = 1_000_000
     tracemalloc.start()
     try:
