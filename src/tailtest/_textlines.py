@@ -12,9 +12,11 @@ interpreter that loads neither numpy nor site packages::
         stdin: native doubles; stdout: their lines, formatted STEP
         values at a time.
     python -I -S _textlines.py parse START END
-        stdin: an open text file; stdout: the count of the lines that
-        start in bytes START..END, as 8 native bytes, then their
-        values as native doubles.  Exit 1 if a line is not a float.
+        stdin: an open text file; stdout: the count of the values on
+        the lines that start in bytes START..END, then 1 if a blank or
+        comment line was skipped there, else 0, each as 8 native bytes,
+        then the values as native doubles.  Exit 1 if a line is neither
+        a float nor skipped.
 
 So this module imports only the standard library, and ``subprocess``
 only where a worker starts.  The worker is ``sys.executable``, so its
@@ -52,27 +54,50 @@ def _blocks(fd, start, end):
         yield block
 
 
+def _extend(out, lines):
+    """Append ``float()`` of each line to ``out``; True if a line was skipped.
+
+    A block is read in one ``map(float, ...)`` pass.  Only a block that
+    pass fails is read again without its blank and ``#`` lines, which the
+    line loop skips too; a block with a non-ASCII byte is left to the line
+    loop, which reads the file as UTF-8 (ValueError).
+    """
+    at = len(out)
+    try:
+        out.extend(map(float, lines))
+        return False
+    except ValueError:
+        del out[at:]  # what the failed pass appended
+    if not all(map(bytes.isascii, lines)):
+        raise ValueError("a line is not ASCII")
+    kept = [line for line in lines if line.strip()[:1] not in (b"", b"#")]
+    out.extend(map(float, kept))
+    return len(kept) < len(lines)
+
+
 def parse_lines(fd, start, end):
     """``float()`` of each line that starts in bytes start..end of file ``fd``.
 
     ``start`` must be 0 or the first byte of a line.  Lines end at
     ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in text mode.
     ``float`` reads a line's bytes as ASCII, so any line it takes is
-    read as its UTF-8 text would be; any other line (a comment, a blank
-    line, a non-ASCII byte) raises ValueError.  Each block is cut after
-    its last whole line ending, and what follows waits for the next cut,
-    so a long line is joined once.
+    read as its UTF-8 text would be.  Blank and ``#`` comment lines of
+    ASCII are skipped, as the line loop skips them; any other line that
+    is not a float (a non-ASCII byte, a bad literal) raises ValueError.
+    Each block is cut after its last whole line ending, and what
+    follows waits for the next cut, so a long line is joined once.
+    Returns the values and whether a line was skipped.
     """
-    out, rest = array("d"), []
+    out, rest, skipped = array("d"), [], False
     for block in _blocks(fd, start, end):
         # A final \r may be the first half of \r\n: not an ending yet.
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
         if cut:
-            out.extend(map(float, b"".join([*rest, block[:cut]]).splitlines()))
+            skipped |= _extend(out, b"".join([*rest, block[:cut]]).splitlines())
             rest = []
         rest.append(block[cut:])
-    out.extend(map(float, b"".join(rest).splitlines()))
-    return out
+    skipped |= _extend(out, b"".join(rest).splitlines())
+    return out, skipped
 
 
 def _line_start(fd, pos, size):
@@ -148,14 +173,15 @@ def text_chunks(values, step, shares):
 
 
 def read_floats(fd, size, shares, empty):
-    """``float()`` of every line of file ``fd``, in up to ``shares`` shares.
+    """``parse_lines`` of all of file ``fd``, in up to ``shares`` shares.
 
     ``size`` is the file's length, or None for a stream, which is one
-    share.  Shares are cut at line starts.  One share is returned as
-    the array('d') it was parsed into; more are joined in file order
-    into ``empty(n)``, a writable buffer of n doubles whose pages cost
-    nothing until written (numpy's ``empty``).  ValueError if a line is
-    not a float or a worker did not send its share.
+    share.  Shares are cut at line starts.  One share's values are
+    returned as the array('d') they were parsed into; more are joined
+    in file order into ``empty(n)``, a writable buffer of n doubles
+    whose pages cost nothing until written (numpy's ``empty``).  Also
+    returns whether any share skipped a line.  ValueError if a line is
+    neither a float nor skipped, or a worker did not send its share.
     """
     starts = [0]
     if size is not None:
@@ -168,13 +194,14 @@ def read_floats(fd, size, shares, empty):
         for lo, hi in zip(starts[1:], ends[1:]):
             procs.append(_start(["parse", str(lo), str(hi)], fd))
         # Alone, this process reads on to EOF, as a stream must.
-        head = parse_lines(fd, 0, ends[0] if procs else None)
+        head, skipped = parse_lines(fd, 0, ends[0] if procs else None)
         if not procs:
-            return head
-        words = [proc.stdout.read(8) if proc else b"" for proc in procs]  # sent once parsed
-        if any(len(word) != 8 for word in words):
+            return head, skipped
+        words = [proc.stdout.read(16) if proc else b"" for proc in procs]  # sent once parsed
+        if any(len(word) != 16 for word in words):
             raise ValueError("a worker sent no values")
-        counts = [int.from_bytes(word, sys.byteorder) for word in words]
+        counts = [int.from_bytes(word[:8], sys.byteorder) for word in words]
+        skipped = skipped or any(word[8:] != bytes(8) for word in words)
         out = empty(len(head) + sum(counts))
         view, at = memoryview(out), len(head)
         view[:at] = head
@@ -184,7 +211,7 @@ def read_floats(fd, size, shares, empty):
             if proc.stdout.readinto(share) != share.nbytes or proc.wait():
                 raise ValueError("a worker did not send its share")
             at += count
-        return out
+        return out, skipped
     finally:
         _reap(procs)
 
@@ -196,10 +223,10 @@ def _main(argv):
         out.writelines(list(format_lines(values, int(argv[1]))))
         return 0
     try:
-        values = parse_lines(0, int(argv[1]), int(argv[2]))
+        values, skipped = parse_lines(0, int(argv[1]), int(argv[2]))
     except ValueError:
         return 1
-    out.write(len(values).to_bytes(8, sys.byteorder))
+    out.write(len(values).to_bytes(8, sys.byteorder) + int(skipped).to_bytes(8, sys.byteorder))
     out.write(values)
     return 0
 

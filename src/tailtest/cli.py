@@ -19,7 +19,6 @@ plain new file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -31,9 +30,9 @@ from . import distributions
 from .distributions import TailParams, WellBehavedBounds, model_from_name
 from .harness import (
     FileFormat,
+    _majority_test,
     load_samples,
     replicate,
-    run_replicates,
     sample_file_chunks,
     serialize_report,
 )
@@ -256,24 +255,21 @@ def _cmd_test(args) -> int:
                              "file data is fixed")
         weak = config.variant is Variant.WEAK
         data = load_samples(args.input, args.format, split=not weak)
-        outcomes = [run_weak_test(data, config) if weak else run_full_test(data, config)]
+        outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
     else:
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
-        outcomes = run_replicates(model, 1 if args.reps is None else args.reps, args.n, config,
-                                  0 if args.seed is None else args.seed)
+        outcome = _majority_test(model, 1 if args.reps is None else args.reps, args.n, config,
+                                 0 if args.seed is None else args.seed)
 
-    # The runs' majority verdict with the first run's buckets; a tie answers light.
-    heavies = sum(o.verdict is Verdict.HEAVY for o in outcomes)
-    voted = Verdict.HEAVY if 2 * heavies > len(outcomes) else Verdict.LIGHT
-    payload = serialize_report(dataclasses.replace(outcomes[0], verdict=voted))
+    payload = serialize_report(outcome)
     if args.out is not None:
         _atomic_write(args.out, [payload])
     else:
         sys.stdout.write(payload.decode("utf-8"))
     if args.exit_verdict:
-        return EXIT_HEAVY if voted is Verdict.HEAVY else EXIT_LIGHT
+        return EXIT_HEAVY if outcome.verdict is Verdict.HEAVY else EXIT_LIGHT
     return EXIT_OK
 
 

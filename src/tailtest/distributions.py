@@ -443,7 +443,8 @@ def uniform_order_statistics(n: int, ranks_by_split, seed: int) -> list[np.ndarr
     gen = np.random.default_rng(seed)
     out = []
     for ranks in ranks_by_split:
-        sums = np.cumsum(gen.standard_gamma(np.diff(ranks, prepend=0, append=n + 1)))
+        # np.diff's prepend and append would cost more than the draws.
+        sums = np.cumsum(gen.standard_gamma(np.diff(np.concatenate(([0], ranks, [n + 1])))))
         out.append(np.minimum(sums[:-1] / sums[-1], _BELOW_ONE))
     return out
 

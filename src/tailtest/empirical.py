@@ -245,12 +245,29 @@ def layout_ranks(layout: RankLayout, n: int, buckets, k: int) -> np.ndarray:
     return rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
 
 
-def ranks_by_split(layout: RankLayout, n: int, buckets, k: int) -> list[np.ndarray]:
-    """Per split, the distinct ranks the layout reads from it, ascending."""
-    idx = layout_ranks(layout, n, buckets, k)
-    # Not np.unique: its first call imports numpy.ma, about 17 ms.
-    return [np.array(sorted(set(idx[np.asarray(layout.splits) == s].flat)))
-            for s in range(len(set(layout.splits)))]
+def held_ranks(layout: RankLayout, idx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per split, the distinct ranks of ``layout_ranks``'s ``idx`` it is read
+    at, ascending; and where each endpoint of ``idx`` lies among those
+    ranks laid end to end in split order.
+
+    So the splits' values at their ranks, concatenated, give the (4,
+    len(buckets)) endpoints when indexed by the positions.
+    """
+    splits = np.asarray(layout.splits)
+    ranks, at = [], np.empty(idx.shape, dtype=np.intp)
+    for s in range(len(set(layout.splits))):
+        mine = splits == s
+        # Not np.unique: its first call imports numpy.ma, about 17 ms.
+        ranks.append(np.array(sorted(set(idx[mine].flat))))
+        at[mine] = sum(r.size for r in ranks[:-1]) + np.searchsorted(ranks[-1], idx[mine])
+    return ranks, at
+
+
+def statistic_at(held: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
+    """The statistic at each bucket from the values at ``held_ranks``' ranks
+    laid end to end, shape (..., m) to (..., len(buckets)): one row of
+    statistics per row of values."""
+    return four_point_ratio(*np.moveaxis(held[..., at], -2, 0), k)
 
 
 def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
@@ -267,11 +284,9 @@ def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
     if any(s.n != n for s in splits):
         raise ValueError("all four splits must hold the same number of samples")
     idx = layout_ranks(layout, n, buckets, k)
-    ends = np.empty(idx.shape)
-    for s, split in enumerate(splits):
-        mine = np.asarray(layout.splits) == s
-        ends[mine] = split.at(idx[mine])
-    return four_point_ratio(*ends, k), idx / (n + 1)
+    ranks, at = held_ranks(layout, idx)
+    held = np.concatenate([split.at(r) for split, r in zip(splits, ranks)])
+    return statistic_at(held, at, k), idx / (n + 1)
 
 
 def two_scale_statistic(splits, i: int, k: int) -> float:

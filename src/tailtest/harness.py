@@ -1,12 +1,18 @@
 """Experiment replication, and every byte format the package reads or writes.
 
-A sampled test (``run_sampled_test``, behind ``replicate``) reads at
-most four order statistics per bucket, and draws only those: the
-layout's ranks per split go to ``distributions.uniform_order_statistics``,
-whose exact uniform order statistics the family's quantile maps, so no
-array of n values exists at any point.  They come from their own
-stream, so the test at a seed is not the test of ``sample_splits`` or
-``sample_single`` at that seed, nor of a ``sample`` file.
+A sampled test reads at most four order statistics per bucket, and
+draws only those: the layout's ranks per split go to
+``distributions.uniform_order_statistics``, whose exact uniform order
+statistics the family's quantile maps, so no array of n values exists
+at any point.  They come from their own stream, so the test at a seed
+is not the test of ``sample_splits`` or ``sample_single`` at that seed,
+nor of a ``sample`` file.  ``run_sampled_test``, ``run_replicates``
+and ``replicate`` are one path over seeds base_seed + r: the ranks and
+the boundary depend on (config, n) alone and are computed once per
+call (``tester._plan``); each seed draws from its own generator and
+its values are checked before the next seed draws; every seed's
+statistics are one row of a (reps, buckets) array, which ``replicate``
+reduces per bucket and the others turn into outcomes.
 
 ``sample_splits`` draws one stream of 4n variates and deals it
 round-robin, exactly how ``load_samples`` splits a sample file, so
@@ -23,15 +29,16 @@ sorting a copy (see ``SortedSampleSplit.from_samples``).
 
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  Text is written ``distributions._CHUNK`` values at a time
-and read in one ``float()`` pass over the lines into an array; a file
-that pass cannot read whole (comments, blank lines, a bad literal) is
-read again line by line, which gives the same values or names the
-offending line.  Either way a negative or non-finite value is named by
-its file line.  Both text passes split a large file into contiguous
-shares, one per usable core: this process does the first, and a
-worker process running ``_textlines``, the codec this process uses
-too, does each other one.  Raw f64 files are the array's own buffer,
-read straight into one array, and a bad value is named by its position.
+and read in one ``float()`` pass over the lines into an array, which
+skips ASCII comment and blank lines; a file that pass cannot read whole
+(a bad literal, a non-ASCII line) is read again line by line, which
+gives the same values or names the offending line.  Either way a
+negative or non-finite value is named by its file line.  Both text
+passes split a large file into contiguous shares, one per usable core:
+this process does the first, and a worker process running
+``_textlines``, the codec this process uses too, does each other one.
+Raw f64 files are the array's own buffer, read straight into one array,
+and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -40,6 +47,7 @@ and ``proxy_curve`` return) as CSV headed by the row type's field names.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -53,11 +61,10 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import DistributionModel
-from .empirical import OrderStatistics, SortedSampleSplit, ranks_by_split
+from .empirical import OrderStatistics, SortedSampleSplit
 from .proxy import ProxyPoint, proxy_value
-from .tester import (TestConfig, TestOutcome, Variant, run_full_test, run_weak_test,
-                     scan_layout)
-from . import distributions
+from .tester import TestConfig, TestOutcome, Verdict
+from . import distributions, tester
 
 __all__ = [
     "FileFormat",
@@ -113,31 +120,48 @@ def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSam
             for row in _sorted_draws(n, seed, 4)]
 
 
-def run_sampled_test(model: DistributionModel, n: int, seed: int,
-                     config: TestConfig) -> TestOutcome:
-    """Draw the order statistics the configured variant reads and decide.
+def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: int, reps: int):
+    """The decision plan, and the statistics of seed base_seed + r's sample as row r.
 
     Only the values at the ranks the layout reads are drawn, O(k) per
-    split whatever n is.  They are exact uniform order statistics of n
-    draws per split, mapped through the quantile as they are: unlike
-    ``transform``'s variates they lie on no 2**-53 grid, so they need no
-    half-step offset.
+    split whatever n is, from each seed's own generator.  They are exact
+    uniform order statistics of n draws per split, mapped through the
+    quantile as they are: unlike ``transform``'s variates they lie on no
+    2**-53 grid, so they need no half-step offset.  Each seed's mapped
+    values are checked as ``OrderStatistics`` before the next seed draws.
     """
-    layout, buckets = scan_layout(config)
-    ranks = ranks_by_split(layout, n, buckets, config.k)
-    splits = [OrderStatistics(n, r, model.quantile(u))
-              for r, u in zip(ranks, distributions.uniform_order_statistics(n, ranks, seed))]
-    if config.variant is Variant.WEAK:
-        return run_weak_test(splits[0], config, seed=seed)
-    return run_full_test(splits, config, seed=seed)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    plan = tester._plan(config, n)
+    held = np.empty((reps, sum(r.size for r in plan.ranks)))
+    for row, seed in zip(held, range(base_seed, base_seed + reps)):
+        draws = distributions.uniform_order_statistics(n, plan.ranks, seed)
+        row[...] = np.concatenate([OrderStatistics(n, r, model.quantile(u)).values
+                                   for r, u in zip(plan.ranks, draws)])
+    return plan, plan.statistics(held)
+
+
+def run_sampled_test(model: DistributionModel, n: int, seed: int,
+                     config: TestConfig) -> TestOutcome:
+    """Draw the order statistics the configured variant reads and decide."""
+    plan, stats = _sampled(model, n, config, seed, 1)
+    return plan.outcome(stats[0], seed)
 
 
 def run_replicates(model: DistributionModel, reps: int, n: int, config: TestConfig,
                    base_seed: int) -> tuple[TestOutcome, ...]:
     """Run the configured tester reps times with seeds base_seed + index."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    return tuple(run_sampled_test(model, n, base_seed + r, config) for r in range(reps))
+    plan, stats = _sampled(model, n, config, base_seed, reps)
+    return tuple(plan.outcome(row, base_seed + r) for r, row in enumerate(stats))
+
+
+def _majority_test(model: DistributionModel, reps: int, n: int, config: TestConfig,
+                   base_seed: int) -> TestOutcome:
+    """``run_replicates``' first outcome with the runs' majority verdict; a tie is light."""
+    plan, stats = _sampled(model, n, config, base_seed, reps)
+    heavies = int(np.count_nonzero(plan.heavy(stats)))
+    voted = Verdict.HEAVY if 2 * heavies > reps else Verdict.LIGHT
+    return dataclasses.replace(plan.outcome(stats[0], base_seed), verdict=voted)
 
 
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
@@ -146,20 +170,22 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 
     Per bucket, aggregates mean and sample standard deviation of the
     statistic with degenerate markers left out of the moments, and
-    attaches the analytic proxy curve and the mean realized boundary for
-    overlay.
+    attaches the analytic proxy curve and the boundary for overlay.  The
+    boundary is a function of (n, k, config) alone, so the column is that
+    one boundary, as the mean of the reps' copies of it (which can
+    differ from it in the last bit).
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    outcomes = run_replicates(model, reps, n, config, base_seed)
+    plan, stats = _sampled(model, n, config, base_seed, reps)
+    live = ~np.isinf(stats)
 
     rows = []
-    for j, record in enumerate(outcomes[0].records):
-        i = record.i
-        values = [o.records[j].s_hat for o in outcomes if not o.records[j].degenerate]
-        if values:
+    for j, i in enumerate(plan.buckets):
+        values = stats[live[:, j], j]  # contiguous, reduced as a list of them would be
+        if values.size:
             mean = float(np.mean(values))
-            std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+            std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
         else:
             mean = math.nan
             std = math.nan
@@ -169,7 +195,7 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
             s_hat_std=std,
             proxy_s=proxy_value(model, i / config.k),
             threshold=1.0 - i / config.k,
-            boundary=float(np.mean([o.records[j].boundary for o in outcomes])),
+            boundary=float(np.mean(np.full(reps, plan.boundary[j]))),
         ))
     return tuple(rows)
 
@@ -233,11 +259,14 @@ def _parse_text(path: Path) -> np.ndarray:
     Wherever ``float`` takes every line, the loop would give the same
     values: ``float`` strips a subset of what ``str.strip`` strips (not
     U+001C..U+001F), and a line it accepts is neither blank nor a
-    comment.  Any failure (a comment, a blank line, a bad literal, a
-    non-ASCII byte, a worker that did not answer) or an empty file
-    re-reads the file line by line, which returns the values or raises
-    the line-numbered message.  Negative and non-finite values are
-    rejected by file line, with the same message on either path.
+    comment.  A block of lines that pass fails is read again skipping
+    ASCII blank and ``#`` lines, which the loop skips too.  Any other
+    failure (a bad literal, a non-ASCII byte, a worker that did not
+    answer) or an empty file re-reads the file line by line, which
+    returns the values or raises the line-numbered message.  Negative
+    and non-finite values are rejected by file line, with the same
+    message on either path: where a line was skipped, value j is not on
+    line j + 1, so the line loop names it.
     """
     from ._textlines import read_floats
 
@@ -245,11 +274,12 @@ def _parse_text(path: Path) -> np.ndarray:
         st = os.fstat(fh.fileno())
         size = st.st_size if stat.S_ISREG(st.st_mode) else None
         try:
-            arr = np.frombuffer(read_floats(fh.fileno(), size,
-                                            1 if size is None else _shares(size // 16), np.empty))
+            values, skipped = read_floats(fh.fileno(), size,
+                                          1 if size is None else _shares(size // 16), np.empty)
         except ValueError:
-            arr = np.empty(0)
-    if not arr.size:
+            values, skipped = array("d"), False
+    arr = np.frombuffer(values)
+    if not arr.size or skipped and not (arr.min() >= 0.0 and arr.max() < math.inf):
         return _parse_text_lines(path)
     _reject_bad_values(arr, "line")  # no line was skipped: value j is on line j + 1
     return arr

@@ -22,7 +22,10 @@ Both variants make one array pass over their buckets: the full test
 reads the four-split rank layout at buckets 2..k-2, the weak test the
 one-split layout at buckets [ceil(0.1*k), floor(0.8*k)], clipped to
 [1, k-3].  The fractions 0.1 and 0.8 are fixed: they skip the noisy
-first buckets and the non-Lipschitz tail end.
+first buckets and the non-Lipschitz tail end.  The ranks read, the
+reference and the boundary are fixed by (config, n) before any sample
+exists (``_plan``); a sample adds only its statistic, its degenerate
+buckets, the margins and the verdict.
 
 ``noise_sigmas`` defaults to 4.0, an empirically fixed working
 constant; the asymptotic theory leaves all such constants free.
@@ -43,7 +46,10 @@ from .empirical import (
     RankLayout,
     SortedSampleSplit,
     bucket_statistics,
+    held_ranks,
+    layout_ranks,
     length_and_change,
+    statistic_at,
 )
 from .proxy import separation_gap
 
@@ -168,32 +174,72 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
 # the decision core
 # ---------------------------------------------------------------------------
 
-def _decide(splits, config: TestConfig, layout: RankLayout, buckets,
-            seed: int | None) -> TestOutcome:
-    """Statistic, reference, noise floor and boundary for every bucket at once.
+@dataclass(frozen=True)
+class _Plan:
+    """What a decision fixes before any sample exists: ranks and boundary.
 
-    Degenerate buckets count as above the boundary (extreme light
-    evidence) and can never produce a HEAVY verdict on their own.
+    ``ranks`` and ``at`` are ``held_ranks``' for the scanned buckets.
     """
+
+    config: TestConfig
+    n: int
+    buckets: range
+    ranks: list
+    at: np.ndarray
+    boundary: np.ndarray
+
+    def statistics(self, held: np.ndarray) -> np.ndarray:
+        """The statistic at every bucket, one row per row of held values."""
+        return statistic_at(held, self.at, self.config.k)
+
+    def heavy(self, s_hat: np.ndarray):
+        """Per row of statistics, whether a live bucket falls below the boundary.
+
+        Degenerate buckets count as above the boundary (extreme light
+        evidence) and can never produce a HEAVY verdict on their own.
+        """
+        return np.any(~np.isinf(s_hat) & (s_hat < self.boundary), axis=-1)
+
+    def outcome(self, s_hat: np.ndarray, seed: int | None) -> TestOutcome:
+        """The outcome of one sample's statistics."""
+        degenerate = np.isinf(s_hat)
+        margin = np.where(degenerate, math.inf, s_hat - self.boundary)
+        records = tuple(BucketRecord(*row) for row in zip(
+            self.buckets, s_hat.tolist(), self.boundary.tolist(), margin.tolist(),
+            degenerate.tolist()))
+        verdict = Verdict.HEAVY if self.heavy(s_hat) else Verdict.LIGHT
+        return TestOutcome(verdict=verdict, records=records, n=self.n, seed=seed,
+                           config=self.config)
+
+
+def _plan(config: TestConfig, n: int) -> _Plan:
+    """Ranks, reference, noise floor and boundary of every scanned bucket.
+
+    A function of (config, n) alone, so one plan decides every sample of
+    n per split under that config.
+    """
+    layout, buckets = scan_layout(config)
     k = config.k
-    s_hat, ranks = bucket_statistics(layout, splits, buckets, k)
-    n = splits[0].n
+    idx = layout_ranks(layout, n, buckets, k)
+    ranks, at = held_ranks(layout, idx)
+    fractions = idx / (n + 1)
     # math.log1p, not np.log1p: numpy's SIMD loop differs from it in the
     # last bit on some inputs, which would change the pinned report bytes.
     # The reference is the raw ratio, without the DEGENERATE mask: where
     # rounding makes the exponential length shrink, it is negative.
-    length, diff = length_and_change(*-np.vectorize(math.log1p, otypes=[float])(-ranks))
+    length, diff = length_and_change(*-np.vectorize(math.log1p, otypes=[float])(-fractions))
     reference = length / (k * diff)
-    se = layout.null_se(ranks, k, n, reference)
+    se = layout.null_se(fractions, k, n, reference)
     gap = separation_gap(np.asarray(buckets) / k, config.tail, config.bounds)
     boundary = reference - np.maximum(gap / 2.0, config.noise_sigmas * se)
-    degenerate = np.isinf(s_hat)
-    margin = np.where(degenerate, math.inf, s_hat - boundary)
+    return _Plan(config, n, buckets, ranks, at, boundary)
 
-    records = tuple(BucketRecord(*row) for row in zip(
-        buckets, s_hat.tolist(), boundary.tolist(), margin.tolist(), degenerate.tolist()))
-    verdict = Verdict.HEAVY if np.any(~degenerate & (s_hat < boundary)) else Verdict.LIGHT
-    return TestOutcome(verdict=verdict, records=records, n=n, seed=seed, config=config)
+
+def _decide(splits, config: TestConfig, seed: int | None) -> TestOutcome:
+    """The splits' statistics, decided by the plan for their size."""
+    layout, buckets = scan_layout(config)
+    s_hat, _ = bucket_statistics(layout, splits, buckets, config.k)
+    return _plan(config, splits[0].n).outcome(s_hat, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +250,12 @@ def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOu
     """Four-split test over coarse buckets 2..k-2.
 
     A split is anything with ``n`` and ``at(ranks)``: a
-    ``SortedSampleSplit`` or the ``OrderStatistics`` the sampled test
-    gathers.
+    ``SortedSampleSplit``, or an ``OrderStatistics`` holding the ranks
+    the layout reads.
     """
     if config.variant is not Variant.FULL:
         raise ValueError("config.variant must be FULL for run_full_test")
-    return _decide(list(splits), config, *scan_layout(config), seed)
+    return _decide(list(splits), config, seed)
 
 
 def weak_scan_range(k: int) -> range:
@@ -232,4 +278,4 @@ def run_weak_test(split: SortedSampleSplit, config: TestConfig,
     """Single-split test scanning the middle bucket range ``weak_scan_range(k)``."""
     if config.variant is not Variant.WEAK:
         raise ValueError("config.variant must be WEAK for run_weak_test")
-    return _decide([split], config, *scan_layout(config), seed)
+    return _decide([split], config, seed)

@@ -9,8 +9,9 @@ from tailtest.empirical import (
     ONE_SPLIT,
     OrderStatistics,
     bucket_statistics,
+    held_ranks,
+    layout_ranks,
     rank_index,
-    ranks_by_split,
     single_scale_statistic,
     two_scale_statistic,
 )
@@ -108,8 +109,8 @@ def test_order_statistics_answer_like_the_split(layout):
     buckets = layout.buckets(k)
     splits = [SortedSampleSplit.from_samples(tt.sample(Lomax(1.0, 1.0), n, seed))
               for seed in range(len(set(layout.splits)))]
-    held = [OrderStatistics(n, r, split.at(r))
-            for split, r in zip(splits, ranks_by_split(layout, n, buckets, k))]
+    ranks, _ = held_ranks(layout, layout_ranks(layout, n, buckets, k))
+    held = [OrderStatistics(n, r, split.at(r)) for split, r in zip(splits, ranks)]
     for got, want in zip(bucket_statistics(layout, held, buckets, k),
                          bucket_statistics(layout, splits, buckets, k)):
         assert got.tobytes() == want.tobytes()

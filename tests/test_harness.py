@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -21,9 +22,9 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest import _textlines, distributions, harness
+from tailtest import _textlines, distributions, harness, tester
+from tailtest.cli import run_cli
 from tailtest.distributions import _CHUNK
-from tailtest.empirical import ranks_by_split
 from tailtest.harness import (
     ReplicationRow,
     _parse_text,
@@ -35,6 +36,7 @@ from tailtest.harness import (
 from tailtest.tester import BucketRecord, TestOutcome, scan_layout
 
 TAIL = TailParams(0.25, 0.5)
+CLI_BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
 
 
 def config_for(variant, k):
@@ -76,6 +78,116 @@ def test_replicate_lomax_dips_below_boundary_every_rep():
         assert outcome.verdict is Verdict.HEAVY
     rows = tt.replicate(model, 10, 200_000, cfg, base_seed=11)
     assert any(row.s_hat_mean < row.boundary for row in rows)
+
+
+# Full and weak, a heavy and a light family, and a weak n=20 whose
+# buckets often come out degenerate.
+PER_SEED_CASES = [(Exponential(1.0), Variant.FULL, 8, 1_000),
+                  (Lomax(1.0, 1.0), Variant.FULL, 16, 32_768),
+                  (tt.HalfGaussian(1.0), Variant.WEAK, 16, 10_000),
+                  (Exponential(1.0), Variant.WEAK, 8, 20)]
+
+
+@pytest.mark.parametrize("model,variant,k,n", PER_SEED_CASES,
+                         ids=[f"{type(m).__name__.lower()}-{v.value}-n{n}"
+                              for m, v, _, n in PER_SEED_CASES])
+def test_replicate_matches_per_seed_tests(model, variant, k, n):
+    # Drawing every rep in one call gives, bit for bit, the moments of
+    # the seeds' single tests, and run_replicates gives their reports.
+    config, reps, base = config_for(variant, k), 30, 17
+    single = [tt.run_sampled_test(model, n, base + r, config) for r in range(reps)]
+    rows = tt.replicate(model, reps, n, config, base)
+    assert [row.i for row in rows] == [rec.i for rec in single[0].records]
+    for j, row in enumerate(rows):
+        live = np.array([o.records[j].s_hat for o in single if not o.records[j].degenerate])
+        moments = [np.mean(live), np.std(live, ddof=1) if live.size > 1 else 0.0] \
+            if live.size else [math.nan, math.nan]
+        boundary = np.mean([o.records[j].boundary for o in single])
+        assert np.array_equal([row.s_hat_mean, row.s_hat_std, row.boundary],
+                              [*moments, boundary], equal_nan=True), row.i
+    assert [serialize_report(o) for o in run_replicates(model, reps, n, config, base)] == \
+        [serialize_report(o) for o in single]
+    if n == 20:
+        assert any(rec.degenerate for o in single for rec in o.records)
+
+
+def test_majority_of_reps_matches_per_seed_verdicts(tmp_path):
+    # Seeds 35..39 are light, heavy, heavy, heavy, light one by one: the
+    # report carries the first seed's buckets and the majority verdict.
+    bounds = WellBehavedBounds(1.0, 1.0, 1.0, 1 / 16)  # the flags' floats, as the CLI reads them
+    config, n = TestConfig(tail=TAIL, bounds=bounds, k=8, variant=Variant.WEAK), 3000
+    single = [tt.run_sampled_test(Lomax(1.0, 1.0), n, 35 + r, config) for r in range(5)]
+    assert [o.verdict for o in single] == [Verdict.LIGHT, *[Verdict.HEAVY] * 3, Verdict.LIGHT]
+    out = tmp_path / "r.json"
+    assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", str(n),
+                    "--seed", "35", "--reps", "5", "--k", "8", *CLI_BOUNDS, "--weak",
+                    "--out", str(out)]) == 0
+    voted = dataclasses.replace(single[0], verdict=Verdict.HEAVY)
+    assert out.read_bytes() == serialize_report(voted)
+
+
+@pytest.mark.parametrize("reps", [2, 50])
+def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
+    # Ranks, reference, noise floor and boundary depend on (config, n)
+    # alone: one plan serves every rep of a call.
+    plans = []
+    plan = tester._plan
+
+    def counted(config, n):
+        plans.append(n)
+        return plan(config, n)
+
+    monkeypatch.setattr(tester, "_plan", counted)
+    model, config = Exponential(1.0), config_for(Variant.FULL, 8)
+    for call in (lambda: tt.replicate(model, reps, 1_000, config, 3),
+                 lambda: run_replicates(model, reps, 1_000, config, 3),
+                 lambda: tt.run_sampled_test(model, 1_000, 3, config),
+                 lambda: run_cli(["test", "--dist", "exponential", "--params", "lambda=1",
+                                  "--n", "1000", "--reps", str(reps), "--k", "8", *CLI_BOUNDS,
+                                  "--out", str(tmp_path / "r.json")]) == 0):
+        del plans[:]
+        assert call()
+        assert plans == [1_000]
+
+
+class _FaultyExponential(Exponential):
+    """Exponential(1) whose quantile spoils what it returns on call ``at``."""
+
+    def __init__(self, fault, at):
+        super().__init__(1.0)
+        object.__setattr__(self, "spoil", (fault, at, [0]))
+
+    def quantile(self, u):
+        fault, at, calls = self.spoil
+        x = np.array(super().quantile(u))
+        if calls[0] == at:
+            if fault == "nan":
+                x[1] = math.nan
+            elif fault == "negative":
+                x[0] = -1.0
+            else:
+                x[[0, 1]] = x[[1, 0]]
+        calls[0] += 1
+        return x
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("fault,message", [("nan", "values must all be finite"),
+                                           ("negative", "values must be nonnegative"),
+                                           ("descending", "values must be sorted ascending")])
+def test_every_check_survives_batching(variant, fault, message):
+    # Rep 3 of 5 maps one split's order statistics wrong: drawing every
+    # rep in one call still refuses it, as the test at its seed does.
+    config, n, base = config_for(variant, 8), 1_000, 40
+    splits = 4 if variant is Variant.FULL else 1
+    last = splits - 1  # the rep's last split, mapped after the others passed
+    with pytest.raises(ValueError) as one:
+        tt.run_sampled_test(_FaultyExponential(fault, last), n, base + 3, config)
+    assert str(one.value) == message
+    for run in (tt.replicate, run_replicates):
+        with pytest.raises(ValueError) as batched:
+            run(_FaultyExponential(fault, 3 * splits + last), 5, n, config, base)
+        assert str(batched.value) == message
 
 
 def test_replicate_seed_hygiene():
@@ -233,9 +345,8 @@ def test_order_statistics_fill_every_split_the_layout_reads(variant, n):
     # One array per split, at that split's ranks, rising strictly inside
     # (0, 1), from the fewest samples the layout takes to a trillion.
     config = config_for(variant, 16)
-    layout, buckets = scan_layout(config)
-    n = layout.min_n(16) if n == "least" else n
-    ranks = ranks_by_split(layout, n, buckets, 16)
+    n = scan_layout(config)[0].min_n(16) if n == "least" else n
+    ranks = tester._plan(config, n).ranks
     draws = distributions.uniform_order_statistics(n, ranks, 3)
     assert [u.shape for u in draws] == [r.shape for r in ranks]
     for u in draws:
@@ -400,6 +511,8 @@ def _text_corpus() -> dict[str, bytes]:
         "header_inf": b"# header\n1.0\n\ninf\n",
         "negative": b"1.0\n2.0\n-1.0\n",
         "comment_negative": b"1.0\n# note\n-0.5\n",
+        "comment_non_ascii": "1.0\n# caf\u00e9\n2.0\n".encode(),
+        "comment_invalid_utf8": b"1.0\n# caf\xe9\n2.0\n",
         "bom": b"\xef\xbb\xbf1.0\n2.0\n",
         "invalid_utf8": b"1.0\n2.0\n\xff\xfe\n3.0\n",
         "empty": b"",
@@ -414,6 +527,7 @@ def _text_corpus() -> dict[str, bytes]:
         "late_negative": _late(values, [b"-2.5"]),
         "late_comment": _late(values, [b"# note"]),
         "late_blank": _late(values, [b""]),
+        "late_comment_negative": _late(values, [b"# note", b"-2.5"]),
         "late_crlf": _late(values, [], b"\r\n"),
         "late_lone_cr": _late(values, [], b"\r"),
         "late_invalid_utf8": _late(values, [b"\xff\xfe"]),
@@ -511,6 +625,31 @@ def test_load_text_non_finite_keeps_message(tmp_path):
     assert _load_error(tmp_path, "header_inf") == "non-finite value inf at line 4"
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_comments_blanks_and_crlf_take_the_one_pass_reader(tmp_path, monkeypatch, workers, split,
+                                                           cores):
+    # Blank and comment lines are skipped block by block, in this
+    # process's share and in a worker's, without the line loop.
+    split(cores, values=1)
+    values = _lines(tt.sample(Lomax(1.0, 1.0), 3000, seed=6))
+    lines = ["# Lomax(1, 1), seed 6", "", *values[:1500], "  ", "# half way", *values[1500:]]
+    p = tmp_path / "commented.txt"
+    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    expected = _parse_text_lines(p)
+    monkeypatch.setattr(harness, "_parse_text_lines", None)
+    assert _parse_text(p).tobytes() == expected.tobytes()
+    assert len(workers) == cores - 1 and all(w.returncode == 0 for w in workers)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_negative_after_a_comment_is_named_by_its_line(tmp_path, workers, split, cores):
+    split(cores, values=1)
+    assert _load_error(tmp_path, "comment_negative") == \
+        "negative value -0.5 at line 3; domain is [0, inf)"
+    assert _load_error(tmp_path, "late_comment_negative") == \
+        "negative value -2.5 at line 1502; domain is [0, inf)"
+
+
 def test_load_raw_f64_names_value_position(tmp_path):
     p = tmp_path / "bad.f64"
     p.write_bytes(struct.pack("<3d", 1.0, 2.0, -1.0))
@@ -520,9 +659,10 @@ def test_load_raw_f64_names_value_position(tmp_path):
 
 
 def test_load_text_peak_memory_per_value(tmp_path):
-    # The one-pass reader peaks near 12 B/value.  A header comment sends the
-    # file to the line loop: near 17 B/value with a machine double and line
-    # number per value, about 49 B/value with a list of Python floats.
+    # The one-pass reader peaks near 12 B/value, with or without a header
+    # comment, which only its own block of lines is read twice for.  The
+    # line loop would take near 17 B/value, with a machine double and line
+    # number per value.
     n = 200_000
     body = "\n".join(_lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))) + "\n"
     for name, text in (("plain", body), ("commented", "# Lomax(1, 1), seed 4\n" + body)):
