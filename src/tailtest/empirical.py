@@ -9,12 +9,10 @@ independent splits so the terms are independent; the single-granularity
 (weak) layout reads three coarse bucket endpoints from one split, the
 middle one twice.
 
-The statistics read a split through one call, ``split.at(ranks)``: its
-size ``n`` and its values at a batch of 1-based ranks, every rank the
-layout reads from it at once.  ``SortedSampleSplit`` answers by
-indexing the whole sorted sample; ``OrderStatistics`` holds only the
-values at the ranks a layout reads, which is all the sampled test
-draws.
+A layout's ranks depend on (n, k, buckets) alone (``layout_ranks``);
+``held_ranks`` groups them per split, a split answers all of its ranks
+in one ``SortedSampleSplit.at`` call, and ``statistic_at`` turns the
+values held into the statistic at every bucket.
 
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
@@ -34,8 +32,6 @@ __all__ = [
     "DEGENERATE",
     "is_degenerate",
     "rank_index",
-    "two_scale_statistic",
-    "single_scale_statistic",
 ]
 
 DEGENERATE = math.inf
@@ -98,37 +94,6 @@ def _checked_sorted(values) -> np.ndarray:
             raise ValueError("values must be nonnegative")
         raise ValueError("values must be sorted ascending")
     return values
-
-
-@dataclass(frozen=True)
-class OrderStatistics:
-    """The order statistics of a sorted sample of n at a few ranks only.
-
-    ``values[j]`` is the value at 1-based rank ``ranks[j]``; the ranks
-    ascend without repeats, so the values must ascend too.  ``at``
-    answers only for the ranks held.
-    """
-
-    n: int
-    ranks: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=np.int64)
-        values = _checked_sorted(self.values)
-        if not (ranks.shape == values.shape and np.all(ranks[1:] > ranks[:-1])
-                and 1 <= ranks[0] and ranks[-1] <= self.n):
-            raise ValueError(f"ranks must ascend within [1, {self.n}], one per value")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "values", values)
-
-    def at(self, ranks) -> np.ndarray:
-        """The values at 1-based ranks, in the shape of ranks; each must be held."""
-        ranks = np.asarray(ranks)
-        pos = np.minimum(np.searchsorted(self.ranks, ranks), self.ranks.size - 1)
-        if np.any(self.ranks[pos] != ranks):
-            raise ValueError("rank not held")
-        return self.values[pos]
 
 
 def rank_index(n: int, q):
@@ -211,15 +176,21 @@ class RankLayout:
     null_se: Callable
 
 
-# Two granularities on four independent splits: fine buckets of width
-# 1/k^2 at masses i/k and (i+1)/k.
+# Two granularities on four independent splits, each endpoint from its
+# own split.  At coarse bucket i the numerator is the fine-bucket length
+# at mass i/k (width 1/k^2), the denominator k times its difference
+# against the matching fine bucket one coarse step up.
 FOUR_SPLIT = RankLayout(
     (0, 1, 2, 3),
     lambda i, k: ((i * k + 1) / (k * k), i / k, ((i + 1) * k + 1) / (k * k), (i + 1) / k),
     lambda k: range(2, k - 1), lambda k: k * k, _null_se_two_scale)
 
-# Coarse buckets only, all from one split: the shared endpoint (i+1)/k
-# is both the top of bucket i and the bottom of bucket i+1.
+# Coarse buckets only, all from one split: with endpoints I[j] at masses
+# j/k and lengths L[j] = I[j+1] - I[j], bucket i is L[i] / (k * (L[i+1] -
+# L[i])), near 1 - i/k on exponential quantiles.  The shared endpoint
+# (i+1)/k is both the top of bucket i and the bottom of bucket i+1.
+# Coarser than the four-split form (error O(1/k) instead of O(1/k^2) in
+# the length scale), but it needs only n >= k.
 ONE_SPLIT = RankLayout(
     (0, 0, 0, 0),
     lambda i, k: ((i + 1) / k, i / k, (i + 2) / k, (i + 1) / k),
@@ -231,15 +202,9 @@ def layout_ranks(layout: RankLayout, n: int, buckets, k: int) -> np.ndarray:
 
     Shape (4, len(buckets)): endpoint j of bucket ``buckets[b]`` is the
     order statistic at rank ``[j, b]`` of split ``layout.splits[j]``.
-    Needs only (n, k, buckets), so it can be computed before any sample
-    exists.
+    The buckets must lie in ``layout.buckets(k)``.  Needs only (n, k,
+    buckets), so it can be computed before any sample exists.
     """
-    if k < 4:
-        raise ValueError("k must be >= 4")
-    valid = layout.buckets(k)
-    for i in buckets:
-        if i not in valid:
-            raise ValueError(f"bucket index {i} outside [{valid.start}, {valid.stop - 1}]")
     if n < layout.min_n(k):
         raise ValueError(f"need at least {layout.min_n(k)} samples per split, got {n}")
     return rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
@@ -268,46 +233,3 @@ def statistic_at(held: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
     laid end to end, shape (..., m) to (..., len(buckets)): one row of
     statistics per row of values."""
     return four_point_ratio(*np.moveaxis(held[..., at], -2, 0), k)
-
-
-def bucket_statistics(layout: RankLayout, splits, buckets, k: int):
-    """Statistic at each bucket, plus the realized rank fractions.
-
-    Each split is read by one ``at`` call with every rank the layout
-    reads from it.  The fractions, shape (4, len(buckets)), are
-    idx/(n+1) for each endpoint: what the index rounding actually landed
-    on, where the tester evaluates its reference curve.
-    """
-    if len(splits) != len(set(layout.splits)):
-        raise ValueError(f"exactly {len(set(layout.splits))} split(s) are required")
-    n = splits[0].n
-    if any(s.n != n for s in splits):
-        raise ValueError("all four splits must hold the same number of samples")
-    idx = layout_ranks(layout, n, buckets, k)
-    ranks, at = held_ranks(layout, idx)
-    held = np.concatenate([split.at(r) for split, r in zip(splits, ranks)])
-    return statistic_at(held, at, k), idx / (n + 1)
-
-
-def two_scale_statistic(splits, i: int, k: int) -> float:
-    """Four-split bucket statistic at coarse bucket i of k.
-
-    The numerator is the fine-bucket length at mass i/k (width 1/k^2),
-    the denominator k times the difference against the matching fine
-    bucket one coarse step up; each of the four order statistics comes
-    from its own split.  Returns DEGENERATE when either length or the
-    difference is non-positive.
-    """
-    return float(bucket_statistics(FOUR_SPLIT, splits, [i], k)[0][0])
-
-
-def single_scale_statistic(split: SortedSampleSplit, i: int, k: int) -> float:
-    """Single-split bucket statistic from coarse buckets only.
-
-    With bucket endpoints I[j] at masses j/k, lengths L[j] = I[j+1]-I[j]
-    and their forward difference, the statistic is
-    L[i] / (k * (L[i+1] - L[i])); on perfect exponential quantiles this
-    sits near 1 - i/k.  Coarser than the four-split form (error O(1/k)
-    instead of O(1/k^2) in the length scale) but needs only n >= k.
-    """
-    return float(bucket_statistics(ONE_SPLIT, [split], [i], k)[0][0])

@@ -6,13 +6,13 @@ draws only those: the layout's ranks per split go to
 statistics the family's quantile maps, so no array of n values exists
 at any point.  They come from their own stream, so the test at a seed
 is not the test of ``sample_splits`` or ``sample_single`` at that seed,
-nor of a ``sample`` file.  ``run_sampled_test``, ``run_replicates``
-and ``replicate`` are one path over seeds base_seed + r: the ranks and
-the boundary depend on (config, n) alone and are computed once per
-call (``tester._plan``); each seed draws from its own generator and
-its values are checked before the next seed draws; every seed's
-statistics are one row of a (reps, buckets) array, which ``replicate``
-reduces per bucket and the others turn into outcomes.
+nor of a ``sample`` file.  ``run_sampled_test``, ``replicate`` and the
+CLI's majority vote over reps are one path over seeds base_seed + r:
+the ranks and the boundary depend on (config, n) alone and are
+computed once per call (``tester._plan``); each seed draws from its
+own generator and its values are checked before the next seed draws;
+every seed's statistics are one row of a (reps, buckets) array, which
+``replicate`` reduces per bucket and the others turn into outcomes.
 
 ``sample_splits`` draws one stream of 4n variates and deals it
 round-robin, exactly how ``load_samples`` splits a sample file, so
@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import DistributionModel
-from .empirical import OrderStatistics, SortedSampleSplit
+from .empirical import SortedSampleSplit, _checked_sorted
 from .proxy import ProxyPoint, proxy_value
 from .tester import TestConfig, TestOutcome, Verdict
 from . import distributions, tester
@@ -127,8 +127,8 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     split whatever n is, from each seed's own generator.  They are exact
     uniform order statistics of n draws per split, mapped through the
     quantile as they are: unlike ``transform``'s variates they lie on no
-    2**-53 grid, so they need no half-step offset.  Each seed's mapped
-    values are checked as ``OrderStatistics`` before the next seed draws.
+    2**-53 grid, so they need no half-step offset.  Each split's mapped
+    values are checked as a sorted sample's are before the next seed draws.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -136,8 +136,7 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     held = np.empty((reps, sum(r.size for r in plan.ranks)))
     for row, seed in zip(held, range(base_seed, base_seed + reps)):
         draws = distributions.uniform_order_statistics(n, plan.ranks, seed)
-        row[...] = np.concatenate([OrderStatistics(n, r, model.quantile(u)).values
-                                   for r, u in zip(plan.ranks, draws)])
+        row[...] = np.concatenate([_checked_sorted(model.quantile(u)) for u in draws])
     return plan, plan.statistics(held)
 
 
@@ -148,16 +147,9 @@ def run_sampled_test(model: DistributionModel, n: int, seed: int,
     return plan.outcome(stats[0], seed)
 
 
-def run_replicates(model: DistributionModel, reps: int, n: int, config: TestConfig,
-                   base_seed: int) -> tuple[TestOutcome, ...]:
-    """Run the configured tester reps times with seeds base_seed + index."""
-    plan, stats = _sampled(model, n, config, base_seed, reps)
-    return tuple(plan.outcome(row, base_seed + r) for r, row in enumerate(stats))
-
-
 def _majority_test(model: DistributionModel, reps: int, n: int, config: TestConfig,
                    base_seed: int) -> TestOutcome:
-    """``run_replicates``' first outcome with the runs' majority verdict; a tie is light."""
+    """The first run's outcome with the runs' majority verdict; a tie is light."""
     plan, stats = _sampled(model, n, config, base_seed, reps)
     heavies = int(np.count_nonzero(plan.heavy(stats)))
     voted = Verdict.HEAVY if 2 * heavies > reps else Verdict.LIGHT
@@ -171,9 +163,8 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     Per bucket, aggregates mean and sample standard deviation of the
     statistic with degenerate markers left out of the moments, and
     attaches the analytic proxy curve and the boundary for overlay.  The
-    boundary is a function of (n, k, config) alone, so the column is that
-    one boundary, as the mean of the reps' copies of it (which can
-    differ from it in the last bit).
+    boundary is a function of (n, k, config) alone: the one a ``test``
+    of the same n reports.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -195,7 +186,7 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
             s_hat_std=std,
             proxy_s=proxy_value(model, i / config.k),
             threshold=1.0 - i / config.k,
-            boundary=float(np.mean(np.full(reps, plan.boundary[j]))),
+            boundary=float(plan.boundary[j]),
         ))
     return tuple(rows)
 

@@ -24,8 +24,9 @@ one-split layout at buckets [ceil(0.1*k), floor(0.8*k)], clipped to
 [1, k-3].  The fractions 0.1 and 0.8 are fixed: they skip the noisy
 first buckets and the non-Lipschitz tail end.  The ranks read, the
 reference and the boundary are fixed by (config, n) before any sample
-exists (``_plan``); a sample adds only its statistic, its degenerate
-buckets, the margins and the verdict.
+exists (``_plan``, the one place ranks are computed); a sample adds
+only its values at those ranks, its statistic, its degenerate buckets,
+the margins and the verdict.
 
 ``noise_sigmas`` defaults to 4.0, an empirically fixed working
 constant; the asymptotic theory leaves all such constants free.
@@ -45,7 +46,6 @@ from .empirical import (
     ONE_SPLIT,
     RankLayout,
     SortedSampleSplit,
-    bucket_statistics,
     held_ranks,
     layout_ranks,
     length_and_change,
@@ -236,10 +236,16 @@ def _plan(config: TestConfig, n: int) -> _Plan:
 
 
 def _decide(splits, config: TestConfig, seed: int | None) -> TestOutcome:
-    """The splits' statistics, decided by the plan for their size."""
-    layout, buckets = scan_layout(config)
-    s_hat, _ = bucket_statistics(layout, splits, buckets, config.k)
-    return _plan(config, splits[0].n).outcome(s_hat, seed)
+    """The splits' values at the plan's ranks, decided by the plan for their size."""
+    count = len(set(scan_layout(config)[0].splits))
+    if len(splits) != count:
+        raise ValueError(f"exactly {count} split(s) are required")
+    n = splits[0].n
+    if any(s.n != n for s in splits):
+        raise ValueError("all four splits must hold the same number of samples")
+    plan = _plan(config, n)
+    held = np.concatenate([split.at(r) for split, r in zip(splits, plan.ranks)])
+    return plan.outcome(plan.statistics(held), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +255,9 @@ def _decide(splits, config: TestConfig, seed: int | None) -> TestOutcome:
 def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
     """Four-split test over coarse buckets 2..k-2.
 
-    A split is anything with ``n`` and ``at(ranks)``: a
-    ``SortedSampleSplit``, or an ``OrderStatistics`` holding the ranks
-    the layout reads.
+    A split is anything with ``n`` and ``at(ranks)``, such as a
+    ``SortedSampleSplit``.  Four splits of one size n >= k^2 are
+    required, checked in that order.
     """
     if config.variant is not Variant.FULL:
         raise ValueError("config.variant must be FULL for run_full_test")

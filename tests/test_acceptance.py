@@ -25,7 +25,7 @@ from tailtest import (
     WellBehavedBounds,
 )
 from tailtest.cli import run_cli
-from tailtest.empirical import rank_index, single_scale_statistic, two_scale_statistic
+from tailtest.empirical import rank_index
 
 Z99 = np.linspace(0.01, 0.99, 99)
 TAIL = TailParams(alpha=0.25, rho=0.5)
@@ -102,12 +102,13 @@ def test_criterion_4_deterministic_statistic_oracle():
     k = 16
     n = k ** 4
     q = np.arange(1, n + 1) / (n + 1)
+    cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / (2 * k)), k=k)
     for model in (Exponential(1.0), Lomax(1.0, 1.0)):
         splits = [SortedSampleSplit(np.asarray(model.quantile(q), dtype=float))] * 4
-        for i in range(2, k - 1):
-            got = two_scale_statistic(splits, i, k)
-            want = _matched_rank_reference(model, n, i, k)
-            assert abs(got - want) <= 1e-6
+        records = tt.run_full_test(splits, cfg).records
+        assert [r.i for r in records] == list(range(2, k - 1))
+        for r in records:
+            assert abs(r.s_hat - _matched_rank_reference(model, n, r.i, k)) <= 1e-6
     _passed(4, "four-split statistic reproduces the discrete proxy at matched ranks")
 
 
@@ -154,6 +155,16 @@ def test_criterion_6_stretched_exponential_detection():
 # 7. affine invariance of statistics and verdicts
 # ---------------------------------------------------------------------------
 
+def _assert_same_statistics(before, after):
+    """Two outcomes' records agree: both degenerate, or within 1e-9 relative."""
+    for a, b in zip(before.records, after.records, strict=True):
+        if a.degenerate:
+            assert b.degenerate
+        else:
+            assert abs(a.s_hat - b.s_hat) <= 1e-9 * abs(a.s_hat)
+    assert before.verdict is after.verdict
+
+
 def test_criterion_7_affine_invariance():
     rng = np.random.default_rng(2024)
     model = Lomax(1.0, 1.0)
@@ -168,27 +179,15 @@ def test_criterion_7_affine_invariance():
         raw = tt.sample(model, 100_000, seed)
         split = SortedSampleSplit.from_samples(raw)
         moved = SortedSampleSplit(c * split.values + b)
-        for i in range(2, 13):
-            a0 = single_scale_statistic(split, i, k)
-            a1 = single_scale_statistic(moved, i, k)
-            if tt.is_degenerate(a0):
-                assert tt.is_degenerate(a1)
-            else:
-                assert abs(a0 - a1) <= 1e-9 * abs(a0)
-        assert tt.run_weak_test(split, cfg).verdict is \
-            tt.run_weak_test(moved, cfg).verdict
+        weak = tt.run_weak_test(split, cfg)
+        assert [r.i for r in weak.records] == list(range(2, 13))
+        _assert_same_statistics(weak, tt.run_weak_test(moved, cfg))
         if trial % 10 == 0:
             splits = [SortedSampleSplit(np.sort(raw[j::4])) for j in range(4)]
             moved4 = [SortedSampleSplit(c * s.values + b) for s in splits]
-            for i in range(2, k - 1):
-                a0 = two_scale_statistic(splits, i, k)
-                a1 = two_scale_statistic(moved4, i, k)
-                if tt.is_degenerate(a0):
-                    assert tt.is_degenerate(a1)
-                else:
-                    assert abs(a0 - a1) <= 1e-9 * abs(a0)
-            assert tt.run_full_test(splits, cfg_full).verdict is \
-                tt.run_full_test(moved4, cfg_full).verdict
+            full = tt.run_full_test(splits, cfg_full)
+            assert [r.i for r in full.records] == list(range(2, k - 1))
+            _assert_same_statistics(full, tt.run_full_test(moved4, cfg_full))
     _passed(7, "statistics and verdicts unchanged under 50 random affine maps")
 
 

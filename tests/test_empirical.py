@@ -3,24 +3,37 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest import Exponential, Lomax, SortedSampleSplit
-from tailtest.empirical import (
-    FOUR_SPLIT,
-    ONE_SPLIT,
-    OrderStatistics,
-    bucket_statistics,
-    held_ranks,
-    layout_ranks,
-    rank_index,
-    single_scale_statistic,
-    two_scale_statistic,
+from tailtest import (
+    Exponential,
+    Lomax,
+    SortedSampleSplit,
+    TailParams,
+    TestConfig,
+    Variant,
+    WellBehavedBounds,
 )
+from tailtest.empirical import rank_index
 
 
 def perfect_split(model, n):
     """Split whose j-th value is the quantile at j/(n+1)."""
     q = np.arange(1, n + 1) / (n + 1)
     return SortedSampleSplit(np.asarray(model.quantile(q), dtype=float))
+
+
+def config(k, variant=Variant.FULL):
+    return TestConfig(tail=TailParams(0.25, 0.5), bounds=WellBehavedBounds(1, 1, 1, 1 / (2 * k)),
+                      k=k, variant=variant)
+
+
+def two_scale(splits, k):
+    """The four-split statistic's record at each bucket the full test scans, by index."""
+    return {r.i: r for r in tt.run_full_test(splits, config(k)).records}
+
+
+def single_scale(split, k):
+    """The single-split statistic's record at each bucket the weak test scans, by index."""
+    return {r.i: r for r in tt.run_weak_test(split, config(k, Variant.WEAK)).records}
 
 
 # ---------------------------------------------------------------------------
@@ -101,29 +114,6 @@ def test_from_samples_leaves_caller_array_unchanged():
     assert not np.shares_memory(split.values, samples)
 
 
-@pytest.mark.parametrize("layout", [FOUR_SPLIT, ONE_SPLIT], ids=["four", "one"])
-def test_order_statistics_answer_like_the_split(layout):
-    # Holding only the ranks a layout reads gives the statistics of the
-    # whole sorted split; any other rank is refused.
-    k, n = 12, 5_000
-    buckets = layout.buckets(k)
-    splits = [SortedSampleSplit.from_samples(tt.sample(Lomax(1.0, 1.0), n, seed))
-              for seed in range(len(set(layout.splits)))]
-    ranks, _ = held_ranks(layout, layout_ranks(layout, n, buckets, k))
-    held = [OrderStatistics(n, r, split.at(r)) for split, r in zip(splits, ranks)]
-    for got, want in zip(bucket_statistics(layout, held, buckets, k),
-                         bucket_statistics(layout, splits, buckets, k)):
-        assert got.tobytes() == want.tobytes()
-    missing = next(r for r in range(1, n + 1) if r not in held[0].ranks)
-    with pytest.raises(ValueError, match="rank not held"):
-        held[0].at([missing])
-    for bad in (0, n + 1):
-        with pytest.raises(ValueError, match="ranks must lie in"):
-            splits[0].at([bad])
-    with pytest.raises(ValueError, match="ranks must ascend"):
-        OrderStatistics(n, [3, 2], [1.0, 2.0])
-
-
 # ---------------------------------------------------------------------------
 # two-granularity four-split statistic
 # ---------------------------------------------------------------------------
@@ -145,46 +135,55 @@ def _matched_rank_reference(model, n, i, k):
 def test_two_scale_on_perfect_quantiles(model):
     k = 16
     n = k ** 4
-    splits = [perfect_split(model, n)] * 4
+    records = two_scale([perfect_split(model, n)] * 4, k)
     for i in (2, 4, 8, 14):
-        got = two_scale_statistic(splits, i, k)
-        assert got == pytest.approx(_matched_rank_reference(model, n, i, k), abs=1e-6)
+        want = _matched_rank_reference(model, n, i, k)
+        assert records[i].s_hat == pytest.approx(want, abs=1e-6)
 
 
 def test_two_scale_degenerate_on_uniform_spacing():
     # equally spaced values make both bucket lengths identical
     splits = [SortedSampleSplit(np.arange(1.0, 257.0))] * 4
-    assert tt.is_degenerate(two_scale_statistic(splits, 4, 8))
+    assert two_scale(splits, 8)[4].degenerate
 
 
 def test_two_scale_scale_free():
     model = Lomax(1.0, 1.0)
     base = [perfect_split(model, 16 ** 4)] * 4
-    scaled = [SortedSampleSplit(s.values * 3.5) for s in base]
+    a = two_scale(base, 16)
+    b = two_scale([SortedSampleSplit(s.values * 3.5) for s in base], 16)
     for i in (2, 7, 13):
-        a = two_scale_statistic(base, i, 16)
-        b = two_scale_statistic(scaled, i, 16)
-        assert abs(a - b) <= 1e-12 * abs(a)
+        assert abs(a[i].s_hat - b[i].s_hat) <= 1e-12 * abs(a[i].s_hat)
 
 
-def test_two_scale_validation():
-    split = perfect_split(Exponential(1.0), 300)
-    with pytest.raises(ValueError):
-        two_scale_statistic([split] * 3, 4, 16)
-    with pytest.raises(ValueError):
-        two_scale_statistic([split] * 4, 1, 16)   # index below range
-    with pytest.raises(ValueError):
-        two_scale_statistic([split] * 4, 15, 16)  # index above range
-    with pytest.raises(ValueError):
-        two_scale_statistic([split] * 4, 4, 18)   # n < k^2
-    short = perfect_split(Exponential(1.0), 299)
-    with pytest.raises(ValueError):
-        two_scale_statistic([split, split, split, short], 4, 16)
+SPLIT, SHORT, TINY = (perfect_split(Exponential(1.0), n) for n in (300, 299, 10))
+
+
+# Split count (an empty list too), then equal sizes, then n >= k^2.
+@pytest.mark.parametrize("splits,k,message", [
+    ([], 16, "exactly 4 split"), ([SPLIT] * 3, 16, "exactly 4 split"),
+    ([TINY] * 3, 18, "exactly 4 split"), ([SHORT] + [SPLIT] * 3, 16, "same number of samples"),
+    ([SPLIT] * 3 + [SHORT], 16, "same number of samples"),
+    ([TINY] + [SPLIT] * 3, 18, "same number of samples"),
+    ([SPLIT] * 4, 18, "need at least 324 samples per split, got 300"),
+], ids=["empty", "three", "three-too-few", "short-first", "short-last", "short-and-too-few",
+        "too-few"])
+def test_full_test_refusals_in_order(splits, k, message):
+    with pytest.raises(ValueError, match=message):
+        tt.run_full_test(splits, config(k))
+
+
+def test_weak_test_and_split_refusals():
+    with pytest.raises(ValueError, match="need at least 16 samples per split, got 10"):
+        tt.run_weak_test(TINY, config(16, Variant.WEAK))
+    for bad in (0, SPLIT.n + 1):  # a split answers only ranks in [1, n]
+        with pytest.raises(ValueError, match="ranks must lie in"):
+            SPLIT.at([bad])
 
 
 def test_two_scale_is_pure():
     splits = [perfect_split(Exponential(1.0), 16 ** 4)] * 4
-    assert two_scale_statistic(splits, 5, 16) == two_scale_statistic(splits, 5, 16)
+    assert two_scale(splits, 16)[5].s_hat == two_scale(splits, 16)[5].s_hat
 
 
 # ---------------------------------------------------------------------------
@@ -193,41 +192,39 @@ def test_two_scale_is_pure():
 
 def test_single_scale_calibration_on_exponential():
     split = perfect_split(Exponential(1.0), 32 ** 4)
-    assert single_scale_statistic(split, 8, 32) == pytest.approx(0.75, abs=0.08)
+    assert single_scale(split, 32)[8].s_hat == pytest.approx(0.75, abs=0.08)
 
 
 def test_single_scale_calibration_on_lomax():
     split = perfect_split(Lomax(1.0, 1.0), 32 ** 4)
-    assert single_scale_statistic(split, 8, 32) == pytest.approx(0.375, abs=0.08)
+    assert single_scale(split, 32)[8].s_hat == pytest.approx(0.375, abs=0.08)
 
 
 def test_single_scale_shift_invariant():
     split = perfect_split(Exponential(1.0), 10_000)
-    shifted = SortedSampleSplit(split.values + 10.0)
-    for i in (2, 8, 20):
-        a = single_scale_statistic(split, i, 32)
-        b = single_scale_statistic(shifted, i, 32)
-        assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+    a = single_scale(split, 32)
+    b = single_scale(SortedSampleSplit(split.values + 10.0), 32)
+    for i in (8, 20):
+        assert abs(a[i].s_hat - b[i].s_hat) <= 1e-9 * max(abs(a[i].s_hat), 1.0)
 
 
 def test_single_scale_degenerate():
     split = SortedSampleSplit(np.arange(0.0, 64.0))
-    assert tt.is_degenerate(single_scale_statistic(split, 4, 16))
-
-
-def test_single_scale_validation():
-    split = perfect_split(Exponential(1.0), 100)
-    with pytest.raises(ValueError):
-        single_scale_statistic(split, 0, 16)
-    with pytest.raises(ValueError):
-        single_scale_statistic(split, 14, 16)  # k-3 = 13 is the last index
-    with pytest.raises(ValueError):
-        single_scale_statistic(perfect_split(Exponential(1.0), 10), 2, 16)
+    assert single_scale(split, 16)[4].degenerate
 
 
 # ---------------------------------------------------------------------------
 # affine invariance and bucket weights
 # ---------------------------------------------------------------------------
+
+def assert_same_statistics(a, b, buckets):
+    """Records a and b agree at buckets: both degenerate, or within 1e-9 relative."""
+    for i in buckets:
+        if a[i].degenerate:
+            assert b[i].degenerate
+        else:
+            assert abs(a[i].s_hat - b[i].s_hat) <= 1e-9 * abs(a[i].s_hat)
+
 
 def test_affine_invariance_of_both_statistics():
     rng = np.random.default_rng(5)
@@ -240,20 +237,9 @@ def test_affine_invariance_of_both_statistics():
         b = float(rng.uniform(0.0, 50.0))
         t_split = SortedSampleSplit(c * split.values + b)
         t_splits = [SortedSampleSplit(c * s.values + b) for s in splits]
-        for i in range(2, 14):
-            a0 = two_scale_statistic(splits, i, 16)
-            a1 = two_scale_statistic(t_splits, i, 16)
-            if tt.is_degenerate(a0):
-                assert tt.is_degenerate(a1)
-            else:
-                assert abs(a0 - a1) <= 1e-9 * abs(a0)
-        for i in range(1, 14):
-            w0 = single_scale_statistic(split, i, 16)
-            w1 = single_scale_statistic(t_split, i, 16)
-            if tt.is_degenerate(w0):
-                assert tt.is_degenerate(w1)
-            else:
-                assert abs(w0 - w1) <= 1e-9 * abs(w0)
+        assert_same_statistics(two_scale(splits, 16), two_scale(t_splits, 16), range(2, 14))
+        assert_same_statistics(single_scale(split, 16), single_scale(t_split, 16),
+                               range(2, 13))
 
 
 def test_equal_weight_buckets():

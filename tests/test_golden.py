@@ -97,7 +97,7 @@ GOLDEN = {
     "simulate_full.csv":
         "27fb2d07c8cd6aad00b73997965fe988957c1bcf2a80bea104620de94c725246",
     "simulate_weak.csv":
-        "adb76ac89d266a005b0808d8ff3cfe150c2fe107c59e57889adc619ea093d2e0",
+        "eea68f6e4cc145049ca43bfb90332c500ebea52c355a309c1f3b4a509c85cc0d",
     "small_full.json":
         "b9b6b36fae6a5ac424ba0ee16ea6448fb6a487a7f69b60d0b41d8cebec8db674",
     "small_weak.json":

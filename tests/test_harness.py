@@ -22,14 +22,13 @@ from tailtest import (
     Verdict,
     WellBehavedBounds,
 )
-from tailtest import _textlines, distributions, harness, tester
+from tailtest import _textlines, distributions, empirical, harness, tester
 from tailtest.cli import run_cli
 from tailtest.distributions import _CHUNK
 from tailtest.harness import (
     ReplicationRow,
     _parse_text,
     _parse_text_lines,
-    run_replicates,
     sample_file_chunks,
     serialize_report,
 )
@@ -92,8 +91,8 @@ PER_SEED_CASES = [(Exponential(1.0), Variant.FULL, 8, 1_000),
                          ids=[f"{type(m).__name__.lower()}-{v.value}-n{n}"
                               for m, v, _, n in PER_SEED_CASES])
 def test_replicate_matches_per_seed_tests(model, variant, k, n):
-    # Drawing every rep in one call gives, bit for bit, the moments of
-    # the seeds' single tests, and run_replicates gives their reports.
+    # Drawing every rep in one call gives, bit for bit, the moments and
+    # boundary of the seeds' single tests, and their reports.
     config, reps, base = config_for(variant, k), 30, 17
     single = [tt.run_sampled_test(model, n, base + r, config) for r in range(reps)]
     rows = tt.replicate(model, reps, n, config, base)
@@ -102,10 +101,10 @@ def test_replicate_matches_per_seed_tests(model, variant, k, n):
         live = np.array([o.records[j].s_hat for o in single if not o.records[j].degenerate])
         moments = [np.mean(live), np.std(live, ddof=1) if live.size > 1 else 0.0] \
             if live.size else [math.nan, math.nan]
-        boundary = np.mean([o.records[j].boundary for o in single])
-        assert np.array_equal([row.s_hat_mean, row.s_hat_std, row.boundary],
-                              [*moments, boundary], equal_nan=True), row.i
-    assert [serialize_report(o) for o in run_replicates(model, reps, n, config, base)] == \
+        assert np.array_equal([row.s_hat_mean, row.s_hat_std], moments, equal_nan=True), row.i
+        assert all(row.boundary == o.records[j].boundary for o in single), row.i
+    plan, stats = harness._sampled(model, n, config, base, reps)
+    assert [serialize_report(plan.outcome(row, base + r)) for r, row in enumerate(stats)] == \
         [serialize_report(o) for o in single]
     if n == 20:
         assert any(rec.degenerate for o in single for rec in o.records)
@@ -129,25 +128,38 @@ def test_majority_of_reps_matches_per_seed_verdicts(tmp_path):
 @pytest.mark.parametrize("reps", [2, 50])
 def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
     # Ranks, reference, noise floor and boundary depend on (config, n)
-    # alone: one plan serves every rep of a call.
-    plans = []
-    plan = tester._plan
+    # alone: one plan, and one computation of the ranks, serves every
+    # rep of a call and every split of a file.
+    plans, ranks = [], []
+    plan, layout_ranks = tester._plan, empirical.layout_ranks
 
-    def counted(config, n):
+    def counted_plan(config, n):
         plans.append(n)
         return plan(config, n)
 
-    monkeypatch.setattr(tester, "_plan", counted)
+    def counted_ranks(layout, n, buckets, k):
+        ranks.append(n)
+        return layout_ranks(layout, n, buckets, k)
+
+    monkeypatch.setattr(tester, "_plan", counted_plan)
+    for module in (empirical, tester):
+        monkeypatch.setattr(module, "layout_ranks", counted_ranks)
+    sample = tmp_path / "s.txt"
+    sample.write_text("".join(f"{v!r}\n" for v in tt.sample(Lomax(1.0, 1.0), 4_000, 5).tolist()))
     model, config = Exponential(1.0), config_for(Variant.FULL, 8)
-    for call in (lambda: tt.replicate(model, reps, 1_000, config, 3),
-                 lambda: run_replicates(model, reps, 1_000, config, 3),
-                 lambda: tt.run_sampled_test(model, 1_000, 3, config),
-                 lambda: run_cli(["test", "--dist", "exponential", "--params", "lambda=1",
-                                  "--n", "1000", "--reps", str(reps), "--k", "8", *CLI_BOUNDS,
-                                  "--out", str(tmp_path / "r.json")]) == 0):
-        del plans[:]
+    out = ["--out", str(tmp_path / "r.json")]
+    for n, call in ((1_000, lambda: tt.replicate(model, reps, 1_000, config, 3)),
+                    (1_000, lambda: tt.run_sampled_test(model, 1_000, 3, config)),
+                    (1_000, lambda: run_cli(["test", "--dist", "exponential", "--params",
+                                             "lambda=1", "--n", "1000", "--reps", str(reps),
+                                             "--k", "8", *CLI_BOUNDS, *out]) == 0),
+                    (1_000, lambda: run_cli(["test", "--input", str(sample), "--k", "8",
+                                             *CLI_BOUNDS, *out]) == 0),
+                    (4_000, lambda: run_cli(["test", "--input", str(sample), "--weak",
+                                             "--k", "8", *CLI_BOUNDS, *out]) == 0)):
+        del plans[:], ranks[:]
         assert call()
-        assert plans == [1_000]
+        assert plans == ranks == [n]
 
 
 class _FaultyExponential(Exponential):
@@ -184,7 +196,7 @@ def test_every_check_survives_batching(variant, fault, message):
     with pytest.raises(ValueError) as one:
         tt.run_sampled_test(_FaultyExponential(fault, last), n, base + 3, config)
     assert str(one.value) == message
-    for run in (tt.replicate, run_replicates):
+    for run in (tt.replicate, harness._majority_test):
         with pytest.raises(ValueError) as batched:
             run(_FaultyExponential(fault, 3 * splits + last), 5, n, config, base)
         assert str(batched.value) == message
@@ -824,7 +836,7 @@ def test_proxy_rows_serialize_as_csv():
 
 def test_serialize_rejects_other_types():
     row = ReplicationRow(2, 0.5, 0.1, 0.6, 0.875, 0.4)
-    outcomes = run_replicates(Exponential(1.0), 2, 2_000, weak_config(k=8), 3)
+    outcomes = (tt.run_sampled_test(Exponential(1.0), 2_000, 3, weak_config(k=8)),) * 2
     proxy_row = tt.ProxyPoint(2, 0.25, 0.75, 0.75, 0.75, 0.0)
     for report in ((), outcomes, [row], (row, proxy_row)):
         with pytest.raises(ValueError, match="cannot serialize"):

@@ -46,7 +46,6 @@ def test_package_exports_are_pinned():
         "StretchedExponential", "TailParams", "WellBehavedBounds", "TailClass",
         "quantile", "sample", "classify_tail", "estimate_bounds", "model_from_name",
         "SortedSampleSplit", "DEGENERATE", "is_degenerate", "rank_index",
-        "two_scale_statistic", "single_scale_statistic",
         "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
         "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
         "required_buckets", "required_samples", "run_full_test", "run_weak_test",
