@@ -5,15 +5,11 @@ pdf, cdf, pdf derivative, and quantile, plus the survival function, the
 hazard rate and its analytic derivative.  All evaluators accept scalars
 or numpy arrays.
 
-Sampling is inverse-transform only: a seeded generator draws uniforms
-and maps them through the quantile function, so identical seeds give
-bit-identical output.  ``uniforms`` deals one generator's raw stream
-round-robin into the rows of one array, 16,384 values at a time through
-one buffer; ``transform`` maps raw draws to samples in place, 16,384 at
-a time, so no temporary outgrows a chunk.  Every family's quantile is
-nondecreasing, so transforming a sorted row gives the sorted samples:
-``sample`` transforms the stream as drawn, and ``harness``'s
-``sample_single`` and ``sample_splits`` sort first and then transform.
+Sampling is inverse-transform only: ``sample`` draws n uniforms from
+one seeded generator in one call and maps them through the quantile
+function, so identical seeds give bit-identical output.  ``transform``
+maps the raw draws to samples in place, 16,384 at a time, so no
+temporary outgrows a chunk.
 
 A test reads only a few order statistics, and
 ``uniform_order_statistics`` draws those exactly, without the other
@@ -387,11 +383,8 @@ def quantile(model: DistributionModel, u):
     return out
 
 
-# Values drawn and transformed per pass: 128 KiB of float64, so a chunk
-# and the quantile's temporaries stay in L2.  Small chunks also keep a
-# call's transient heap small: with 512 KiB chunks, glibc returned the
-# heap top to the kernel after each of many small full tests and paged
-# it back in on the next one.
+# Values transformed per pass: 128 KiB of float64, so a chunk and the
+# quantile's temporaries stay in L2.
 _CHUNK = 1 << 14
 
 # The largest double below 1, where every family's quantile is finite.
@@ -408,26 +401,6 @@ def _variates(u: np.ndarray) -> np.ndarray:
     """
     u += 2.0 ** -54
     return np.minimum(u, _BELOW_ONE, out=u)
-
-
-def uniforms(n: int, seed: int, rows: int = 1) -> np.ndarray:
-    """The seed's first rows * n raw draws, dealt round-robin into a (rows, n) array.
-
-    PCG64 seeded through SeedSequence yields doubles j * 2**-53 with j a
-    53-bit integer, which ``transform`` maps to samples.  Each chunk of
-    whole columns is drawn into one buffer and written straight into its
-    columns, so the array holds each draw once.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    grid = np.empty((rows, int(n)))
-    step = max(1, _CHUNK // rows)  # whole columns per chunk
-    gen = np.random.default_rng(seed)
-    buf = np.empty(rows * min(step, grid.shape[1]))
-    for c in range(0, grid.shape[1], step):
-        cols = min(step, grid.shape[1] - c)
-        grid[:, c:c + cols] = gen.random(out=buf[:rows * cols]).reshape(cols, rows).T
-    return grid
 
 
 def uniform_order_statistics(n: int, ranks_by_split, seed: int) -> list[np.ndarray]:
@@ -464,7 +437,9 @@ def transform(model: DistributionModel, u: np.ndarray) -> np.ndarray:
 
 def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
     """n inverse-transform samples in stream order; same seed gives bit-identical output."""
-    return transform(model, uniforms(n, seed)[0])
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return transform(model, np.random.default_rng(seed).random(n))
 
 
 def _longest_run(flags: np.ndarray) -> int:

@@ -5,27 +5,21 @@ draws only those: the layout's ranks per split go to
 ``distributions.uniform_order_statistics``, whose exact uniform order
 statistics the family's quantile maps, so no array of n values exists
 at any point.  They come from their own stream, so the test at a seed
-is not the test of ``sample_splits`` or ``sample_single`` at that seed,
-nor of a ``sample`` file.  ``run_sampled_test``, ``replicate`` and the
-CLI's majority vote over reps are one path over seeds base_seed + r:
-the ranks and the boundary depend on (config, n) alone and are
-computed once per call (``tester._plan``); each seed draws from its
-own generator and its values are checked before the next seed draws;
-every seed's statistics are one row of a (reps, buckets) array, which
-``replicate`` reduces per bucket and the others turn into outcomes.
+is not the test of a ``sample`` file at that seed.
+``run_sampled_test``, ``replicate`` and the CLI's majority vote over
+reps are one path over seeds base_seed + r: the ranks and the boundary
+depend on (config, n) alone and are computed once per call
+(``tester._plan``); each seed draws from its own generator and its
+values are checked before the next seed draws; every seed's statistics
+are one row of a (reps, buckets) array, which ``replicate`` reduces per
+bucket and the others turn into outcomes.
 
-``sample_splits`` draws one stream of 4n variates and deals it
-round-robin, exactly how ``load_samples`` splits a sample file, so
-testing its splits gives the report of testing ``sample``'s file of 4n
-values at the same seed.  ``sample_single`` and ``sample_splits`` deal
-the raw draws chunk by chunk into one (rows, n) array, sort its rows in
-place and map every sorted draw through the quantile in place: every
-family's quantile is nondecreasing on the draws, so that gives the
-sorted samples and holds each value once.  A sample file's four splits
-are the rows of its own array viewed as (n, 4) and transposed, sorted
-where they lie.  Every array this module sorts is its own, so it sorts
-in place; equal floats are interchangeable, so that gives the bytes of
-sorting a copy (see ``SortedSampleSplit.from_samples``).
+``load_samples(..., split=True)`` deals a sample file round-robin: its
+four splits are the rows of its own array viewed as (n, 4) and
+transposed, sorted where they lie.  Every array this module sorts is
+its own, so it sorts in place; equal floats are interchangeable, so
+that gives the bytes of sorting a copy (see
+``SortedSampleSplit.from_samples``).
 
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  Text is written ``distributions._CHUNK`` values at a time
@@ -69,8 +63,6 @@ from . import distributions, tester
 __all__ = [
     "FileFormat",
     "ReplicationRow",
-    "sample_single",
-    "sample_splits",
     "run_sampled_test",
     "replicate",
     "load_samples",
@@ -94,31 +86,8 @@ class ReplicationRow:
 
 
 # ---------------------------------------------------------------------------
-# sampling front ends
+# sampled tests
 # ---------------------------------------------------------------------------
-
-def _sorted_draws(n: int, seed: int, rows: int = 1) -> np.ndarray:
-    """The seed's (rows, n) array of raw draws, each row sorted in place.
-
-    They are the generator's own draws, so nothing is checked: a caller
-    checks the values it keeps.
-    """
-    grid = distributions.uniforms(n, seed, rows)
-    grid.sort(axis=1)
-    return grid
-
-
-def sample_single(model: DistributionModel, n: int, seed: int) -> SortedSampleSplit:
-    """One sorted split of n seeded samples."""
-    [row] = _sorted_draws(n, seed)
-    return SortedSampleSplit(distributions.transform(model, row))
-
-
-def sample_splits(model: DistributionModel, n: int, seed: int) -> list[SortedSampleSplit]:
-    """Four sorted splits of n samples each, dealt round-robin from one stream."""
-    return [SortedSampleSplit(distributions.transform(model, row))
-            for row in _sorted_draws(n, seed, 4)]
-
 
 def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: int, reps: int):
     """The decision plan, and the statistics of seed base_seed + r's sample as row r.

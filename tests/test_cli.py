@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest import distributions
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
 from tailtest.harness import _SPLIT
@@ -97,17 +96,27 @@ def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
     (MemoryError(), "error: MemoryError\n"),
 ], ids=["message", "bare"])
 def test_refused_allocation_is_one_error_line(tmp_path, monkeypatch, exc, line, capsys):
-    # `sample` is the one command that draws n values.
+    # `sample` is the one command that draws n values; its generator refuses.
     def refuse(*args):
         raise exc
 
-    monkeypatch.setattr(distributions, "uniforms", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     out = tmp_path / "x.txt"
     code = run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
                     "--n", "1000000000000", "--seed", "1", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err == line
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_of_fewer_than_one_value_is_one_error_line(tmp_path, n, capsys):
+    out = tmp_path / "x.txt"
+    code = run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", n,
+                    "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: n must be >= 1\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "test", "simulate"])
@@ -326,7 +335,8 @@ def test_sample_f64_matches_library(tmp_path):
 
 def _file_test_matches(tmp_path, n, k, variant):
     """`sample` to a file, then `test --input`: the bytes of the library's
-    test of the seed's sample_single (weak) or sample_splits (full)."""
+    test of the seed's sample (weak) or of its four splits dealt
+    round-robin (full)."""
     model, seed, weak = tt.Lomax(1.0, 1.0), 21, variant is tt.Variant.WEAK
     sample_file, report = tmp_path / "s.txt", tmp_path / "r.json"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -337,10 +347,12 @@ def _file_test_matches(tmp_path, n, k, variant):
     config = tt.TestConfig(tail=tt.TailParams(0.25, 0.5),
                            bounds=tt.WellBehavedBounds(1.0, 1.0, 1.0, 1 / (2 * k)), k=k,
                            variant=variant)
+    values = tt.sample(model, n if weak else 4 * n, seed)
     if weak:
-        expected = tt.run_weak_test(tt.sample_single(model, n, seed), config)
+        expected = tt.run_weak_test(tt.SortedSampleSplit.from_samples(values), config)
     else:
-        expected = tt.run_full_test(tt.sample_splits(model, n, seed), config)
+        expected = tt.run_full_test(
+            [tt.SortedSampleSplit.from_samples(values[j::4]) for j in range(4)], config)
     assert report.read_bytes() == tt.serialize_report(expected)
 
 
@@ -349,8 +361,7 @@ def test_pipeline_consistency_weak(tmp_path):
 
 
 def test_pipeline_consistency_full(tmp_path):
-    # sample_splits deals one 4n stream round-robin, exactly as a file is
-    # split on ingestion.
+    # A file of 4n values is split on ingestion by dealing it round-robin.
     _file_test_matches(tmp_path, 10_000, 8, tt.Variant.FULL)
 
 

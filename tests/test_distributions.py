@@ -13,7 +13,7 @@ from tailtest import (
     TailClass,
     TailParams,
 )
-from tailtest.distributions import _CHUNK, _longest_run, _variates, uniforms
+from tailtest.distributions import _CHUNK, _longest_run, _variates
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -142,7 +142,7 @@ def test_half_gaussian_quantile_within_5_ulp_of_scipy():
     ladder = np.r_[2.0 ** -j, 1.0 - 2.0 ** -j[:53]]
     pairs = [(model.quantile(ladder), math.sqrt(2.0) * erfinv(ladder)),
              (tt.sample(model, 2_000_000, seed=18),
-              math.sqrt(2.0) * erfinv(_variates(uniforms(2_000_000, 18)[0])))]
+              math.sqrt(2.0) * erfinv(_variates(np.random.default_rng(18).random(2_000_000))))]
     for got, want in pairs:
         assert np.all(np.abs(got - want) <= 5.0 * np.spacing(want))
 
@@ -355,33 +355,29 @@ def test_order_statistics_draw_split_by_split_from_one_stream():
     assert draws(10, ranks, 5)[0].tobytes() != expected[0]
 
 
-def _one_stream(n, seed, rows):
-    """The oracle: the seed's whole stream drawn at once, draw p at [p % rows, p // rows]."""
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return gen.random(rows * n).reshape(n, rows).T
+# Sizes around ``transform``'s chunk: ending on a chunk edge, one past
+# it, mid-chunk and inside the first chunk.
+CHUNK_CUTS = {"on_chunk_edge": 2 * _CHUNK, "odd_n": 2 * _CHUNK + 1,
+              "mid_chunk": _CHUNK + 2, "inside_one_chunk": 5}
 
 
-# n columns for c the columns one chunk fills: ending on a chunk edge,
-# one past it, mid-chunk and inside the first chunk.
-CHUNK_EDGE_COLUMNS = {"on_chunk_edge": lambda c: 2 * c, "odd_n": lambda c: 2 * c + 1,
-                      "mid_chunk": lambda c: c + 2, "inside_one_chunk": lambda c: 5}
+@pytest.mark.parametrize("cut", CHUNK_CUTS)
+def test_sample_is_one_stream_transformed(cut):
+    # One Generator.random(n) call, mapped through the quantile as a whole.
+    model, n = Lomax(1.0, 1.0), CHUNK_CUTS[cut]
+    expected = model.quantile(_variates(np.random.default_rng(11).random(n)))
+    assert tt.sample(model, n, 11).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 4])
-@pytest.mark.parametrize("cut", CHUNK_EDGE_COLUMNS)
-def test_uniforms_match_one_stream(rows, cut):
-    n = CHUNK_EDGE_COLUMNS[cut](_CHUNK // rows)
-    assert uniforms(n, 11, rows).tobytes() == _one_stream(n, 11, rows).tobytes()
-
-
-# ``sample_single`` and ``sample_splits`` sort raw draws and then map them
-# through the quantile a chunk at a time.  That gives the sorted samples
-# only if every family's quantile is nondecreasing on the values
-# ``_variates`` returns, and gives the same bits on any part of an array,
-# a gathered subset or a short last chunk, as on the whole array.
+# Every family's quantile must be nondecreasing, because
+# ``harness._sampled`` refuses mapped order statistics that are not
+# ascending; these tests check it over sorted variates, runs of
+# consecutive doubles and the branch seams.  ``transform`` maps a chunk
+# at a time, so the quantile must also give the same bits on any part of
+# an array, a gathered subset or a short last chunk, as on the whole array.
 
 def _sorted_variates(n, seed):
-    u = uniforms(n, seed)[0]
+    u = np.random.default_rng(seed).random(n)
     u.sort()
     return _variates(u)
 
@@ -429,7 +425,7 @@ def test_quantile_nondecreasing_over_consecutive_doubles(model):
 def test_quantile_of_a_gathered_subset_matches_the_whole_array(model):
     # numpy's SIMD loops take an array's body and its tail apart, so every
     # length from 1 to 17 must give the bits the whole array gives there.
-    u = np.r_[2.0 ** -54, _variates(uniforms(4096, seed=22)[0]), 1.0 - 2.0 ** -53]
+    u = np.r_[2.0 ** -54, _variates(np.random.default_rng(22).random(4096)), 1.0 - 2.0 ** -53]
     whole = model.quantile(u)
     rng = np.random.default_rng(0)
     for length in range(1, 18):
@@ -441,8 +437,8 @@ def test_quantile_of_a_gathered_subset_matches_the_whole_array(model):
 @pytest.mark.parametrize("model", [Exponential(1.0), Lomax(1.0, 1.0), HalfGaussian(1.0),
                                    StretchedExponential(1.0, 0.5)], ids=repr)
 def test_sampling_peak_memory_per_value(model):
-    # The output array is 8 B per value; the chunk buffer and every
-    # temporary are chunk-sized.
+    # The output array is 8 B per value; every temporary of the quantile
+    # is chunk-sized.
     tt.sample(model, 1, seed=0)  # numpy.random's lazy imports come first
     n = 1_000_000
     tracemalloc.start()

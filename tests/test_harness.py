@@ -16,6 +16,7 @@ from tailtest import (
     Exponential,
     FileFormat,
     Lomax,
+    SortedSampleSplit,
     TailParams,
     TestConfig,
     Variant,
@@ -208,35 +209,6 @@ def test_replicate_seed_hygiene():
     assert not np.any(a == b)
 
 
-# ---------------------------------------------------------------------------
-# dealing
-# ---------------------------------------------------------------------------
-
-# Four-split sizes whose 4n ends mid-chunk (3 * 16384 + 5) or inside the
-# first chunk (100).
-@pytest.mark.parametrize("n", [3 * (_CHUNK // 4) + 5, 100])
-def test_sample_splits_match_strided_stable_sort(n):
-    model = Lomax(1.0, 1.0)
-    stream = tt.sample(model, 4 * n, seed=6)
-    splits = tt.sample_splits(model, n, seed=6)
-    for j, split in enumerate(splits):
-        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
-
-
-@pytest.mark.parametrize("rows", [1, 4])
-def test_deal_whole_column_chunks_of_any_size(monkeypatch, rows):
-    # uniforms draws whole columns a chunk at a time; chunks of 1 to 1000
-    # columns, none of the sampler's size, and a chunk smaller than a
-    # column, which is drawn as one column, all deal the one stream.
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8)))
-    stream = gen.random(rows * 2000)
-    for chunk in sorted({1, rows, 2 * rows, 3 * rows, 7 * rows, 13 * rows, 1000 * rows}):
-        monkeypatch.setattr(distributions, "_CHUNK", chunk)
-        grid = distributions.uniforms(2000, 8, rows)
-        for j in range(rows):
-            assert grid[j].tobytes() == stream[j::rows].tobytes()
-
-
 def _peak_bytes(fn, *args):
     """tracemalloc peak of one call, above the level at its start."""
     tracemalloc.start()
@@ -248,24 +220,6 @@ def _peak_bytes(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak - base
-
-
-def test_sample_splits_peak_memory_per_value():
-    # The (4, n) array holds each drawn value once (8 B); the chunk
-    # buffer and the quantile's temporaries are chunk-sized.  Sorting
-    # copies of the splits beside the whole stream took 16.25 B.
-    n = 250_000
-    splits, peak = _peak_bytes(tt.sample_splits, Lomax(1.0, 1.0), n, 5)
-    assert [s.n for s in splits] == [n] * 4
-    assert peak / (4 * n) <= 10.0
-
-
-def test_sample_single_peak_memory_per_value():
-    # Sorting the drawn array in place adds nothing; a sorted copy took 17 B.
-    n = 1_000_000
-    split, peak = _peak_bytes(tt.sample_single, Lomax(1.0, 1.0), n, 5)
-    assert split.n == n
-    assert peak / n <= 10.0
 
 
 def _s_hats(outcomes) -> np.ndarray:
@@ -299,9 +253,13 @@ def sampled_test_p_values(model, variant, k, n, runs=1000):
 
     config = config_for(variant, k)
     if variant is Variant.FULL:
-        drawn = [tt.run_full_test(tt.sample_splits(model, n, s), config) for s in range(runs)]
+        # Four splits dealt round-robin from one stream, as a sample file is.
+        drawn = [tt.run_full_test([SortedSampleSplit.from_samples(v[j::4]) for j in range(4)],
+                                  config)
+                 for v in (tt.sample(model, 4 * n, s) for s in range(runs))]
     else:
-        drawn = [tt.run_weak_test(tt.sample_single(model, n, s), config) for s in range(runs)]
+        drawn = [tt.run_weak_test(SortedSampleSplit.from_samples(tt.sample(model, n, s)), config)
+                 for s in range(runs)]
     exact = [tt.run_sampled_test(model, n, s, config) for s in range(runs)]
     pvalues = []
     for a, b in zip(_s_hats(exact), _s_hats(drawn)):

@@ -49,7 +49,6 @@ def test_package_exports_are_pinned():
         "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
         "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
         "required_buckets", "required_samples", "run_full_test", "run_weak_test",
-        "FileFormat", "ReplicationRow", "sample_single",
-        "sample_splits", "run_sampled_test", "replicate", "load_samples",
+        "FileFormat", "ReplicationRow", "run_sampled_test", "replicate", "load_samples",
         "serialize_report",
     ]
