@@ -369,6 +369,16 @@ def test_sample_is_one_stream_transformed(cut):
     assert tt.sample(model, n, 11).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 13, 1000])
+def test_sample_is_one_stream_for_any_chunk_size(monkeypatch, chunk):
+    # Chunks of 1 to 1000 values, with and without a short last chunk,
+    # all give the bits of the one stream mapped as a whole.
+    model = Lomax(1.0, 1.0)
+    expected = model.quantile(_variates(np.random.default_rng(8).random(2000)))
+    monkeypatch.setattr(tt.distributions, "_CHUNK", chunk)
+    assert tt.sample(model, 2000, 8).tobytes() == expected.tobytes()
+
+
 # Every family's quantile must be nondecreasing, because
 # ``harness._sampled`` refuses mapped order statistics that are not
 # ascending; these tests check it over sorted variates, runs of

@@ -442,6 +442,25 @@ def test_load_preserves_multiset(tmp_path):
     assert np.array_equal(split.values, np.sort(values))
 
 
+# Four-split sizes whose 4n ends on a chunk edge, one past it, mid-chunk
+# or inside the first chunk.
+SPLIT_CHUNK_CUTS = {"on_chunk_edge": _CHUNK // 2, "odd_n": _CHUNK // 2 + 1,
+                    "mid_chunk": 3 * (_CHUNK // 4) + 5, "inside_one_chunk": 100}
+
+
+@pytest.mark.parametrize("cut", SPLIT_CHUNK_CUTS)
+def test_split_file_is_strided_slices_of_one_stream(tmp_path, cut):
+    # A sample file of 4n values loads as split j = stable sort of the
+    # stream's values j, j + 4, ...
+    n = SPLIT_CHUNK_CUTS[cut]
+    stream = tt.sample(Lomax(1.0, 1.0), 4 * n, seed=6)
+    p = tmp_path / "s.f64"
+    p.write_bytes(stream.astype("<f8").tobytes())
+    splits = tt.load_samples(p, FileFormat.RAW_F64, split=True)
+    for j, split in enumerate(splits):
+        assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
+
+
 def test_load_round_robin_split(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("\n".join(str(float(v)) for v in range(8)) + "\n")
