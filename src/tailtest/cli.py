@@ -30,9 +30,9 @@ from . import distributions
 from .distributions import TailParams, WellBehavedBounds, model_from_name
 from .harness import (
     FileFormat,
-    _majority_test,
     load_samples,
     replicate,
+    run_sampled_test,
     sample_file_chunks,
     serialize_report,
 )
@@ -43,8 +43,8 @@ from .tester import (
     Verdict,
     required_buckets,
     required_samples,
-    run_full_test,
-    run_weak_test,
+    run_test,
+    scan_layout,
 )
 
 __all__ = ["main", "run_cli"]
@@ -200,6 +200,8 @@ def _zeta(k: int) -> float:
     """1/(2k): k buckets need the smoothness bounds held on [0, 1 - zeta]."""
     if k < 4:  # before the division, which k = 0 would fail
         raise ValueError("k must be >= 4")
+    if k >= 2 ** 63 - 1:  # as TestConfig; from 2**1024 the division overflows
+        raise ValueError("k must be < 2**63 - 1")
     return 1.0 / (2 * k)
 
 
@@ -253,15 +255,14 @@ def _cmd_test(args) -> int:
         if args.n is not None or args.params or args.reps is not None or args.seed is not None:
             raise ValueError("--n, --params, --reps and --seed apply only to --dist; "
                              "file data is fixed")
-        weak = config.variant is Variant.WEAK
-        data = load_samples(args.input, args.format, split=not weak)
-        outcome = run_weak_test(data, config) if weak else run_full_test(data, config)
+        splits = load_samples(args.input, args.format, scan_layout(config)[0].count)
+        outcome = run_test(splits, config)
     else:
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
-        outcome = _majority_test(model, 1 if args.reps is None else args.reps, args.n, config,
-                                 0 if args.seed is None else args.seed)
+        outcome = run_sampled_test(model, args.n, 0 if args.seed is None else args.seed, config,
+                                   1 if args.reps is None else args.reps)
 
     payload = serialize_report(outcome)
     if args.out is not None:

@@ -29,18 +29,8 @@ import numpy as np
 
 __all__ = [
     "SortedSampleSplit",
-    "DEGENERATE",
-    "is_degenerate",
     "rank_index",
 ]
-
-DEGENERATE = math.inf
-
-
-def is_degenerate(s: float) -> bool:
-    """True for the marker produced by a non-positive bucket difference."""
-    return not math.isfinite(s)
-
 
 @dataclass(frozen=True)
 class SortedSampleSplit:
@@ -71,7 +61,7 @@ class SortedSampleSplit:
         interchangeable, so every sort kind gives the same values.  The
         one exception is a +0.0/-0.0 pair, whose order can differ; such a
         pair only ever meets in a bucket length of zero, which is
-        DEGENERATE whichever zero comes first.
+        degenerate whichever zero comes first.
         """
         arr = np.asarray(samples, dtype=float)
         return cls(values=np.sort(arr))
@@ -124,11 +114,11 @@ def length_and_change(upper, lower, upper_d, lower_d):
 def four_point_ratio(upper, lower, upper_d, lower_d, k: int):
     """The bucket statistic from four quantile-like values, elementwise.
 
-    length / (k * (change in length)), and DEGENERATE wherever the
-    length or its change is non-positive.
+    length / (k * (change in length)), and ``math.inf`` (degenerate)
+    wherever the length or its change is non-positive.
     """
     length, diff = length_and_change(upper, lower, upper_d, lower_d)
-    return np.divide(length, k * diff, out=np.full_like(length, DEGENERATE),
+    return np.divide(length, k * diff, out=np.full_like(length, math.inf),
                      where=(diff > 0.0) & (length > 0.0))
 
 
@@ -175,6 +165,11 @@ class RankLayout:
     min_n: Callable[[int], int]
     null_se: Callable
 
+    @property
+    def count(self) -> int:
+        """How many splits the layout reads."""
+        return len(set(self.splits))
+
 
 # Two granularities on four independent splits, each endpoint from its
 # own split.  At coarse bucket i the numerator is the fine-bucket length
@@ -220,7 +215,7 @@ def held_ranks(layout: RankLayout, idx: np.ndarray) -> tuple[list[np.ndarray], n
     """
     splits = np.asarray(layout.splits)
     ranks, at = [], np.empty(idx.shape, dtype=np.intp)
-    for s in range(len(set(layout.splits))):
+    for s in range(layout.count):
         mine = splits == s
         # Not np.unique: its first call imports numpy.ma, about 17 ms.
         ranks.append(np.array(sorted(set(idx[mine].flat))))

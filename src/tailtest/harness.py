@@ -6,19 +6,20 @@ draws only those: the layout's ranks per split go to
 statistics the family's quantile maps, so no array of n values exists
 at any point.  They come from their own stream, so the test at a seed
 is not the test of a ``sample`` file at that seed.
-``run_sampled_test``, ``replicate`` and the CLI's majority vote over
-reps are one path over seeds base_seed + r: the ranks and the boundary
-depend on (config, n) alone and are computed once per call
+``run_sampled_test``, its majority vote over reps included, and
+``replicate`` are one path over seeds base_seed + r: the ranks and the
+boundary depend on (config, n) alone and are computed once per call
 (``tester._plan``); each seed draws from its own generator and its
 values are checked before the next seed draws; every seed's statistics
 are one row of a (reps, buckets) array, which ``replicate`` reduces per
-bucket and the others turn into outcomes.
+bucket and ``run_sampled_test`` turns into a vote and an outcome.
 
-``load_samples(..., split=True)`` deals a sample file round-robin: its
-four splits are the rows of its own array viewed as (n, 4) and
-transposed, sorted where they lie.  Every array this module sorts is
-its own, so it sorts in place; equal floats are interchangeable, so
-that gives the bytes of sorting a copy (see
+``load_samples(path, fmt, splits)`` deals a sample file round-robin into
+as many splits as a rank layout reads (``RankLayout.count``): the splits
+are the rows of the file's own array viewed as (n, splits) and
+transposed, sorted where they lie, so one split is the whole array
+sorted in place.  Equal floats are interchangeable, so sorting in place
+gives the bytes of sorting a copy (see
 ``SortedSampleSplit.from_samples``).
 
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
@@ -109,20 +110,17 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     return plan, plan.statistics(held)
 
 
-def run_sampled_test(model: DistributionModel, n: int, seed: int,
-                     config: TestConfig) -> TestOutcome:
-    """Draw the order statistics the configured variant reads and decide."""
-    plan, stats = _sampled(model, n, config, seed, 1)
-    return plan.outcome(stats[0], seed)
+def run_sampled_test(model: DistributionModel, n: int, seed: int, config: TestConfig,
+                     reps: int = 1) -> TestOutcome:
+    """Draw the order statistics the configured variant reads and decide.
 
-
-def _majority_test(model: DistributionModel, reps: int, n: int, config: TestConfig,
-                   base_seed: int) -> TestOutcome:
-    """The first run's outcome with the runs' majority verdict; a tie is light."""
-    plan, stats = _sampled(model, n, config, base_seed, reps)
+    Seeds seed..seed + reps - 1 each decide; the outcome is the first
+    seed's, with the seeds' majority verdict, and a tie is light.
+    """
+    plan, stats = _sampled(model, n, config, seed, reps)
     heavies = int(np.count_nonzero(plan.heavy(stats)))
     voted = Verdict.HEAVY if 2 * heavies > reps else Verdict.LIGHT
-    return dataclasses.replace(plan.outcome(stats[0], base_seed), verdict=voted)
+    return dataclasses.replace(plan.outcome(stats[0], seed), verdict=voted)
 
 
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
@@ -283,30 +281,30 @@ def _parse_raw_f64(path: Path) -> np.ndarray:
     return arr
 
 
-def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT, split: bool = False):
-    """Load a sample file into sorted split(s).
+def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT,
+                 splits: int = 1) -> list[SortedSampleSplit]:
+    """Load a sample file into a list of ``splits`` sorted splits.
 
     ``fmt`` is a FileFormat or its value ("text" or "f64").  Text files
     hold one decimal literal per line; '#' comment lines and blank lines
     are skipped.  RAW_F64 is packed little-endian IEEE-754.  Negative
-    and non-finite values are rejected.  With ``split=True``
-    the values are dealt round-robin on input order into four splits
-    before sorting - fine for i.i.d. data, a deliberate warning sign
-    for time-ordered data - and their count must be a multiple of 4.
+    and non-finite values are rejected.  ``splits`` is a rank layout's
+    ``count``, 1 or 4: the values are dealt round-robin on input order
+    into that many splits before sorting - fine for i.i.d. data, a
+    deliberate warning sign for time-ordered data - and their count must
+    be a multiple of it.
     """
     path = Path(path)
     arr = _parse_text(path) if FileFormat(fmt) is FileFormat.TEXT else _parse_raw_f64(path)
-    if not split:
-        arr.sort()
-        return SortedSampleSplit(arr)
-    if arr.size < 4:
+    if arr.size < splits:
         raise ValueError(f"{path}: need at least 4 values to build four splits")
-    if arr.size % 4:
+    if arr.size % splits:
         raise ValueError("all four splits must hold the same number of samples")
-    # Row j of the transposed (n, 4) view is every fourth value from j:
-    # the round-robin deal, sorted where the values lie through one
-    # row-sized buffer, on this thread so that only one is alive.
-    rows = arr.reshape(-1, 4).T
+    # Row j of the transposed (n, splits) view is every splits-th value
+    # from j: the round-robin deal, sorted where the values lie (one
+    # contiguous row in place; four strided rows through one row-sized
+    # buffer, on this thread so that only one is alive).
+    rows = arr.reshape(-1, splits).T
     rows.sort(axis=1)
     return [SortedSampleSplit(row) for row in rows]
 

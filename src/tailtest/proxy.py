@@ -13,12 +13,13 @@ the sample-side counterpart lives in ``tailtest.empirical``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DistributionModel, TailParams, WellBehavedBounds
-from .empirical import FOUR_SPLIT, four_point_ratio, is_degenerate
+from .empirical import FOUR_SPLIT, four_point_ratio
 
 __all__ = [
     "ProxyPoint",
@@ -86,7 +87,7 @@ def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
     # layout's own (i*k+1)/k^2 can differ in the last bit.
     z, d, step = i / k, 1.0 / (k * k), 1.0 / k
     s = float(four_point_ratio(*model.quantile(np.array([z + d, z, z + step + d, z + step])), k))
-    if is_degenerate(s):
+    if math.isinf(s):
         raise ValueError(
             "non-positive curvature in discrete proxy; "
             "quantile function is not strictly convex here"

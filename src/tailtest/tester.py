@@ -45,7 +45,6 @@ from .empirical import (
     FOUR_SPLIT,
     ONE_SPLIT,
     RankLayout,
-    SortedSampleSplit,
     held_ranks,
     layout_ranks,
     length_and_change,
@@ -61,8 +60,7 @@ __all__ = [
     "TestOutcome",
     "required_buckets",
     "required_samples",
-    "run_full_test",
-    "run_weak_test",
+    "run_test",
 ]
 
 
@@ -94,6 +92,8 @@ class TestConfig:
     def __post_init__(self):
         if self.k < 4:
             raise ValueError("k must be >= 4")
+        if self.k >= 2 ** 63 - 1:  # no split holds n >= k samples (see rank_index)
+            raise ValueError("k must be < 2**63 - 1")
         if self.k + 1e-9 < 4.0 / self.tail.rho:
             raise ValueError(
                 f"k={self.k} too coarse for rho={self.tail.rho}: need k >= 4/rho"
@@ -225,7 +225,7 @@ def _plan(config: TestConfig, n: int) -> _Plan:
     fractions = idx / (n + 1)
     # math.log1p, not np.log1p: numpy's SIMD loop differs from it in the
     # last bit on some inputs, which would change the pinned report bytes.
-    # The reference is the raw ratio, without the DEGENERATE mask: where
+    # The reference is the raw ratio, without the degenerate mask: where
     # rounding makes the exponential length shrink, it is negative.
     length, diff = length_and_change(*-np.vectorize(math.log1p, otypes=[float])(-fractions))
     reference = length / (k * diff)
@@ -235,34 +235,9 @@ def _plan(config: TestConfig, n: int) -> _Plan:
     return _Plan(config, n, buckets, ranks, at, boundary)
 
 
-def _decide(splits, config: TestConfig, seed: int | None) -> TestOutcome:
-    """The splits' values at the plan's ranks, decided by the plan for their size."""
-    count = len(set(scan_layout(config)[0].splits))
-    if len(splits) != count:
-        raise ValueError(f"exactly {count} split(s) are required")
-    n = splits[0].n
-    if any(s.n != n for s in splits):
-        raise ValueError("all four splits must hold the same number of samples")
-    plan = _plan(config, n)
-    held = np.concatenate([split.at(r) for split, r in zip(splits, plan.ranks)])
-    return plan.outcome(plan.statistics(held), seed)
-
-
 # ---------------------------------------------------------------------------
 # decision procedures
 # ---------------------------------------------------------------------------
-
-def run_full_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
-    """Four-split test over coarse buckets 2..k-2.
-
-    A split is anything with ``n`` and ``at(ranks)``, such as a
-    ``SortedSampleSplit``.  Four splits of one size n >= k^2 are
-    required, checked in that order.
-    """
-    if config.variant is not Variant.FULL:
-        raise ValueError("config.variant must be FULL for run_full_test")
-    return _decide(list(splits), config, seed)
-
 
 def weak_scan_range(k: int) -> range:
     """Bucket indices scanned by the weak test: [ceil(0.1*k), floor(0.8*k)],
@@ -279,9 +254,21 @@ def scan_layout(config: TestConfig) -> tuple[RankLayout, range]:
     return FOUR_SPLIT, FOUR_SPLIT.buckets(config.k)
 
 
-def run_weak_test(split: SortedSampleSplit, config: TestConfig,
-                  seed: int | None = None) -> TestOutcome:
-    """Single-split test scanning the middle bucket range ``weak_scan_range(k)``."""
-    if config.variant is not Variant.WEAK:
-        raise ValueError("config.variant must be WEAK for run_weak_test")
-    return _decide([split], config, seed)
+def run_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
+    """Decide the configured variant on its splits' values at the plan's ranks.
+
+    A split is anything with ``n`` and ``at(ranks)``, such as a
+    ``SortedSampleSplit``.  The variant's layout fixes how many splits
+    it reads, four for FULL and one for WEAK; that many splits of one
+    size n >= ``min_n(k)`` are required, checked in that order.
+    """
+    splits = list(splits)
+    count = scan_layout(config)[0].count
+    if len(splits) != count:
+        raise ValueError(f"exactly {count} split(s) are required")
+    n = splits[0].n
+    if any(s.n != n for s in splits):
+        raise ValueError("all four splits must hold the same number of samples")
+    plan = _plan(config, n)
+    held = np.concatenate([split.at(r) for split, r in zip(splits, plan.ranks)])
+    return plan.outcome(plan.statistics(held), seed)

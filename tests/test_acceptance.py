@@ -105,7 +105,7 @@ def test_criterion_4_deterministic_statistic_oracle():
     cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / (2 * k)), k=k)
     for model in (Exponential(1.0), Lomax(1.0, 1.0)):
         splits = [SortedSampleSplit(np.asarray(model.quantile(q), dtype=float))] * 4
-        records = tt.run_full_test(splits, cfg).records
+        records = tt.run_test(splits, cfg).records
         assert [r.i for r in records] == list(range(2, k - 1))
         for r in records:
             assert abs(r.s_hat - _matched_rank_reference(model, n, r.i, k)) <= 1e-6
@@ -179,15 +179,15 @@ def test_criterion_7_affine_invariance():
         raw = tt.sample(model, 100_000, seed)
         split = SortedSampleSplit.from_samples(raw)
         moved = SortedSampleSplit(c * split.values + b)
-        weak = tt.run_weak_test(split, cfg)
+        weak = tt.run_test([split], cfg)
         assert [r.i for r in weak.records] == list(range(2, 13))
-        _assert_same_statistics(weak, tt.run_weak_test(moved, cfg))
+        _assert_same_statistics(weak, tt.run_test([moved], cfg))
         if trial % 10 == 0:
             splits = [SortedSampleSplit(np.sort(raw[j::4])) for j in range(4)]
             moved4 = [SortedSampleSplit(c * s.values + b) for s in splits]
-            full = tt.run_full_test(splits, cfg_full)
+            full = tt.run_test(splits, cfg_full)
             assert [r.i for r in full.records] == list(range(2, k - 1))
-            _assert_same_statistics(full, tt.run_full_test(moved4, cfg_full))
+            _assert_same_statistics(full, tt.run_test(moved4, cfg_full))
     _passed(7, "statistics and verdicts unchanged under 50 random affine maps")
 
 

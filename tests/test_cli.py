@@ -67,18 +67,22 @@ def test_infinite_bound_flag_is_one_error_line(tmp_path, command, flag, capsys):
     assert captured.err == f"error: {flag[2:]} must be finite\n"
 
 
-@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("k,refusal", [
+    ("0", "k must be >= 4"), ("-1", "k must be >= 4"),
+    (str(2 ** 63 - 1), "k must be < 2**63 - 1"), ("1" + "0" * 400, "k must be < 2**63 - 1"),
+], ids=["0", "-1", "int64", "1e400"])
 @pytest.mark.parametrize("command", ["test", "simulate", "proxy"])
-def test_bucket_count_below_four_is_one_error_line(tmp_path, command, k, capsys):
-    # Refused before zeta = 1/(2k) is formed: k = 0 divided by zero, and
-    # k = -1 gave a negative zeta's message.
+def test_bucket_count_out_of_range_is_one_error_line(tmp_path, command, k, refusal, capsys):
+    # Refused before zeta = 1/(2k) is formed: k = 0 divided by zero,
+    # k = -1 gave a negative zeta's message, and from 2**1024 on the
+    # division overflowed a float and printed a traceback.
     out = tmp_path / "out"
     code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", k,
                     "--alpha", "0.25", *_OWN_FLAGS[command], "--beta", "1", "--b1", "1",
                     "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
-    assert captured.err == "error: k must be >= 4\n"
+    assert captured.err == f"error: {refusal}\n"
 
 
 def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
@@ -349,9 +353,9 @@ def _file_test_matches(tmp_path, n, k, variant):
                            variant=variant)
     values = tt.sample(model, n if weak else 4 * n, seed)
     if weak:
-        expected = tt.run_weak_test(tt.SortedSampleSplit.from_samples(values), config)
+        expected = tt.run_test([tt.SortedSampleSplit.from_samples(values)], config)
     else:
-        expected = tt.run_full_test(
+        expected = tt.run_test(
             [tt.SortedSampleSplit.from_samples(values[j::4]) for j in range(4)], config)
     assert report.read_bytes() == tt.serialize_report(expected)
 

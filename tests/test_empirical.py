@@ -28,12 +28,12 @@ def config(k, variant=Variant.FULL):
 
 def two_scale(splits, k):
     """The four-split statistic's record at each bucket the full test scans, by index."""
-    return {r.i: r for r in tt.run_full_test(splits, config(k)).records}
+    return {r.i: r for r in tt.run_test(splits, config(k)).records}
 
 
 def single_scale(split, k):
     """The single-split statistic's record at each bucket the weak test scans, by index."""
-    return {r.i: r for r in tt.run_weak_test(split, config(k, Variant.WEAK)).records}
+    return {r.i: r for r in tt.run_test([split], config(k, Variant.WEAK)).records}
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_from_samples_matches_stable_sort_bytes(tmp_path):
         assert got.tobytes() == np.sort(x, kind="stable").tobytes()
     p = tmp_path / "rounded.txt"
     p.write_text("".join(f"{v!r}\n" for v in stream.tolist()))
-    for j, split in enumerate(tt.load_samples(p, tt.FileFormat.TEXT, split=True)):
+    for j, split in enumerate(tt.load_samples(p, tt.FileFormat.TEXT, splits=4)):
         assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
 
 
@@ -170,12 +170,12 @@ SPLIT, SHORT, TINY = (perfect_split(Exponential(1.0), n) for n in (300, 299, 10)
         "too-few"])
 def test_full_test_refusals_in_order(splits, k, message):
     with pytest.raises(ValueError, match=message):
-        tt.run_full_test(splits, config(k))
+        tt.run_test(splits, config(k))
 
 
 def test_weak_test_and_split_refusals():
     with pytest.raises(ValueError, match="need at least 16 samples per split, got 10"):
-        tt.run_weak_test(TINY, config(16, Variant.WEAK))
+        tt.run_test([TINY], config(16, Variant.WEAK))
     for bad in (0, SPLIT.n + 1):  # a split answers only ranks in [1, n]
         with pytest.raises(ValueError, match="ranks must lie in"):
             SPLIT.at([bad])

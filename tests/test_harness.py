@@ -124,6 +124,11 @@ def test_majority_of_reps_matches_per_seed_verdicts(tmp_path):
                     "--out", str(out)]) == 0
     voted = dataclasses.replace(single[0], verdict=Verdict.HEAVY)
     assert out.read_bytes() == serialize_report(voted)
+    # Seeds 35, 36 and 38, 39 split their verdicts: two reps tie, and a
+    # tie is light whichever verdict the first seed's buckets carry.
+    for r in (0, 3):
+        tied = tt.run_sampled_test(Lomax(1.0, 1.0), n, 35 + r, config, reps=2)
+        assert tied == dataclasses.replace(single[r], verdict=Verdict.LIGHT)
 
 
 @pytest.mark.parametrize("reps", [2, 50])
@@ -197,9 +202,10 @@ def test_every_check_survives_batching(variant, fault, message):
     with pytest.raises(ValueError) as one:
         tt.run_sampled_test(_FaultyExponential(fault, last), n, base + 3, config)
     assert str(one.value) == message
-    for run in (tt.replicate, harness._majority_test):
+    for run in (lambda model: tt.replicate(model, 5, n, config, base),
+                lambda model: tt.run_sampled_test(model, n, base, config, reps=5)):
         with pytest.raises(ValueError) as batched:
-            run(_FaultyExponential(fault, 3 * splits + last), 5, n, config, base)
+            run(_FaultyExponential(fault, 3 * splits + last))
         assert str(batched.value) == message
 
 
@@ -254,11 +260,11 @@ def sampled_test_p_values(model, variant, k, n, runs=1000):
     config = config_for(variant, k)
     if variant is Variant.FULL:
         # Four splits dealt round-robin from one stream, as a sample file is.
-        drawn = [tt.run_full_test([SortedSampleSplit.from_samples(v[j::4]) for j in range(4)],
-                                  config)
+        drawn = [tt.run_test([SortedSampleSplit.from_samples(v[j::4]) for j in range(4)],
+                             config)
                  for v in (tt.sample(model, 4 * n, s) for s in range(runs))]
     else:
-        drawn = [tt.run_weak_test(SortedSampleSplit.from_samples(tt.sample(model, n, s)), config)
+        drawn = [tt.run_test([SortedSampleSplit.from_samples(tt.sample(model, n, s))], config)
                  for s in range(runs)]
     exact = [tt.run_sampled_test(model, n, s, config) for s in range(runs)]
     pvalues = []
@@ -346,7 +352,7 @@ def test_load_text_with_comments(tmp_path):
     p = tmp_path / "samples.txt"
     p.write_text("1.0\n# a comment\n\n2.5\n")
     for fmt in (FileFormat.TEXT, "text"):
-        assert np.array_equal(tt.load_samples(p, fmt).values, [1.0, 2.5])
+        assert np.array_equal(tt.load_samples(p, fmt)[0].values, [1.0, 2.5])
 
 
 def test_load_text_rejects_negative(tmp_path):
@@ -375,7 +381,7 @@ def test_load_raw_f64_sorts(tmp_path):
     p = tmp_path / "two.f64"
     p.write_bytes(struct.pack("<2d", 3.0, 1.0))
     for fmt in (FileFormat.RAW_F64, "f64"):
-        assert np.array_equal(tt.load_samples(p, fmt).values, [1.0, 3.0])
+        assert np.array_equal(tt.load_samples(p, fmt)[0].values, [1.0, 3.0])
 
 
 def test_load_raw_f64_rejects_fragment(tmp_path):
@@ -402,7 +408,7 @@ def test_load_raw_peak_memory_per_value(tmp_path):
     p = tmp_path / "big.f64"
     values = tt.sample(Lomax(1.0, 1.0), n, seed=4)
     p.write_bytes(values.astype("<f8").tobytes())
-    split, peak = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64)
+    [split], peak = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64)
     assert split.values.tobytes() == np.sort(values).tobytes()
     assert peak / n <= 10.0
 
@@ -417,8 +423,8 @@ def test_load_split_holds_each_value_once(tmp_path):
     p = tmp_path / "big.f64"
     values = tt.sample(Lomax(1.0, 1.0), n, seed=4)
     p.write_bytes(values.astype("<f8").tobytes())
-    _, whole = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, False)
-    splits, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, True)
+    _, whole = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, 1)
+    splits, dealt = _peak_bytes(tt.load_samples, p, FileFormat.RAW_F64, 4)
     for j, split in enumerate(splits):
         assert split.values.tobytes() == np.sort(values[j::4]).tobytes()
     assert (dealt - whole) / n <= 1.5
@@ -430,7 +436,7 @@ def test_load_split_refuses_uneven_count(tmp_path, count):
     p = tmp_path / "uneven.txt"
     p.write_text("".join(f"{v}.5\n" for v in range(count)))
     with pytest.raises(ValueError) as exc:
-        tt.load_samples(p, FileFormat.TEXT, split=True)
+        tt.load_samples(p, FileFormat.TEXT, splits=4)
     assert str(exc.value) == "all four splits must hold the same number of samples"
 
 
@@ -438,7 +444,7 @@ def test_load_preserves_multiset(tmp_path):
     values = tt.sample(Lomax(1.0, 1.0), 1001, seed=2)
     p = tmp_path / "all.txt"
     p.write_text("\n".join(repr(float(v)) for v in values) + "\n")
-    split = tt.load_samples(p, FileFormat.TEXT)
+    [split] = tt.load_samples(p, FileFormat.TEXT)
     assert np.array_equal(split.values, np.sort(values))
 
 
@@ -456,7 +462,7 @@ def test_split_file_is_strided_slices_of_one_stream(tmp_path, cut):
     stream = tt.sample(Lomax(1.0, 1.0), 4 * n, seed=6)
     p = tmp_path / "s.f64"
     p.write_bytes(stream.astype("<f8").tobytes())
-    splits = tt.load_samples(p, FileFormat.RAW_F64, split=True)
+    splits = tt.load_samples(p, FileFormat.RAW_F64, splits=4)
     for j, split in enumerate(splits):
         assert split.values.tobytes() == np.sort(stream[j::4], kind="stable").tobytes()
 
@@ -464,7 +470,7 @@ def test_split_file_is_strided_slices_of_one_stream(tmp_path, cut):
 def test_load_round_robin_split(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("\n".join(str(float(v)) for v in range(8)) + "\n")
-    splits = tt.load_samples(p, FileFormat.TEXT, split=True)
+    splits = tt.load_samples(p, FileFormat.TEXT, splits=4)
     assert [list(s.values) for s in splits] == [
         [0.0, 4.0], [1.0, 5.0], [2.0, 6.0], [3.0, 7.0]]
 
@@ -657,7 +663,7 @@ def test_load_text_peak_memory_per_value(tmp_path):
     for name, text in (("plain", body), ("commented", "# Lomax(1, 1), seed 4\n" + body)):
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
-        split, peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
+        [split], peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
         assert split.n == n, name
         assert peak / n <= 20.0, name
 
@@ -745,7 +751,7 @@ def test_load_text_from_a_fifo_takes_no_worker(tmp_path, workers, split):
     values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
     feeder = threading.Thread(target=p.write_bytes, args=(_text(values),), daemon=True)
     feeder.start()  # its open blocks until the reader opens the other end
-    loaded = tt.load_samples(p, FileFormat.TEXT)
+    [loaded] = tt.load_samples(p, FileFormat.TEXT)
     feeder.join(timeout=30)
     assert not feeder.is_alive()
     assert loaded.values.tobytes() == np.sort(values).tobytes()

@@ -45,10 +45,10 @@ def test_package_exports_are_pinned():
         "DistributionModel", "Exponential", "Lomax", "HalfGaussian",
         "StretchedExponential", "TailParams", "WellBehavedBounds", "TailClass",
         "quantile", "sample", "classify_tail", "estimate_bounds", "model_from_name",
-        "SortedSampleSplit", "DEGENERATE", "is_degenerate", "rank_index",
+        "SortedSampleSplit", "rank_index",
         "ProxyPoint", "proxy_value", "separation_gap", "discrete_proxy", "proxy_curve",
         "Variant", "Verdict", "TestConfig", "BucketRecord", "TestOutcome",
-        "required_buckets", "required_samples", "run_full_test", "run_weak_test",
+        "required_buckets", "required_samples", "run_test",
         "FileFormat", "ReplicationRow", "run_sampled_test", "replicate", "load_samples",
         "serialize_report",
     ]

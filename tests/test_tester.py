@@ -91,6 +91,8 @@ def test_calculators_reject_infinite_bounds():
 def test_config_validation():
     with pytest.raises(ValueError):
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=3)
+    with pytest.raises(ValueError, match=r"k must be < 2\*\*63 - 1"):  # not an OverflowError
+        TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=10 ** 400)
     with pytest.raises(ValueError):
         TestConfig(tail=TailParams(0.25, 0.1), bounds=UNIT_BOUNDS_K16, k=16)  # k < 4/rho
     with pytest.raises(ValueError):
@@ -101,14 +103,16 @@ def test_config_validation():
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=math.inf)
 
 
-def test_variant_mismatch_rejected():
+def test_run_test_refuses_a_wrong_split_count():
+    # The variant's layout fixes the split count: four splits for the
+    # weak test, or one for the full test, are refused before their size.
     cfg_full = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
     cfg_weak = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, variant=Variant.WEAK)
     splits = perfect_splits(Exponential(1.0), 16 * 16)
-    with pytest.raises(ValueError):
-        tt.run_full_test(splits, cfg_weak)
-    with pytest.raises(ValueError):
-        tt.run_weak_test(splits[0], cfg_full)
+    for given, cfg, count in ((splits, cfg_weak, 1), ([], cfg_weak, 1), (splits[:1], cfg_full, 4)):
+        with pytest.raises(ValueError) as exc:
+            tt.run_test(given, cfg)
+        assert str(exc.value) == f"exactly {count} split(s) are required"
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_variant_mismatch_rejected():
 
 def test_full_test_perfect_exponential_is_light():
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    outcome = tt.run_full_test(perfect_splits(Exponential(1.0), 4_000_000), cfg)
+    outcome = tt.run_test(perfect_splits(Exponential(1.0), 4_000_000), cfg)
     assert outcome.verdict is Verdict.LIGHT
     for r in outcome.records:
         assert r.degenerate or r.s_hat >= r.boundary
@@ -125,7 +129,7 @@ def test_full_test_perfect_exponential_is_light():
 
 def test_full_test_perfect_lomax_is_heavy():
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    outcome = tt.run_full_test(perfect_splits(Lomax(1.0, 1.0), 4_000_000), cfg)
+    outcome = tt.run_test(perfect_splits(Lomax(1.0, 1.0), 4_000_000), cfg)
     assert outcome.verdict is Verdict.HEAVY
 
 
@@ -133,21 +137,21 @@ def test_weak_test_perfect_exponential_is_light():
     cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / 64), k=32,
                      variant=Variant.WEAK)
     split = perfect_splits(Exponential(1.0), 1_000_000)[0]
-    assert tt.run_weak_test(split, cfg).verdict is Verdict.LIGHT
+    assert tt.run_test([split], cfg).verdict is Verdict.LIGHT
 
 
 def test_weak_test_perfect_lomax_is_heavy():
     cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / 64), k=32,
                      variant=Variant.WEAK)
     split = perfect_splits(Lomax(1.0, 1.0), 1_000_000)[0]
-    assert tt.run_weak_test(split, cfg).verdict is Verdict.HEAVY
+    assert tt.run_test([split], cfg).verdict is Verdict.HEAVY
 
 
 def test_degenerate_buckets_never_flag_heavy():
     # uniformly spaced data degenerates every bucket
     splits = [SortedSampleSplit(np.arange(1.0, 1025.0))] * 4
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    outcome = tt.run_full_test(splits, cfg)
+    outcome = tt.run_test(splits, cfg)
     assert all(r.degenerate for r in outcome.records)
     assert outcome.verdict is Verdict.LIGHT
 
@@ -197,7 +201,7 @@ def test_budget_driven_separation():
 
 def test_boundary_below_asymptotic_threshold():
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    outcome = tt.run_full_test(perfect_splits(Exponential(1.0), 100_000), cfg)
+    outcome = tt.run_test(perfect_splits(Exponential(1.0), 100_000), cfg)
     for r in outcome.records:
         assert r.boundary < 1.0 - r.i / 16
 
@@ -208,7 +212,7 @@ def test_boundary_nonincreasing_in_alpha():
     for alpha in (0.1, 0.5, 2.0):
         cfg = TestConfig(tail=TailParams(alpha, 0.5), bounds=UNIT_BOUNDS_K16,
                          k=16, variant=Variant.WEAK)
-        outcome = tt.run_weak_test(split, cfg)
+        outcome = tt.run_test([split], cfg)
         boundaries[alpha] = [r.boundary for r in outcome.records]
     for lo, hi in ((0.1, 0.5), (0.5, 2.0)):
         assert all(b <= a + 1e-15 for a, b in zip(boundaries[lo], boundaries[hi]))
@@ -216,7 +220,7 @@ def test_boundary_nonincreasing_in_alpha():
 
 def test_outcome_records_are_consistent():
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    outcome = tt.run_full_test(perfect_splits(Lomax(1.0, 1.0), 40_000), cfg)
+    outcome = tt.run_test(perfect_splits(Lomax(1.0, 1.0), 40_000), cfg)
     assert outcome.config.k == 16 and outcome.n == 40_000
     flagged = [r for r in outcome.records
                if not r.degenerate and r.s_hat < r.boundary]
@@ -231,9 +235,9 @@ def test_verdict_affine_invariance_spot_check():
     raw = tt.sample(model, 200_000, seed=3)
     splits = [SortedSampleSplit(np.sort(raw[j::4])) for j in range(4)]
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16)
-    base = tt.run_full_test(splits, cfg)
+    base = tt.run_test(splits, cfg)
     moved = [SortedSampleSplit(2.5 * s.values + 11.0) for s in splits]
-    assert tt.run_full_test(moved, cfg).verdict is base.verdict
+    assert tt.run_test(moved, cfg).verdict is base.verdict
 
 
 def test_weak_scan_range_respects_bounds():

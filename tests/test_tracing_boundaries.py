@@ -5,9 +5,10 @@ longer resolves would drop out of the benchmark's per-layer breakdown
 silently (it lands in ``missing_boundaries``).  This test only reads
 ``bench/``.
 
-``REMOVED_SAMPLERS`` are the two n-value samplers the package no longer
-has; the tracer still names them, so they, and only they, are missing
-until the benchmark drops them.
+``REMOVED_SAMPLERS`` are the two n-value samplers and the two per-variant
+decision functions the package no longer has (``run_test`` decides
+either variant); the tracer still names them, so they, and only they,
+are missing until the benchmark drops them.
 """
 
 import importlib
@@ -22,7 +23,8 @@ from tailtest.distributions import DistributionModel
 from tailtest.empirical import SortedSampleSplit
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-REMOVED_SAMPLERS = {"tailtest.harness.sample_splits", "tailtest.harness.sample_single"}
+REMOVED_SAMPLERS = {"tailtest.harness.sample_splits", "tailtest.harness.sample_single",
+                    "tailtest.tester.run_full_test", "tailtest.tester.run_weak_test"}
 
 
 @pytest.fixture
