@@ -13,10 +13,9 @@ interpreter that loads neither numpy nor site packages::
         values at a time.
     python -I -S _textlines.py parse START END
         stdin: an open text file; stdout: the count of the values on
-        the lines that start in bytes START..END, then 1 if a blank or
-        comment line was skipped there, else 0, each as 8 native bytes,
+        the lines that start in bytes START..END as 8 native bytes,
         then the values as native doubles.  Exit 1 if a line is neither
-        a float nor skipped.
+        a float nor a blank or comment line.
 
 So this module imports only the standard library, and ``subprocess``
 only where a worker starts.  The worker is ``sys.executable``, so its
@@ -43,8 +42,9 @@ def _blocks(fd, start, end):
     the file's offset, which must be ``start``.
 
     A positioned read moves no file offset, so processes that share one
-    open file can each read their own range of it.  Only a sequential
-    read serves a stream, or a platform without ``os.pread``.
+    open file can each read their own range of it.  A file read by one
+    process is read sequentially, which also serves a platform without
+    ``os.pread``.
     """
     while end is None or start < end:
         block = os.read(fd, _BLOCK) if end is None else os.pread(fd, min(_BLOCK, end - start), start)
@@ -55,7 +55,7 @@ def _blocks(fd, start, end):
 
 
 def _extend(out, lines):
-    """Append ``float()`` of each line to ``out``; True if a line was skipped.
+    """Append ``float()`` of each line to ``out``.
 
     A block is read in one ``map(float, ...)`` pass.  Only a block that
     pass fails is read again without its blank and ``#`` lines, which the
@@ -65,14 +65,11 @@ def _extend(out, lines):
     at = len(out)
     try:
         out.extend(map(float, lines))
-        return False
     except ValueError:
         del out[at:]  # what the failed pass appended
-    if not all(map(bytes.isascii, lines)):
-        raise ValueError("a line is not ASCII")
-    kept = [line for line in lines if line.strip()[:1] not in (b"", b"#")]
-    out.extend(map(float, kept))
-    return len(kept) < len(lines)
+        if not all(map(bytes.isascii, lines)):
+            raise ValueError("a line is not ASCII") from None
+        out.extend(map(float, [line for line in lines if line.strip()[:1] not in (b"", b"#")]))
 
 
 def parse_lines(fd, start, end):
@@ -86,18 +83,17 @@ def parse_lines(fd, start, end):
     is not a float (a non-ASCII byte, a bad literal) raises ValueError.
     Each block is cut after its last whole line ending, and what
     follows waits for the next cut, so a long line is joined once.
-    Returns the values and whether a line was skipped.
     """
-    out, rest, skipped = array("d"), [], False
+    out, rest = array("d"), []
     for block in _blocks(fd, start, end):
         # A final \r may be the first half of \r\n: not an ending yet.
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
         if cut:
-            skipped |= _extend(out, b"".join([*rest, block[:cut]]).splitlines())
+            _extend(out, b"".join([*rest, block[:cut]]).splitlines())
             rest = []
         rest.append(block[cut:])
-    skipped |= _extend(out, b"".join(rest).splitlines())
-    return out, skipped
+    _extend(out, b"".join(rest).splitlines())
+    return out
 
 
 def _line_start(fd, pos, size):
@@ -175,33 +171,30 @@ def text_chunks(values, step, shares):
 def read_floats(fd, size, shares, empty):
     """``parse_lines`` of all of file ``fd``, in up to ``shares`` shares.
 
-    ``size`` is the file's length, or None for a stream, which is one
-    share.  Shares are cut at line starts.  One share's values are
-    returned as the array('d') they were parsed into; more are joined
-    in file order into ``empty(n)``, a writable buffer of n doubles
-    whose pages cost nothing until written (numpy's ``empty``).  Also
-    returns whether any share skipped a line.  ValueError if a line is
-    neither a float nor skipped, or a worker did not send its share.
+    ``size`` is the file's length.  Shares are cut at line starts.  One
+    share's values are returned as the array('d') they were parsed into;
+    more are joined in file order into ``empty(n)``, a writable buffer of
+    n doubles whose pages cost nothing until written (numpy's ``empty``).
+    ValueError if a line is neither a float nor a blank or comment line,
+    or a worker did not send its share.
     """
     starts = [0]
-    if size is not None:
-        for at in (_line_start(fd, size * j // shares, size) for j in range(1, shares)):
-            if starts[-1] < at < size:
-                starts.append(at)
+    for at in (_line_start(fd, size * j // shares, size) for j in range(1, shares)):
+        if starts[-1] < at < size:
+            starts.append(at)
     ends = [*starts[1:], size]
     procs = []
     try:
         for lo, hi in zip(starts[1:], ends[1:]):
             procs.append(_start(["parse", str(lo), str(hi)], fd))
-        # Alone, this process reads on to EOF, as a stream must.
-        head, skipped = parse_lines(fd, 0, ends[0] if procs else None)
+        # Alone, this process reads on to EOF, sequentially.
+        head = parse_lines(fd, 0, ends[0] if procs else None)
         if not procs:
-            return head, skipped
-        words = [proc.stdout.read(16) if proc else b"" for proc in procs]  # sent once parsed
-        if any(len(word) != 16 for word in words):
+            return head
+        words = [proc.stdout.read(8) if proc else b"" for proc in procs]  # sent once parsed
+        if any(len(word) != 8 for word in words):
             raise ValueError("a worker sent no values")
-        counts = [int.from_bytes(word[:8], sys.byteorder) for word in words]
-        skipped = skipped or any(word[8:] != bytes(8) for word in words)
+        counts = [int.from_bytes(word, sys.byteorder) for word in words]
         out = empty(len(head) + sum(counts))
         view, at = memoryview(out), len(head)
         view[:at] = head
@@ -211,7 +204,7 @@ def read_floats(fd, size, shares, empty):
             if proc.stdout.readinto(share) != share.nbytes or proc.wait():
                 raise ValueError("a worker did not send its share")
             at += count
-        return out, skipped
+        return out
     finally:
         _reap(procs)
 
@@ -223,10 +216,10 @@ def _main(argv):
         out.writelines(list(format_lines(values, int(argv[1]))))
         return 0
     try:
-        values, skipped = parse_lines(0, int(argv[1]), int(argv[2]))
+        values = parse_lines(0, int(argv[1]), int(argv[2]))
     except ValueError:
         return 1
-    out.write(len(values).to_bytes(8, sys.byteorder) + int(skipped).to_bytes(8, sys.byteorder))
+    out.write(len(values).to_bytes(8, sys.byteorder))
     out.write(values)
     return 0
 

@@ -44,7 +44,6 @@ from .tester import (
     required_buckets,
     required_samples,
     run_test,
-    scan_layout,
 )
 
 __all__ = ["main", "run_cli"]
@@ -255,7 +254,7 @@ def _cmd_test(args) -> int:
         if args.n is not None or args.params or args.reps is not None or args.seed is not None:
             raise ValueError("--n, --params, --reps and --seed apply only to --dist; "
                              "file data is fixed")
-        splits = load_samples(args.input, args.format, scan_layout(config)[0].count)
+        splits = load_samples(args.input, args.format, config.layout.count)
         outcome = run_test(splits, config)
     else:
         if args.n is None:

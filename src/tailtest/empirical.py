@@ -10,9 +10,8 @@ independent splits so the terms are independent; the single-granularity
 middle one twice.
 
 A layout's ranks depend on (n, k, buckets) alone (``layout_ranks``);
-``held_ranks`` groups them per split, a split answers all of its ranks
-in one ``SortedSampleSplit.at`` call, and ``statistic_at`` turns the
-values held into the statistic at every bucket.
+``held_ranks`` groups them per split, and a split answers all of its
+ranks in one ``SortedSampleSplit.at`` call.
 
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
@@ -153,8 +152,8 @@ class RankLayout:
     """Where a bucket statistic reads the four arguments of four_point_ratio.
 
     Bucket i reads endpoint j from split ``splits[j]`` at nominal rank
-    fraction ``fractions(i, k)[j]``; ``buckets(k)`` are the valid bucket
-    indices, every split needs ``min_n(k)`` samples, and
+    fraction ``fractions(i, k)[j]``; ``buckets(k)`` are the bucket
+    indices a test scans, every split needs ``min_n(k)`` samples, and
     ``null_se(ranks, k, n, reference)`` is the statistic's standard
     error under the exponential null.
     """
@@ -185,11 +184,15 @@ FOUR_SPLIT = RankLayout(
 # L[i])), near 1 - i/k on exponential quantiles.  The shared endpoint
 # (i+1)/k is both the top of bucket i and the bottom of bucket i+1.
 # Coarser than the four-split form (error O(1/k) instead of O(1/k^2) in
-# the length scale), but it needs only n >= k.
+# the length scale), but it needs only n >= k.  The statistic is defined
+# at buckets 1..k-3; a test scans [ceil(0.1*k), floor(0.8*k)] of them,
+# clipped to k-3 (never empty for k >= 4).  The fractions 0.1 and 0.8 are
+# fixed: they skip the noisy first buckets and the non-Lipschitz tail end.
 ONE_SPLIT = RankLayout(
     (0, 0, 0, 0),
     lambda i, k: ((i + 1) / k, i / k, (i + 2) / k, (i + 1) / k),
-    lambda k: range(1, k - 2), lambda k: k, _null_se_single_scale)
+    lambda k: range(math.ceil(0.1 * k), min(math.floor(0.8 * k), k - 3) + 1),
+    lambda k: k, _null_se_single_scale)
 
 
 def layout_ranks(layout: RankLayout, n: int, buckets, k: int) -> np.ndarray:
@@ -221,10 +224,3 @@ def held_ranks(layout: RankLayout, idx: np.ndarray) -> tuple[list[np.ndarray], n
         ranks.append(np.array(sorted(set(idx[mine].flat))))
         at[mine] = sum(r.size for r in ranks[:-1]) + np.searchsorted(ranks[-1], idx[mine])
     return ranks, at
-
-
-def statistic_at(held: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
-    """The statistic at each bucket from the values at ``held_ranks``' ranks
-    laid end to end, shape (..., m) to (..., len(buckets)): one row of
-    statistics per row of values."""
-    return four_point_ratio(*np.moveaxis(held[..., at], -2, 0), k)

@@ -6,13 +6,13 @@ draws only those: the layout's ranks per split go to
 statistics the family's quantile maps, so no array of n values exists
 at any point.  They come from their own stream, so the test at a seed
 is not the test of a ``sample`` file at that seed.
-``run_sampled_test``, its majority vote over reps included, and
-``replicate`` are one path over seeds base_seed + r: the ranks and the
-boundary depend on (config, n) alone and are computed once per call
-(``tester._plan``); each seed draws from its own generator and its
-values are checked before the next seed draws; every seed's statistics
-are one row of a (reps, buckets) array, which ``replicate`` reduces per
-bucket and ``run_sampled_test`` turns into a vote and an outcome.
+``run_sampled_test`` and ``replicate`` are one path over seeds
+base_seed + r: the ranks and the boundary depend on (config, n) alone
+and are computed once per call (``tester._plan``); each seed draws from
+its own generator and its values are checked before the next seed
+draws; every seed's statistics are one row of a (reps, buckets) array,
+which ``replicate`` reduces per bucket and ``run_sampled_test`` hands
+whole to the plan, whose ``outcome`` takes the seeds' majority vote.
 
 ``load_samples(path, fmt, splits)`` deals a sample file round-robin into
 as many splits as a rank layout reads (``RankLayout.count``): the splits
@@ -26,14 +26,16 @@ Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  Text is written ``distributions._CHUNK`` values at a time
 and read in one ``float()`` pass over the lines into an array, which
 skips ASCII comment and blank lines; a file that pass cannot read whole
-(a bad literal, a non-ASCII line) is read again line by line, which
-gives the same values or names the offending line.  Either way a
-negative or non-finite value is named by its file line.  Both text
+(a bad literal, a non-ASCII line) or that holds a negative or
+non-finite value is read again line by line, which gives the same values
+or names the offending line by its file line number.  Both text
 passes split a large file into contiguous shares, one per usable core:
 this process does the first, and a worker process running
 ``_textlines``, the codec this process uses too, does each other one.
-Raw f64 files are the array's own buffer, read straight into one array,
-and a bad value is named by its position.
+A text stream (a pipe or FIFO) can be read only once, so only the line
+loop reads it.  Raw f64 files are the array's own buffer, read straight
+into one array (a stream whole first), and a bad value is named by its
+position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -42,7 +44,6 @@ and ``proxy_curve`` return) as CSV headed by the row type's field names.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -58,7 +59,7 @@ import numpy as np
 from .distributions import DistributionModel
 from .empirical import SortedSampleSplit, _checked_sorted
 from .proxy import ProxyPoint, proxy_value
-from .tester import TestConfig, TestOutcome, Verdict
+from .tester import TestConfig, TestOutcome
 from . import distributions, tester
 
 __all__ = [
@@ -114,13 +115,12 @@ def run_sampled_test(model: DistributionModel, n: int, seed: int, config: TestCo
                      reps: int = 1) -> TestOutcome:
     """Draw the order statistics the configured variant reads and decide.
 
-    Seeds seed..seed + reps - 1 each decide; the outcome is the first
-    seed's, with the seeds' majority verdict, and a tie is light.
+    Seeds seed..seed + reps - 1 each decide; the outcome carries the
+    first seed's buckets and the seeds' majority verdict, and a tie is
+    light (``tester._Plan.outcome``).
     """
     plan, stats = _sampled(model, n, config, seed, reps)
-    heavies = int(np.count_nonzero(plan.heavy(stats)))
-    voted = Verdict.HEAVY if 2 * heavies > reps else Verdict.LIGHT
-    return dataclasses.replace(plan.outcome(stats[0], seed), verdict=voted)
+    return plan.outcome(stats, seed)
 
 
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
@@ -213,34 +213,33 @@ def _parse_text(path: Path) -> np.ndarray:
 
     A regular file is cut into ``_shares`` byte ranges at line starts;
     this process parses the first while a worker process parses each
-    other one (``_textlines.read_floats``), and a stream is one range.
+    other one (``_textlines.read_floats``).  A stream (a pipe or FIFO)
+    can be read only once, so it goes straight to the line loop.
     Wherever ``float`` takes every line, the loop would give the same
     values: ``float`` strips a subset of what ``str.strip`` strips (not
     U+001C..U+001F), and a line it accepts is neither blank nor a
     comment.  A block of lines that pass fails is read again skipping
-    ASCII blank and ``#`` lines, which the loop skips too.  Any other
-    failure (a bad literal, a non-ASCII byte, a worker that did not
-    answer) or an empty file re-reads the file line by line, which
-    returns the values or raises the line-numbered message.  Negative
-    and non-finite values are rejected by file line, with the same
-    message on either path: where a line was skipped, value j is not on
-    line j + 1, so the line loop names it.
+    ASCII blank and ``#`` lines, which the loop skips too.  The values
+    are returned if there are any and all are nonnegative and finite.
+    Anything else (a bad literal or value, a non-ASCII byte, a worker
+    that did not answer, an empty file) re-reads the file line by line,
+    the one path that names a bad line: it returns the values or raises
+    the line-numbered message.
     """
     from ._textlines import read_floats
 
-    with path.open("rb", buffering=0) as fh:
-        st = os.fstat(fh.fileno())
-        size = st.st_size if stat.S_ISREG(st.st_mode) else None
-        try:
-            values, skipped = read_floats(fh.fileno(), size,
-                                          1 if size is None else _shares(size // 16), np.empty)
-        except ValueError:
-            values, skipped = array("d"), False
-    arr = np.frombuffer(values)
-    if not arr.size or skipped and not (arr.min() >= 0.0 and arr.max() < math.inf):
+    if not stat.S_ISREG(path.stat().st_mode):  # stat, unlike open, leaves a stream whole
         return _parse_text_lines(path)
-    _reject_bad_values(arr, "line")  # no line was skipped: value j is on line j + 1
-    return arr
+    with path.open("rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            values = read_floats(fh.fileno(), size, _shares(size // 16), np.empty)
+        except ValueError:
+            values = array("d")
+    arr = np.frombuffer(values)
+    if arr.size and arr.min() >= 0.0 and arr.max() < math.inf:  # NaN fails both
+        return arr
+    return _parse_text_lines(path)
 
 
 def _parse_text_lines(path: Path) -> np.ndarray:
@@ -263,9 +262,13 @@ def _parse_text_lines(path: Path) -> np.ndarray:
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
-    """Read a raw file, sized by its length on disk, into one writable array."""
+    """Read a raw file into one writable array: a regular file straight in,
+    sized by its length on disk; any other (a pipe, whose size reads 0)
+    whole, then copied in."""
     with path.open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        data = None if stat.S_ISREG(st.st_mode) else fh.read()
+        size = st.st_size if data is None else len(data)
         if size == 0:
             raise ValueError(f"{path}: empty file")
         if size % 8 != 0:
@@ -274,7 +277,9 @@ def _parse_raw_f64(path: Path) -> np.ndarray:
                 f"(trailing fragment at offset {size - size % 8})"
             )
         arr = np.empty(size // 8, dtype="<f8")
-        if fh.readinto(arr) != size:
+        if data is not None:
+            arr[:] = np.frombuffer(data, dtype="<f8")
+        elif fh.readinto(arr) != size:
             raise ValueError(f"{path}: file changed size while being read")
     arr = arr.astype(float, copy=False)
     _reject_bad_values(arr, "value")

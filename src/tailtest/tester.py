@@ -1,7 +1,9 @@
 """End-to-end heavy/light decision procedures and budget calculators.
 
 A distribution is declared HEAVY when the bucket statistic falls below
-the decision boundary at any scanned bucket, LIGHT otherwise.
+the decision boundary at any scanned bucket, LIGHT otherwise; a test of
+several samples (seeds) is HEAVY when a strict majority of them are, and
+a tie is LIGHT.  ``_Plan.outcome`` is the one place a verdict is formed.
 
 The boundary at bucket i is built from two pieces:
 
@@ -18,15 +20,14 @@ The boundary at bucket i is built from two pieces:
   closed form in the rank fractions alone, so boundaries are
   deterministic given (n, k) and invariant to scaling of the data.
 
-Both variants make one array pass over their buckets: the full test
-reads the four-split rank layout at buckets 2..k-2, the weak test the
+Both variants make one array pass over the buckets their rank layout
+scans (``TestConfig.layout``, ``RankLayout.buckets``): the full test
+reads the four-split layout at buckets 2..k-2, the weak test the
 one-split layout at buckets [ceil(0.1*k), floor(0.8*k)], clipped to
-[1, k-3].  The fractions 0.1 and 0.8 are fixed: they skip the noisy
-first buckets and the non-Lipschitz tail end.  The ranks read, the
-reference and the boundary are fixed by (config, n) before any sample
-exists (``_plan``, the one place ranks are computed); a sample adds
-only its values at those ranks, its statistic, its degenerate buckets,
-the margins and the verdict.
+k-3.  The ranks read, the reference and the boundary are fixed by
+(config, n) before any sample exists (``_plan``, the one place ranks
+are computed); a sample adds only its values at those ranks, its
+statistic, its degenerate buckets, the margins and the verdict.
 
 ``noise_sigmas`` defaults to 4.0, an empirically fixed working
 constant; the asymptotic theory leaves all such constants free.
@@ -45,10 +46,10 @@ from .empirical import (
     FOUR_SPLIT,
     ONE_SPLIT,
     RankLayout,
+    four_point_ratio,
     held_ranks,
     layout_ranks,
     length_and_change,
-    statistic_at,
 )
 from .proxy import separation_gap
 
@@ -105,6 +106,11 @@ class TestConfig:
             )
         if not 0.0 <= self.noise_sigmas < math.inf:
             raise ValueError("noise_sigmas must be finite and >= 0")
+
+    @property
+    def layout(self) -> RankLayout:
+        """The variant's rank layout: four splits for FULL, one for WEAK."""
+        return ONE_SPLIT if self.variant is Variant.WEAK else FOUR_SPLIT
 
 
 @dataclass(frozen=True)
@@ -189,25 +195,26 @@ class _Plan:
     boundary: np.ndarray
 
     def statistics(self, held: np.ndarray) -> np.ndarray:
-        """The statistic at every bucket, one row per row of held values."""
-        return statistic_at(held, self.at, self.config.k)
-
-    def heavy(self, s_hat: np.ndarray):
-        """Per row of statistics, whether a live bucket falls below the boundary.
-
-        Degenerate buckets count as above the boundary (extreme light
-        evidence) and can never produce a HEAVY verdict on their own.
-        """
-        return np.any(~np.isinf(s_hat) & (s_hat < self.boundary), axis=-1)
+        """The statistic at every bucket, one row per row of held values
+        (``held_ranks``' ranks' values laid end to end)."""
+        return four_point_ratio(*np.moveaxis(held[..., self.at], -2, 0), self.config.k)
 
     def outcome(self, s_hat: np.ndarray, seed: int | None) -> TestOutcome:
-        """The outcome of one sample's statistics."""
+        """The outcome of (reps, buckets) statistics, one row per sample.
+
+        It reports row 0's buckets.  A row is heavy when a live bucket
+        falls below the boundary: degenerate buckets count as above it
+        (extreme light evidence) and can never make a row heavy on their
+        own.  The verdict is HEAVY when a strict majority of rows are
+        heavy, so a tie is LIGHT and one row's verdict is its own.
+        """
         degenerate = np.isinf(s_hat)
-        margin = np.where(degenerate, math.inf, s_hat - self.boundary)
+        heavies = np.count_nonzero(np.any(~degenerate & (s_hat < self.boundary), axis=-1))
+        margin = np.where(degenerate[0], math.inf, s_hat[0] - self.boundary)
         records = tuple(BucketRecord(*row) for row in zip(
-            self.buckets, s_hat.tolist(), self.boundary.tolist(), margin.tolist(),
-            degenerate.tolist()))
-        verdict = Verdict.HEAVY if self.heavy(s_hat) else Verdict.LIGHT
+            self.buckets, s_hat[0].tolist(), self.boundary.tolist(), margin.tolist(),
+            degenerate[0].tolist()))
+        verdict = Verdict.HEAVY if 2 * heavies > len(s_hat) else Verdict.LIGHT
         return TestOutcome(verdict=verdict, records=records, n=self.n, seed=seed,
                            config=self.config)
 
@@ -218,8 +225,8 @@ def _plan(config: TestConfig, n: int) -> _Plan:
     A function of (config, n) alone, so one plan decides every sample of
     n per split under that config.
     """
-    layout, buckets = scan_layout(config)
-    k = config.k
+    layout, k = config.layout, config.k
+    buckets = layout.buckets(k)
     idx = layout_ranks(layout, n, buckets, k)
     ranks, at = held_ranks(layout, idx)
     fractions = idx / (n + 1)
@@ -239,22 +246,7 @@ def _plan(config: TestConfig, n: int) -> _Plan:
 # decision procedures
 # ---------------------------------------------------------------------------
 
-def weak_scan_range(k: int) -> range:
-    """Bucket indices scanned by the weak test: [ceil(0.1*k), floor(0.8*k)],
-    clipped to the statistic's valid range [1, k-3]; never empty for k >= 4."""
-    valid = ONE_SPLIT.buckets(k)
-    return range(max(math.ceil(0.1 * k), valid.start),
-                 min(math.floor(0.8 * k), valid.stop - 1) + 1)
-
-
-def scan_layout(config: TestConfig) -> tuple[RankLayout, range]:
-    """The rank layout and the scanned buckets of the configured variant."""
-    if config.variant is Variant.WEAK:
-        return ONE_SPLIT, weak_scan_range(config.k)
-    return FOUR_SPLIT, FOUR_SPLIT.buckets(config.k)
-
-
-def run_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome:
+def run_test(splits, config: TestConfig) -> TestOutcome:
     """Decide the configured variant on its splits' values at the plan's ranks.
 
     A split is anything with ``n`` and ``at(ranks)``, such as a
@@ -263,7 +255,7 @@ def run_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome
     size n >= ``min_n(k)`` are required, checked in that order.
     """
     splits = list(splits)
-    count = scan_layout(config)[0].count
+    count = config.layout.count
     if len(splits) != count:
         raise ValueError(f"exactly {count} split(s) are required")
     n = splits[0].n
@@ -271,4 +263,4 @@ def run_test(splits, config: TestConfig, seed: int | None = None) -> TestOutcome
         raise ValueError("all four splits must hold the same number of samples")
     plan = _plan(config, n)
     held = np.concatenate([split.at(r) for split, r in zip(splits, plan.ranks)])
-    return plan.outcome(plan.statistics(held), seed)
+    return plan.outcome(plan.statistics(held)[None], None)

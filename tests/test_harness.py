@@ -4,9 +4,11 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from tailtest.harness import (
     sample_file_chunks,
     serialize_report,
 )
-from tailtest.tester import BucketRecord, TestOutcome, scan_layout
+from tailtest.tester import BucketRecord, TestOutcome
 
 TAIL = TailParams(0.25, 0.5)
 CLI_BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
@@ -105,7 +107,7 @@ def test_replicate_matches_per_seed_tests(model, variant, k, n):
         assert np.array_equal([row.s_hat_mean, row.s_hat_std], moments, equal_nan=True), row.i
         assert all(row.boundary == o.records[j].boundary for o in single), row.i
     plan, stats = harness._sampled(model, n, config, base, reps)
-    assert [serialize_report(plan.outcome(row, base + r)) for r, row in enumerate(stats)] == \
+    assert [serialize_report(plan.outcome(row[None], base + r)) for r, row in enumerate(stats)] == \
         [serialize_report(o) for o in single]
     if n == 20:
         assert any(rec.degenerate for o in single for rec in o.records)
@@ -321,7 +323,7 @@ def test_order_statistics_fill_every_split_the_layout_reads(variant, n):
     # One array per split, at that split's ranks, rising strictly inside
     # (0, 1), from the fewest samples the layout takes to a trillion.
     config = config_for(variant, 16)
-    n = scan_layout(config)[0].min_n(16) if n == "least" else n
+    n = config.layout.min_n(16) if n == "least" else n
     ranks = tester._plan(config, n).ranks
     draws = distributions.uniform_order_statistics(n, ranks, 3)
     assert [u.shape for u in draws] == [r.shape for r in ranks]
@@ -744,17 +746,71 @@ def test_bad_literal_in_a_worker_share_names_its_line(tmp_path, workers, split):
     assert len(workers) == 1 and workers[0].returncode == 1  # it met the literal itself
 
 
-def test_load_text_from_a_fifo_takes_no_worker(tmp_path, workers, split):
-    split(2, values=1)
+def test_parse_worker_sends_a_count_then_its_doubles(tmp_path):
+    # The worker protocol, run as the reader starts it: the file on
+    # stdin, a byte range as arguments; out come an 8-byte native count
+    # and that many native doubles, or exit 1 on a line it cannot take.
+    p = tmp_path / "share.txt"
+    data = b"# head\n1.5\n\n2.25\r\n3.0\n"
+    p.write_bytes(data)
+
+    def parse(start, end):
+        with p.open("rb") as fh:
+            return subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, "parse",
+                                   str(start), str(end)], stdin=fh, capture_output=True)
+
+    for start, expected in ((0, [1.5, 2.25, 3.0]), (data.index(b"2.25"), [2.25, 3.0])):
+        done = parse(start, len(data))
+        assert done.returncode == 0
+        assert int.from_bytes(done.stdout[:8], sys.byteorder) == len(expected)
+        assert array("d", done.stdout[8:]).tolist() == expected
+    p.write_bytes(b"1.0\n4.0e\n")
+    assert parse(0, 9).returncode == 1
+
+
+def _load_from_a_fifo(tmp_path, data: bytes, fmt):
     p = tmp_path / "fifo"
     os.mkfifo(p)
-    values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
-    feeder = threading.Thread(target=p.write_bytes, args=(_text(values),), daemon=True)
+    feeder = threading.Thread(target=p.write_bytes, args=(data,), daemon=True)
     feeder.start()  # its open blocks until the reader opens the other end
-    [loaded] = tt.load_samples(p, FileFormat.TEXT)
-    feeder.join(timeout=30)
-    assert not feeder.is_alive()
+    try:
+        return tt.load_samples(p, fmt)
+    finally:
+        feeder.join(timeout=30)
+        assert not feeder.is_alive()
+        p.unlink()
+
+
+def test_load_text_from_a_fifo_takes_no_worker(tmp_path, workers, split):
+    split(2, values=1)
+    values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
+    [loaded] = _load_from_a_fifo(tmp_path, _text(values), FileFormat.TEXT)
     assert loaded.values.tobytes() == np.sort(values).tobytes()
+    assert workers == []
+
+
+def test_load_raw_f64_from_a_fifo(tmp_path):
+    # A pipe's size reads 0: it is read whole, not refused as empty.
+    values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
+    [loaded] = _load_from_a_fifo(tmp_path, values.astype("<f8").tobytes(), FileFormat.RAW_F64)
+    assert loaded.values.tobytes() == np.sort(values).tobytes()
+    for data, message in ((b"", "empty file"),
+                          (bytes(12), "length 12 is not a multiple of 8 "
+                                      "(trailing fragment at offset 8)")):
+        with pytest.raises(ValueError) as exc:
+            _load_from_a_fifo(tmp_path, data, FileFormat.RAW_F64)
+        assert str(exc.value) == f"{tmp_path / 'fifo'}: {message}"
+
+
+@pytest.mark.parametrize("name", ["negative", "late_bad_literal"])
+def test_bad_text_from_a_fifo_is_named_by_its_line(tmp_path, workers, name):
+    # A stream is read once, by the line loop: its message is the file's.
+    p = tmp_path / f"{name}.txt"
+    p.write_bytes(_text_corpus()[name])
+    expected = _parse_result(_parse_text_lines, p)[1].replace(str(p), str(tmp_path / "fifo"))
+    with pytest.raises(ValueError) as exc:
+        _load_from_a_fifo(tmp_path, p.read_bytes(), FileFormat.TEXT)
+    assert str(exc.value) == expected
     assert workers == []
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tailtest as tt
+from tailtest import tester
 from tailtest import (
     Exponential,
     Lomax,
@@ -156,6 +157,33 @@ def test_degenerate_buckets_never_flag_heavy():
     assert outcome.verdict is Verdict.LIGHT
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_plan_outcome_takes_the_rows_majority(variant):
+    # One row of statistics per sample: the outcome reports row 0's
+    # buckets, and is heavy only when a strict majority of rows are.
+    cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, variant=variant)
+    plan = tester._plan(cfg, 1000)
+    light = plan.boundary + 0.5
+    heavy = light.copy()
+    heavy[1] = plan.boundary[1] - 0.25
+    outcome = plan.outcome(np.array([heavy, light, heavy]), 7)
+    assert outcome.verdict is Verdict.HEAVY
+    assert outcome.seed == 7 and outcome.n == 1000
+    assert [r.i for r in outcome.records] == list(plan.buckets)
+    assert [r.s_hat for r in outcome.records] == heavy.tolist()
+    assert outcome.records[1].margin == pytest.approx(-0.25)
+    assert plan.outcome(np.array([heavy, light]), 7).verdict is Verdict.LIGHT  # a tie
+    assert plan.outcome(np.array([light, heavy, heavy]), 7).verdict is Verdict.HEAVY
+    assert plan.outcome(heavy[None], None).verdict is Verdict.HEAVY
+    # A degenerate bucket is light evidence, even where its value lies below.
+    for marker in (math.inf, -math.inf):
+        row = light.copy()
+        row[1] = marker
+        outcome = plan.outcome(np.array([row, row, heavy]), 7)
+        assert outcome.verdict is Verdict.LIGHT
+        assert outcome.records[1].degenerate and outcome.records[1].margin == math.inf
+
+
 # ---------------------------------------------------------------------------
 # verdicts on sampled data (fixed-seed regressions)
 # ---------------------------------------------------------------------------
@@ -241,12 +269,12 @@ def test_verdict_affine_invariance_spot_check():
 
 
 def test_weak_scan_range_respects_bounds():
-    from tailtest.tester import weak_scan_range
+    from tailtest.empirical import ONE_SPLIT
 
-    assert weak_scan_range(16) == range(2, 13)  # ceil(1.6), floor(12.8)
+    assert ONE_SPLIT.buckets(16) == range(2, 13)  # ceil(1.6), floor(12.8)
     # floor(0.8k) = 8 > k-3 = 7: the top is clipped to the statistic's range
-    assert weak_scan_range(10) == range(1, 8)
+    assert ONE_SPLIT.buckets(10) == range(1, 8)
     # never empty, down to the smallest k
     for k in range(4, 200):
-        r = weak_scan_range(k)
+        r = ONE_SPLIT.buckets(k)
         assert 1 <= r.start <= r.stop - 1 <= k - 3
