@@ -2,15 +2,17 @@
 
 ``format_lines`` writes one shortest round-trip decimal (``repr``) per
 line, and ``parse_lines`` reads the lines of a byte range of a file
-with ``float()``.  ``text_chunks`` and ``read_floats`` cut a file's
-values or bytes into contiguous shares: the calling process does the
-first share, and one worker process per other share does that one at
-the same time.  A worker is this module run as a script, in an
-interpreter that loads neither numpy nor site packages::
+with ``float()``.  ``text_chunks`` deals chunks of values round-robin
+to the calling process and to worker processes, and ``read_floats``
+cuts a file's bytes into contiguous shares, one per process.  A worker
+is this module run as a script, in an interpreter that loads neither
+numpy nor site packages::
 
-    python -I -S _textlines.py format STEP
-        stdin: native doubles; stdout: their lines, formatted STEP
-        values at a time.
+    python -I -S _textlines.py format
+        stdin: frames, each an 8-byte native count and then that many
+        native doubles, until EOF; stdout: for each frame, a frame of
+        its lines: their length as 8 native bytes, then the lines.
+        Exit 1 on a frame cut short.
     python -I -S _textlines.py parse START END
         stdin: an open text file; stdout: the count of the values on
         the lines that start in bytes START..END as 8 native bytes,
@@ -19,9 +21,11 @@ interpreter that loads neither numpy nor site packages::
 
 So this module imports only the standard library, and ``subprocess``
 only where a worker starts.  The worker is ``sys.executable``, so its
-``repr`` and ``float`` are the caller's, and so are its bytes.  It
-finishes its whole share before writing any of it, so it never waits
-on a caller busy with a share of its own.
+``repr`` and ``float`` are the caller's, and so are its bytes.  A
+format worker answers each frame whole before it reads the next, and
+the writer reads each answer whole before it sends that worker another
+frame.  A pipe holds 64 KB and a frame of doubles 128 KB, so any other
+order could leave each side waiting for the other to read.
 """
 
 import os
@@ -31,10 +35,9 @@ from array import array
 _BLOCK = 1 << 16  # bytes read at a time: a few thousand lines
 
 
-def format_lines(values, step):
-    """Lines of ``values`` (an ndarray or a memoryview of doubles), ``step`` at a time."""
-    for i in range(0, len(values), step):
-        yield ("\n".join(map(repr, values[i:i + step].tolist())) + "\n").encode("ascii")
+def format_lines(values) -> bytes:
+    """The lines of ``values`` (an ndarray or a memoryview of doubles), one per value."""
+    return ("\n".join(map(repr, values.tolist())) + "\n").encode("ascii")
 
 
 def _blocks(fd, start, end):
@@ -133,37 +136,56 @@ def _reap(procs):
         proc.wait()
 
 
-def text_chunks(values, step, shares):
-    """The lines of ``values`` (native doubles) as bytes chunks, in ``shares`` shares.
-
-    A worker gets its share's doubles on stdin and sends back its text,
-    which is yielded in its place.  A share whose worker did not start
-    or did not finish is formatted here, from where its text stopped.
-    Closing the iterator ends every worker.
-    """
-    cuts = [len(values) * j // shares for j in range(shares + 1)]
-    procs = []
+def _ask(proc, chunk) -> bool:
+    """Send ``chunk`` (native doubles) to format worker ``proc`` as one frame;
+    False if there is no worker or it is gone."""
+    if proc is None:
+        return False
     try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            procs.append(proc := _start(["format", str(step)]))
-            if proc is not None:
-                try:
-                    proc.stdin.write(values[lo:hi])
-                    proc.stdin.close()
-                except OSError:  # it died: its share is made below
-                    pass
-        yield from format_lines(values[:cuts[1]], step)
-        for proc, lo, hi in zip(procs, cuts[1:], cuts[2:]):
-            sent = 0
-            if proc is not None:
-                for chunk in iter(lambda: proc.stdout.read1(_BLOCK), b""):
-                    sent += len(chunk)
-                    yield chunk
-            if proc is None or proc.wait():
-                for chunk in format_lines(values[lo:hi], step):
-                    if sent < len(chunk):
-                        yield chunk[sent:]
-                    sent = max(sent - len(chunk), 0)
+        proc.stdin.write(len(chunk).to_bytes(8, sys.byteorder))
+        proc.stdin.write(chunk)
+        proc.stdin.flush()
+    except OSError:  # it died
+        return False
+    return True
+
+
+def _answer(proc):
+    """Format worker ``proc``'s whole answering frame's lines, else None."""
+    word = proc.stdout.read(8)
+    if len(word) == 8:
+        size = int.from_bytes(word, sys.byteorder)
+        text = proc.stdout.read(size)
+        if len(text) == size:
+            return text
+    return None
+
+
+def text_chunks(chunks, shares):
+    """The lines of each of ``chunks`` (arrays of native doubles), as bytes, in order.
+
+    The chunks are dealt round-robin to this process and ``shares - 1``
+    format workers.  Each round sends every worker its next frame, then
+    formats this process's own chunk, then reads every worker's answer
+    whole in chunk order.  A worker that cannot start, dies or answers
+    short is reaped, and its chunk of that round and every later one is
+    formatted here, so only whole answers are yielded.  Closing the
+    iterator ends every worker.
+    """
+    procs = [_start(["format"]) for _ in range(shares - 1)]
+    try:
+        chunks = iter(chunks)
+        for own in chunks:
+            dealt = [(j, chunk, _ask(proc, chunk))
+                     for j, (proc, chunk) in enumerate(zip(procs, chunks))]
+            yield format_lines(own)
+            for j, chunk, sent in dealt:
+                text = _answer(procs[j]) if sent else None
+                if text is None:
+                    _reap(procs[j:j + 1])
+                    procs[j] = None
+                    text = format_lines(chunk)
+                yield text
     finally:
         _reap(procs)
 
@@ -212,8 +234,16 @@ def read_floats(fd, size, shares, empty):
 def _main(argv):
     out = sys.stdout.buffer
     if argv[0] == "format":
-        values = memoryview(sys.stdin.buffer.read()).cast("d")
-        out.writelines(list(format_lines(values, int(argv[1]))))
+        frames = sys.stdin.buffer
+        while word := frames.read(8):
+            size = 8 * int.from_bytes(word, sys.byteorder)
+            data = frames.read(size)
+            if len(word) != 8 or len(data) != size:
+                return 1
+            text = format_lines(memoryview(data).cast("d"))
+            out.write(len(text).to_bytes(8, sys.byteorder))
+            out.write(text)
+            out.flush()
         return 0
     try:
         values = parse_lines(0, int(argv[1]), int(argv[2]))

@@ -12,8 +12,9 @@ and 4 for light.  All output is byte-deterministic for a given seed.
 This module only parses flags, builds objects and writes bytes: every
 byte format is ``tailtest.harness``'s (``sample_file_chunks`` for sample
 files, ``serialize_report`` for reports).  Output files are written
-atomically (temp file then rename), chunk by chunk, with the mode of a
-plain new file.
+chunk by chunk: a regular file atomically (temp file then rename, beside
+the file a symlink resolves to), with the mode of a plain new file; a
+FIFO or device in place.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable
@@ -76,14 +78,35 @@ def _parse_params(spec: str) -> dict[str, float]:
 
 
 def _atomic_write(path: str, chunks: Iterable) -> None:
-    """Write bytes-like chunks via a temp file in the target directory, then rename.
+    """Write bytes-like chunks to ``path``: a regular file atomically, anything else in place.
 
+    A path that names, or links to, something other than a regular file
+    (a FIFO, a device) is opened and written straight, as ``open`` would.
+    Otherwise the chunks go to a temp file beside the file the path
+    resolves to, which is renamed over it, so a symlink stays a symlink.
     The file gets the mode a plain ``open`` gives a new file, 0666 less
     the umask, not the temp file's 0600.  If producing or writing a chunk
     fails, the chunk iterator is closed (ending any worker processes it
-    holds), the temp file is removed and the target is left as it was.
+    holds), the temp file is removed and a regular target is left as it was.
     """
-    target = Path(path)
+    try:
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)  # follows links
+        except FileNotFoundError:
+            regular = True
+        if regular:
+            _replace(Path(os.path.realpath(path)), chunks)
+        else:
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+    except BaseException:
+        if hasattr(chunks, "close"):
+            chunks.close()
+        raise
+
+
+def _replace(target: Path, chunks: Iterable) -> None:
+    """Write chunks to a temp file beside ``target``, then rename it over ``target``."""
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     try:
@@ -94,8 +117,6 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
             fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
-        if hasattr(chunks, "close"):
-            chunks.close()
         try:
             os.unlink(tmp)
         except OSError:
@@ -231,8 +252,8 @@ def _make_config(args) -> TestConfig:
 
 def _cmd_sample(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
-    values = distributions.sample(model, args.n, args.seed)
-    _atomic_write(args.out, sample_file_chunks(values, args.format))
+    chunks = distributions._sample_chunks(model, args.n, args.seed)
+    _atomic_write(args.out, sample_file_chunks(chunks, args.n, args.format))
     return EXIT_OK
 
 

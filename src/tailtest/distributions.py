@@ -5,11 +5,11 @@ pdf, cdf, pdf derivative, and quantile, plus the survival function, the
 hazard rate and its analytic derivative.  All evaluators accept scalars
 or numpy arrays.
 
-Sampling is inverse-transform only: ``sample`` draws n uniforms from
-one seeded generator in one call and maps them through the quantile
-function, so identical seeds give bit-identical output.  ``transform``
-maps the raw draws to samples in place, 16,384 at a time, so no
-temporary outgrows a chunk.
+Sampling is inverse-transform only: one seeded generator's uniforms
+are drawn 16,384 at a time (``_CHUNK``) and each chunk is mapped through
+the quantile function, so identical seeds give bit-identical output and
+no temporary outgrows a chunk.  ``sample`` gathers the chunks into one
+array; ``sample_file_chunks`` (in ``harness``) writes them one at a time.
 
 A test reads only a few order statistics, and
 ``uniform_order_statistics`` draws those exactly, without the other
@@ -383,7 +383,7 @@ def quantile(model: DistributionModel, u):
     return out
 
 
-# Values transformed per pass: 128 KiB of float64, so a chunk and the
+# Values drawn and mapped per chunk: 128 KiB of float64, so a chunk and the
 # quantile's temporaries stay in L2.
 _CHUNK = 1 << 14
 
@@ -422,24 +422,30 @@ def uniform_order_statistics(n: int, ranks_by_split, seed: int) -> list[np.ndarr
     return out
 
 
-def transform(model: DistributionModel, u: np.ndarray) -> np.ndarray:
-    """Map raw draws u to samples of model in place, _CHUNK at a time.
+def _sample_chunks(model: DistributionModel, n: int, seed: int):
+    """n inverse-transform samples in stream order, as arrays of up to _CHUNK values.
 
+    Each chunk maps the next ``Generator.random`` values of one seeded
+    generator, which are the values one ``random(n)`` call would give.
     The quantile acts on each value alone and gives the same bits on a
-    chunk, a gathered subset or the whole array, so the chunking never
-    shows in the output.
+    chunk as on the whole array, so the chunking never shows in the
+    values.  n and the seed are checked at the call, before any chunk.
     """
-    for start in range(0, u.size, _CHUNK):
-        chunk = u[start:start + _CHUNK]
-        chunk[...] = model.quantile(_variates(chunk))
-    return u
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    return (model.quantile(_variates(rng.random(min(_CHUNK, n - start))))
+            for start in range(0, n, _CHUNK))
 
 
 def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:
     """n inverse-transform samples in stream order; same seed gives bit-identical output."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return transform(model, np.random.default_rng(seed).random(n))
+    chunks = _sample_chunks(model, n, seed)
+    out, at = np.empty(n), 0
+    for chunk in chunks:
+        out[at:at + chunk.size] = chunk
+        at += chunk.size
+    return out
 
 
 def _longest_run(flags: np.ndarray) -> int:

@@ -23,19 +23,21 @@ gives the bytes of sorting a copy (see
 ``SortedSampleSplit.from_samples``).
 
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
-reads them.  Text is written ``distributions._CHUNK`` values at a time
-and read in one ``float()`` pass over the lines into an array, which
-skips ASCII comment and blank lines; a file that pass cannot read whole
-(a bad literal, a non-ASCII line) or that holds a negative or
-non-finite value is read again line by line, which gives the same values
-or names the offending line by its file line number.  Both text
-passes split a large file into contiguous shares, one per usable core:
-this process does the first, and a worker process running
-``_textlines``, the codec this process uses too, does each other one.
-A text stream (a pipe or FIFO) can be read only once, so only the line
-loop reads it.  Raw f64 files are the array's own buffer, read straight
-into one array (a stream whole first), and a bad value is named by its
-position.
+reads them.  A file is written as its values are drawn, one
+``distributions._CHUNK`` of values at a time, so no process holds n
+values.  Text is read in one ``float()`` pass over the lines into an
+array, which skips ASCII comment and blank lines; a file that pass
+cannot read whole (a bad literal, a non-ASCII line) or that holds a
+negative or non-finite value is read again line by line, which gives
+the same values or names the offending line by its file line number.
+Both text passes use one process per usable core, up to one per
+``_SPLIT`` values: each other process is a worker running
+``_textlines``, the codec this process uses too.  The writer deals the
+chunks round-robin; the reader cuts a file into contiguous shares.  A
+text stream (a pipe or FIFO) can be read only once, so only the line
+loop reads it.  Raw f64 files are the chunks' own buffers, read
+straight into one array (a stream whole first), and a bad value is
+named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -97,7 +99,7 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     Only the values at the ranks the layout reads are drawn, O(k) per
     split whatever n is, from each seed's own generator.  They are exact
     uniform order statistics of n draws per split, mapped through the
-    quantile as they are: unlike ``transform``'s variates they lie on no
+    quantile as they are: unlike ``sample``'s variates they lie on no
     2**-53 grid, so they need no half-step offset.  Each split's mapped
     values are checked as a sorted sample's are before the next seed draws.
     """
@@ -162,9 +164,9 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 # sample files
 # ---------------------------------------------------------------------------
 
-# A text file gets one more share, and so one more process, per _SPLIT
-# values, or per 16 * _SPLIT bytes when read (a sampled double's line
-# takes 16 to 25 bytes), up to one share per usable core.
+# A text file gets one more process per _SPLIT values written, or per
+# 16 * _SPLIT bytes read (a sampled double's line takes 16 to 25 bytes),
+# up to one per usable core.
 _SPLIT = 4 * distributions._CHUNK
 
 
@@ -173,22 +175,23 @@ def _shares(values: int) -> int:
     return min(cores, 1 + values // _SPLIT)
 
 
-def sample_file_chunks(values: np.ndarray, fmt: FileFormat | str) -> Iterable:
+def sample_file_chunks(chunks: Iterable[np.ndarray], n: int, fmt: FileFormat | str) -> Iterable:
     """A sample file's bytes in ``fmt``, as bytes-like chunks to write in order.
 
-    RAW_F64 is the values' own little-endian buffer.  Text is one
-    shortest round-trip decimal per line, formatted ``_CHUNK`` values at
-    a time, so neither a string per value nor the whole text is held at
-    once; each share after the first is formatted by a worker process
-    (``_textlines.text_chunks``).  Close the iterator to stop early:
-    that ends the workers.
+    ``chunks`` are the file's n values as contiguous float64 arrays in
+    file order, as ``distributions._sample_chunks`` draws them, taken as
+    the bytes are wanted, so at most a round of chunks is held at once.
+    RAW_F64 is each chunk's own little-endian buffer.  Text is one
+    shortest round-trip decimal per line, the chunks dealt round-robin to
+    this process and ``_shares(n) - 1`` worker processes, which get each
+    chunk's native bytes (``_textlines.text_chunks``).  Close the
+    iterator to stop early: that ends the workers.
     """
     if FileFormat(fmt) is FileFormat.RAW_F64:
-        return [np.ascontiguousarray(values, dtype="<f8")]
+        return (np.ascontiguousarray(chunk, dtype="<f8") for chunk in chunks)
     from ._textlines import text_chunks
 
-    values = np.ascontiguousarray(values, dtype=float)  # workers get native doubles
-    return text_chunks(values, distributions._CHUNK, _shares(values.size))
+    return text_chunks(chunks, _shares(n))
 
 
 def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:

@@ -2,8 +2,10 @@ import argparse
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +102,9 @@ def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
     (MemoryError(), "error: MemoryError\n"),
 ], ids=["message", "bare"])
 def test_refused_allocation_is_one_error_line(tmp_path, monkeypatch, exc, line, capsys):
-    # `sample` is the one command that draws n values; its generator refuses.
+    # `sample` draws its n values a chunk at a time, so no n it is given
+    # makes it allocate O(n); the refusal is simulated at its generator,
+    # which is made before the output is opened.
     def refuse(*args):
         raise exc
 
@@ -238,7 +242,7 @@ def test_sample_text_deterministic(tmp_path):
 
 @pytest.mark.parametrize("n", [1, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _CHUNK + 3, 200_003])
 def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
-    # On two cores, from _SPLIT values on, a worker formats the second half.
+    # On two cores, from _SPLIT values on, a worker formats every second chunk.
     split(2)
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -252,7 +256,7 @@ def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
 
 def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, split, capsys):
     # The disk fills after the first chunk: one error line, no temp file,
-    # and the worker formatting the second half is ended and reaped.
+    # and the worker formatting every second chunk is ended and reaped.
     split(2, values=_CHUNK)
     real_fdopen = os.fdopen
 
@@ -327,13 +331,92 @@ def test_outputs_get_the_mode_of_a_plain_new_file(tmp_path):
         os.umask(previous)
 
 
-def test_sample_f64_matches_library(tmp_path):
+_LOMAX = ["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--seed", "4"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "f64"])
+def test_sample_into_a_fifo_writes_through_it(tmp_path, fmt):
+    # A path that is not a regular file (a FIFO, a device) is written in
+    # place: renaming a temp file over it left its reader with nothing.
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()  # its open blocks until the writer opens the other end
+    args = [*_LOMAX, "--n", "3000", "--format", fmt]
+    assert run_cli([*args, "--out", str(fifo)]) == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert run_cli([*args, "--out", str(plain)]) == 0
+    assert got == [plain.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "plain"]
+
+
+def test_sample_through_a_symlink_replaces_what_it_links_to(tmp_path):
+    # The temp file is made and renamed beside the file the link resolves
+    # to, in that file's directory: the link stays a link.
+    (tmp_path / "data").mkdir()
+    (tmp_path / "links").mkdir()
+    real, plain = tmp_path / "data" / "real.txt", tmp_path / "plain.txt"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "links" / "link.txt"
+    link.symlink_to(os.path.join("..", "data", "real.txt"))
+    assert run_cli([*_LOMAX, "--n", "3000", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "data", "real.txt")
+    assert run_cli([*_LOMAX, "--n", "3000", "--out", str(plain)]) == 0
+    assert real.read_bytes() == plain.read_bytes()
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["real.txt"]
+    assert [p.name for p in (tmp_path / "links").iterdir()] == ["link.txt"]
+
+
+# Starts the command in its arguments and prints its peak RSS in KiB as
+# ``wait4`` reports it: that of the child or of any worker it reaped.
+# A child's figure is at least the peak of the process that spawned it
+# (``exec`` keeps the high-water mark of the address space it replaces),
+# so it is spawned from this small interpreter, not from pytest's.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+
+
+def _sample_peak_rss_kib(tmp_path, n: int, fmt: str) -> int:
+    src = Path(tt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / f"x.{fmt}"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS, sys.executable, "-m",
+                           "tailtest.cli", *_LOMAX, "--n", str(n), "--format", fmt,
+                           "--out", str(out)],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert out.stat().st_size >= (8 if fmt == "f64" else 4) * n
+    out.unlink()
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["text", "f64"])
+def test_sample_peak_rss_is_flat_in_n(tmp_path, fmt):
+    # Each process of a `sample` call, workers included, holds a few
+    # chunks of values and their text whatever n is; holding the n values
+    # would add 30 MB from 2**18 to 2**22 values.
+    small, large = (_sample_peak_rss_kib(tmp_path, n, fmt) for n in (1 << 18, 1 << 22))
+    assert abs(large - small) <= 3 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("n", [100, 2 * _CHUNK + 3])
+def test_sample_f64_matches_library(tmp_path, n):
     out = tmp_path / "x.f64"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", "100", "--seed", "3", "--out", str(out),
+                    "--n", str(n), "--seed", "3", "--out", str(out),
                     "--format", "f64"]) == 0
     from_file = np.frombuffer(out.read_bytes(), dtype="<f8")
-    direct = tt.sample(tt.Lomax(1.0, 1.0), 100, seed=3)
+    direct = tt.sample(tt.Lomax(1.0, 1.0), n, seed=3)
     assert np.array_equal(from_file, direct)
 
 

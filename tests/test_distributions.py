@@ -355,7 +355,7 @@ def test_order_statistics_draw_split_by_split_from_one_stream():
     assert draws(10, ranks, 5)[0].tobytes() != expected[0]
 
 
-# Sizes around ``transform``'s chunk: ending on a chunk edge, one past
+# Sizes around ``sample``'s chunk: ending on a chunk edge, one past
 # it, mid-chunk and inside the first chunk.
 CHUNK_CUTS = {"on_chunk_edge": 2 * _CHUNK, "odd_n": 2 * _CHUNK + 1,
               "mid_chunk": _CHUNK + 2, "inside_one_chunk": 5}
@@ -382,7 +382,7 @@ def test_sample_is_one_stream_for_any_chunk_size(monkeypatch, chunk):
 # Every family's quantile must be nondecreasing, because
 # ``harness._sampled`` refuses mapped order statistics that are not
 # ascending; these tests check it over sorted variates, runs of
-# consecutive doubles and the branch seams.  ``transform`` maps a chunk
+# consecutive doubles and the branch seams.  ``sample`` maps a chunk
 # at a time, so the quantile must also give the same bits on any part of
 # an array, a gathered subset or a short last chunk, as on the whole array.
 

@@ -670,11 +670,17 @@ def test_load_text_peak_memory_per_value(tmp_path):
         assert peak / n <= 20.0, name
 
 
-def test_sample_file_chunks_text_peak_memory():
-    # One chunk of text at a time: its floats, their strings and the
-    # joined line block, about 2 MB for a 16,384-value chunk.
-    values = tt.sample(Lomax(1.0, 1.0), 1_000_001, seed=4)
-    _, peak = _peak_bytes(lambda: sum(len(c) for c in sample_file_chunks(values, "text")))
+def _sample_file(n: int):
+    """The text of n Lomax(1, 1) values at seed 4, streamed from the model."""
+    return sample_file_chunks(distributions._sample_chunks(Lomax(1.0, 1.0), n, 4), n, "text")
+
+
+@pytest.mark.parametrize("n", [1 << 18, 1 << 20 | 1])
+def test_sample_file_chunks_text_peak_memory(n):
+    # One chunk of text at a time, streamed from the model: a chunk's
+    # doubles, their strings and the joined line block, about 2 MB for
+    # 16,384 values, at any n.
+    _, peak = _peak_bytes(lambda: sum(len(c) for c in _sample_file(n)))
     assert peak <= 4_000_000
 
 
@@ -692,34 +698,52 @@ def _fake_worker(tmp_path, body: str) -> str:
 
 def test_stopping_after_the_first_chunk_ends_every_worker(workers, split):
     split(3, values=_CHUNK)
-    chunks = sample_file_chunks(tt.sample(Lomax(1.0, 1.0), 4 * _CHUNK, seed=4), "text")
+    chunks = _sample_file(4 * _CHUNK)
     assert next(chunks)
     chunks.close()
     assert len(workers) == 2
     assert all(w.returncode is not None for w in workers)
 
 
-# A worker that cannot start, one that dies before it reads, and one that
-# dies mid-line after sending half its text: the writer formats what is missing.
+# A fake worker's first answer, as ``frame``: in the format protocol the
+# lines of the first frame it reads, after their length; in the parse
+# protocol its count and doubles.
+_FIRST_ANSWER = """\
+if sys.argv[1] == "format":
+    count = int.from_bytes(sys.stdin.buffer.read(8), sys.byteorder)
+    text = codec["format_lines"](memoryview(sys.stdin.buffer.read(8 * count)).cast("d"))
+    frame = len(text).to_bytes(8, sys.byteorder) + text
+else:
+    values = codec["parse_lines"](0, int(sys.argv[2]), int(sys.argv[3]))
+    frame = len(values).to_bytes(8, sys.byteorder) + values.tobytes()
+"""
+
+# A worker that cannot start, one that dies before it reads, one that
+# dies midway through its first answer, and one that dies after it: the
+# writer formats every chunk the worker did not answer whole, and the
+# reader reads the file again line by line.
 _DYING = {
     "cannot_start": None,
     "dies_at_once": "sys.exit(1)",
-    "dies_midway": ("values = memoryview(sys.stdin.buffer.read()).cast('d')\n"
-                    "text = b''.join(codec['format_lines'](values, int(sys.argv[2])))\n"
-                    "sys.stdout.buffer.write(text[:len(text) // 2 + 3])\n"
-                    "sys.exit(1)\n"),
+    "dies_midway": _FIRST_ANSWER + "sys.stdout.buffer.write(frame[:len(frame) // 2])\n"
+                                   "sys.exit(1)\n",
+    "dies_after_its_first_frame": _FIRST_ANSWER + "sys.stdout.buffer.write(frame)\n"
+                                                  "sys.exit(1)\n",
 }
 
 
 @pytest.mark.parametrize("how", _DYING)
-def test_writer_formats_the_share_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+def test_writer_formats_the_chunks_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+    # Seven chunks on three cores: each worker is dealt two, the second
+    # after the round in which a worker that dies after its first answer
+    # has sent it.
     split(3, values=_CHUNK)
     if _DYING[how] is None:
         monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
     else:
         monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
-    values = tt.sample(Lomax(1.0, 1.0), 3 * _CHUNK + 5, seed=4)
-    assert b"".join(sample_file_chunks(values, "text")) == _text(values)
+    n = 6 * _CHUNK + 5
+    assert b"".join(_sample_file(n)) == _text(tt.sample(Lomax(1.0, 1.0), n, seed=4))
     assert len(workers) == (0 if how == "cannot_start" else 2)
     assert all(w.returncode is not None for w in workers)
 
@@ -766,6 +790,29 @@ def test_parse_worker_sends_a_count_then_its_doubles(tmp_path):
         assert array("d", done.stdout[8:]).tolist() == expected
     p.write_bytes(b"1.0\n4.0e\n")
     assert parse(0, 9).returncode == 1
+
+
+def test_format_worker_answers_each_frame_with_its_lines():
+    # The worker protocol, run as the writer starts it: frames of an
+    # 8-byte native count and that many native doubles in; for each, a
+    # frame of its repr lines' length and the lines out; exit 0 at EOF,
+    # and exit 1 on a frame cut short.
+    frames = [[1.5, 0.1], [5e-324, 1e300, 2.0, 123456789.0]]
+    sent = b"".join(len(f).to_bytes(8, sys.byteorder) + array("d", f).tobytes() for f in frames)
+
+    def format_frames(data):
+        return subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, "format"],
+                              input=data, capture_output=True)
+
+    done = format_frames(sent)
+    assert done.returncode == 0
+    answers, out = [], done.stdout
+    while out:
+        size = int.from_bytes(out[:8], sys.byteorder)
+        answers.append(out[8:8 + size])
+        out = out[8 + size:]
+    assert answers == [("\n".join(map(repr, f)) + "\n").encode() for f in frames]
+    assert format_frames(sent[:-8]).returncode == 1
 
 
 def _load_from_a_fifo(tmp_path, data: bytes, fmt):
