@@ -25,19 +25,17 @@ gives the bytes of sorting a copy (see
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  A file is written as its values are drawn, one
 ``distributions._CHUNK`` of values at a time, so no process holds n
-values.  Text is read in one ``float()`` pass over the lines into an
-array, which skips ASCII comment and blank lines; a file that pass
-cannot read whole (a bad literal, a non-ASCII line) or that holds a
-negative or non-finite value is read again line by line, which gives
-the same values or names the offending line by its file line number.
-Both text passes use one process per usable core, up to one per
-``_SPLIT`` values: each other process is a worker running
-``_textlines``, the codec this process uses too.  The writer deals the
-chunks round-robin; the reader cuts a file into contiguous shares.  A
-text stream (a pipe or FIFO) can be read only once, so only the line
-loop reads it.  Raw f64 files are the chunks' own buffers, read
-straight into one array (a stream whole first), and a bad value is
-named by its position.
+values.  Text is read in order, in blocks of whole lines, each in one
+``float()`` pass that skips ASCII comment and blank lines.  Only a
+block that pass cannot take whole (a bad literal, a non-ASCII line) or
+that holds a negative or non-finite value goes through the line loop,
+which gives the same values or names the first fault by its file line.
+Both directions deal their chunks or blocks round-robin to one process
+per usable core, up to one per ``_SPLIT`` values: each other process is
+a worker running ``_textlines``, the codec this process uses too.  A
+stream (a pipe or FIFO) has no size, so it takes one process.  Raw f64
+files are the chunks' own buffers, read straight into one array (a
+stream whole first), and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -46,10 +44,13 @@ and ``proxy_curve`` return) as CSV headed by the row type's field names.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import json
 import math
 import os
 import stat
+import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
@@ -184,90 +185,83 @@ def sample_file_chunks(chunks: Iterable[np.ndarray], n: int, fmt: FileFormat | s
     RAW_F64 is each chunk's own little-endian buffer.  Text is one
     shortest round-trip decimal per line, the chunks dealt round-robin to
     this process and ``_shares(n) - 1`` worker processes, which get each
-    chunk's native bytes (``_textlines.text_chunks``).  Close the
-    iterator to stop early: that ends the workers.
+    chunk's native bytes (``_textlines.deal``).  Close the iterator to
+    stop early: that ends the workers.
     """
     if FileFormat(fmt) is FileFormat.RAW_F64:
         return (np.ascontiguousarray(chunk, dtype="<f8") for chunk in chunks)
-    from ._textlines import text_chunks
+    from ._textlines import deal
 
-    return text_chunks(chunks, _shares(n))
+    return deal("format", chunks, _shares(n))
 
 
-def _reject_bad_values(arr: np.ndarray, where: str, numbers=None) -> None:
-    """Raise on the first non-finite value, else on the first negative one.
-
-    The message names value j as ``where`` number ``numbers[j]``, or
-    j + 1 when no numbers are given.  Clean data costs two reductions
-    and no temporary array: NaN fails both comparisons.
-    """
-    if arr.min() >= 0.0 and arr.max() < math.inf:
-        return
-    for what, bad, note in (("non-finite", ~np.isfinite(arr), ""),
-                            ("negative", arr < 0.0, "; domain is [0, inf)")):
-        if np.any(bad):
-            pos = int(np.argmax(bad))
-            at = pos + 1 if numbers is None else numbers[pos]
-            raise ValueError(f"{what} value {float(arr[pos])!r} at {where} {at}{note}")
+def _check_value(value: float, where: str, at: int) -> None:
+    """Raise unless ``value``, ``where`` number ``at``, is nonnegative and finite."""
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        what, note = (("negative", "; domain is [0, inf)") if math.isfinite(value)
+                      else ("non-finite", ""))
+        raise ValueError(f"{what} value {value!r} at {where} {at}{note}")
 
 
 def _parse_text(path: Path) -> np.ndarray:
-    """Read a text sample file: one ``float()`` pass per share, else the line loop.
+    """Read a text sample file or stream block by block: one ``float()`` pass, else the line loop.
 
-    A regular file is cut into ``_shares`` byte ranges at line starts;
-    this process parses the first while a worker process parses each
-    other one (``_textlines.read_floats``).  A stream (a pipe or FIFO)
-    can be read only once, so it goes straight to the line loop.
-    Wherever ``float`` takes every line, the loop would give the same
-    values: ``float`` strips a subset of what ``str.strip`` strips (not
-    U+001C..U+001F), and a line it accepts is neither blank nor a
-    comment.  A block of lines that pass fails is read again skipping
-    ASCII blank and ``#`` lines, which the loop skips too.  The values
-    are returned if there are any and all are nonnegative and finite.
-    Anything else (a bad literal or value, a non-ASCII byte, a worker
-    that did not answer, an empty file) re-reads the file line by line,
-    the one path that names a bad line: it returns the values or raises
-    the line-numbered message.
+    The blocks of whole lines are dealt round-robin to this process and
+    ``_shares`` - 1 workers (``_textlines.deal``); a stream's size reads
+    0, so it takes one process.  A block answered with values, all
+    nonnegative and finite, is appended as they are: the line loop would
+    give the same values, since ``float`` strips a subset of what
+    ``str.strip`` strips (not U+001C..U+001F) and a line it accepts is
+    neither blank nor a comment.  Any other block goes through the line
+    loop here, its lines numbered on from the blocks before it, so the
+    first fault in file order raises.
     """
-    from ._textlines import read_floats
+    from ._textlines import blocks, deal
 
-    if not stat.S_ISREG(path.stat().st_mode):  # stat, unlike open, leaves a stream whole
-        return _parse_text_lines(path)
+    out, lines = array("d"), 0
+    dealt = collections.deque()  # blocks read and not yet answered, at most a round
     with path.open("rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        try:
-            values = read_floats(fh.fileno(), size, _shares(size // 16), np.empty)
-        except ValueError:
-            values = array("d")
-    arr = np.frombuffer(values)
-    if arr.size and arr.min() >= 0.0 and arr.max() < math.inf:  # NaN fails both
-        return arr
-    return _parse_text_lines(path)
-
-
-def _parse_text_lines(path: Path) -> np.ndarray:
-    out, linenos = array("d"), array("q")  # machine values, not Python objects
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                out.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
-            linenos.append(lineno)
+        read = (dealt.append(block) or block for block in blocks(fh.fileno()))
+        shares = _shares(os.fstat(fh.fileno()).st_size // 16)
+        with contextlib.closing(deal("parse", read, shares)) as answers:
+            for answer in answers:
+                block = dealt.popleft()
+                values = np.frombuffer(answer, offset=8)
+                if values.size and values.min() >= 0.0 and values.max() < math.inf:
+                    out.frombytes(memoryview(answer)[8:])
+                else:
+                    _read_lines(path, block, lines, out)
+                lines += int.from_bytes(answer[:8], sys.byteorder)
     if not out:
         raise ValueError(f"{path}: no sample values found")
-    arr = np.frombuffer(out, dtype=float)  # writable: the array's own buffer
-    _reject_bad_values(arr, "line", linenos)
-    return arr
+    return np.frombuffer(out)  # writable: the array's own buffer
+
+
+def _read_lines(path: Path, block: bytes, before: int, out: array) -> None:
+    """The line loop: append the value of each line of ``block``, which
+    follows line ``before`` of the file, to ``out``, skipping blank and
+    ``#`` lines; raise at the first line that is not UTF-8, not a float,
+    or not nonnegative and finite."""
+    for lineno, line in enumerate(block.splitlines(), start=before + 1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: not UTF-8") from None
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
+        _check_value(value, "line", lineno)
+        out.append(value)
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
     """Read a raw file into one writable array: a regular file straight in,
     sized by its length on disk; any other (a pipe, whose size reads 0)
-    whole, then copied in."""
+    whole, then copied in.  The first value that is not nonnegative and
+    finite is named by its position."""
     with path.open("rb") as fh:
         st = os.fstat(fh.fileno())
         data = None if stat.S_ISREG(st.st_mode) else fh.read()
@@ -285,7 +279,9 @@ def _parse_raw_f64(path: Path) -> np.ndarray:
         elif fh.readinto(arr) != size:
             raise ValueError(f"{path}: file changed size while being read")
     arr = arr.astype(float, copy=False)
-    _reject_bad_values(arr, "value")
+    if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
+        pos = int(np.argmin((arr >= 0.0) & (arr < math.inf)))
+        _check_value(float(arr[pos]), "value", pos + 1)
     return arr
 
 

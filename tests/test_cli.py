@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import tailtest as tt
+from tailtest import _textlines
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
 from tailtest.harness import _SPLIT
@@ -242,7 +244,8 @@ def test_sample_text_deterministic(tmp_path):
 
 @pytest.mark.parametrize("n", [1, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _CHUNK + 3, 200_003])
 def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
-    # On two cores, from _SPLIT values on, a worker formats every second chunk.
+    # On two cores, from _SPLIT values on, a worker formats every second
+    # chunk, and exits 0 once its input is closed.
     split(2)
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -251,7 +254,7 @@ def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
     expected = "\n".join(repr(float(v)) for v in values) + "\n"
     assert out.read_bytes() == expected.encode("ascii")
     assert len(workers) == (n >= _SPLIT)
-    assert all(w.returncode is not None for w in workers)
+    assert all(w.returncode == 0 for w in workers)
 
 
 def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, split, capsys):
@@ -285,15 +288,47 @@ def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, 
     assert len(workers) == 1 and workers[0].returncode is not None
 
 
-def test_bad_literal_in_a_worker_share_is_one_error_line(tmp_path, workers, split, capfd):
-    # The worker that meets it writes nothing to the CLI's stderr.
+def test_bad_literal_in_a_worker_block_is_one_error_line(tmp_path, monkeypatch, workers, split,
+                                                        capfd):
+    # The worker is dealt the 32nd block, which holds line 501, answers it
+    # with its line count alone and writes nothing to the CLI's stderr;
+    # the line loop names the line.
     split(2, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", 64)  # 16 lines of "1.0"
     p = tmp_path / "late.txt"
-    p.write_text("1.0\n" * 500 + "4.0e\n" + "2.0\n" * 100)  # the worker reads lines 302 on
+    p.write_text("1.0\n" * 500 + "4.0e\n" + "2.0\n" * 100)  # the worker reads every second block
     assert run_cli(["test", "--input", str(p), "--k", "16", "--alpha", "0.25", "--rho", "0.5",
                     "--beta", "1", "--b1", "1", "--b2", "1", "--weak"]) == 1
     assert capfd.readouterr().err == f"error: {p}: line 501: cannot parse '4.0e'\n"
-    assert len(workers) == 1 and workers[0].returncode == 1
+    assert len(workers) == 1 and workers[0].returncode is not None
+
+
+def _feed(fifo, data):
+    """Write ``data`` to ``fifo``, whose reader may stop early."""
+    with contextlib.suppress(BrokenPipeError):
+        fifo.write_bytes(data)
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["file", "fifo"])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, stream, capfd):
+    # Lines of 5,000 values, with two bytes that are not UTF-8 as line
+    # 3,001: the message names the path and the file line, from a file
+    # and from a FIFO alike, not an offset into a decoder's buffer.
+    lines = [repr(v).encode() for v in tt.sample(tt.Lomax(1.0, 1.0), 5000, seed=4).tolist()]
+    data = b"\n".join([*lines[:3000], b"\xff\xfe", *lines[3000:]]) + b"\n"
+    p = tmp_path / "bad.txt"
+    if stream:
+        os.mkfifo(p)
+        feeder = threading.Thread(target=_feed, args=(p, data), daemon=True)
+        feeder.start()  # its open blocks until the CLI opens the other end
+    else:
+        p.write_bytes(data)
+    assert run_cli(["test", "--input", str(p), "--k", "16", "--alpha", "0.25", "--rho", "0.5",
+                    "--beta", "1", "--b1", "1", "--b2", "1", "--weak"]) == 1
+    assert capfd.readouterr().err == f"error: {p}: line 3001: not UTF-8\n"
+    if stream:
+        feeder.join(timeout=30)
+        assert not feeder.is_alive()
 
 
 def test_atomic_write_failure_leaves_target(tmp_path):

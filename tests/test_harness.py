@@ -31,7 +31,6 @@ from tailtest.distributions import _CHUNK
 from tailtest.harness import (
     ReplicationRow,
     _parse_text,
-    _parse_text_lines,
     sample_file_chunks,
     serialize_report,
 )
@@ -358,7 +357,7 @@ def test_load_text_with_comments(tmp_path):
 
 
 def test_load_text_rejects_negative(tmp_path):
-    # Named by file line, by the one-pass reader and by the line loop alike.
+    # Named by file line, with or without a comment line before it.
     assert _load_error(tmp_path, "negative") == \
         "negative value -1.0 at line 3; domain is [0, inf)"
     assert _load_error(tmp_path, "comment_negative") == \
@@ -481,6 +480,30 @@ def _lines(values) -> list[str]:
     return [repr(v) for v in values.tolist()]
 
 
+def _line_loop(path):
+    """The whole-file line loop the reader must match: each line of the
+    file as UTF-8 text, stripped, blank and ``#`` lines skipped, the
+    first line that is not a nonnegative finite float named."""
+    out = array("d")
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value!r} at line {lineno}")
+            if value < 0.0:
+                raise ValueError(f"negative value {value!r} at line {lineno}; domain is [0, inf)")
+            out.append(value)
+    if not out:
+        raise ValueError(f"{path}: no sample values found")
+    return np.frombuffer(out)
+
+
 @functools.cache
 def _text_corpus() -> dict[str, bytes]:
     """Text sample files of every shape the line loop accepts or rejects."""
@@ -507,6 +530,8 @@ def _text_corpus() -> dict[str, bytes]:
         "inf_nan": b"1.0\ninf\n-Infinity\nnan\n",
         "header_inf": b"# header\n1.0\n\ninf\n",
         "negative": b"1.0\n2.0\n-1.0\n",
+        "negative_before_inf": b"1.0\n-2.0\ninf\n",
+        "negative_before_bad_literal": b"1.0\n-2.0\n3.0e\n",
         "comment_negative": b"1.0\n# note\n-0.5\n",
         "comment_non_ascii": "1.0\n# caf\u00e9\n2.0\n".encode(),
         "comment_invalid_utf8": b"1.0\n# caf\xe9\n2.0\n",
@@ -517,8 +542,7 @@ def _text_corpus() -> dict[str, bytes]:
         "whitespace_only": b"  \n\t\n",
         "bad_literal": b"1.0\n2.0 3.0\n",
         "bad_line_200001": ("\n".join(values + values) + "\n4.0e\n5.0\n").encode(),
-        # Faults only in the last quarter, which a worker reads once a
-        # file is split in two or three.
+        # Faults only in the last quarter, past the first blocks.
         "late_bad_literal": _late(values, [b"4.0e"]),
         "late_inf": _late(values, [b"inf"]),
         "late_negative": _late(values, [b"-2.5"]),
@@ -529,12 +553,9 @@ def _text_corpus() -> dict[str, bytes]:
         "late_lone_cr": _late(values, [], b"\r"),
         "late_invalid_utf8": _late(values, [b"\xff\xfe"]),
         "long_no_final_newline": "\n".join(values[:2000]).encode(),
-        # Where a file split in two is cut: on a \n, just past one,
-        # between \r and \n, and just past a lone \r.
-        "cut_on_lf": _cut(values, "\n", lambda a, b: b == "\n"),
-        "cut_past_lf": _cut(values, "\n", lambda a, b: a == "\n"),
-        "cut_in_crlf": _cut(values, "\r\n", lambda a, b: (a, b) == ("\r", "\n")),
-        "cut_past_cr": _cut(values, "\r", lambda a, b: a == "\r"),
+        # Lines longer than several of the smaller blocks.
+        "long_lines": b"1.0\r\n" + b" " * 300 + b"2.5\r\n" + b"\t" * 200 + b"3.0",
+        "long_bad_line": b"1.0\n" + b"9" * 300 + b"x\n2.0\n",
     }
 
 
@@ -544,14 +565,9 @@ def _late(values, lines: list[bytes], ending: bytes = b"\n") -> bytes:
     return head + b"".join(line + ending for line in lines + [v.encode() for v in values[1500:2000]])
 
 
-def _cut(values, ending: str, where) -> bytes:
-    """200 lines, the first one padded until ``where`` holds of the bytes around the middle."""
-    for pad in range(64):
-        data = (" " * pad + ending.join(values[:200]) + ending).encode()
-        mid = len(data) // 2
-        if where(chr(data[mid - 1]), chr(data[mid])):
-            return data
-    raise AssertionError("no padding puts the middle there")
+# The files whose bytes are not UTF-8, by the line that names it: the
+# line loop's whole-file decoder could name only an offset into its buffer.
+_NOT_UTF8 = {"comment_invalid_utf8": 2, "invalid_utf8": 3, "late_invalid_utf8": 1501}
 
 
 def _load_error(tmp_path, name) -> str:
@@ -569,42 +585,73 @@ def _parse_result(parse, path):
         return type(exc), str(exc)
 
 
-def test_parse_text_matches_line_loop(tmp_path):
-    # The one-pass reader must give the line loop's array bytes, or its
-    # exception type and message, on every file.
-    for name, data in _text_corpus().items():
-        p = tmp_path / f"{name}.txt"
-        p.write_bytes(data)
-        assert _parse_result(_parse_text, p) == _parse_result(_parse_text_lines, p), name
+def _expected(name, path):
+    """What the reader must give for corpus file ``name`` at ``path``."""
+    if name in _NOT_UTF8:
+        return ValueError, f"{path}: line {_NOT_UTF8[name]}: not UTF-8"
+    return _parse_result(_line_loop, path)
 
 
-@pytest.mark.parametrize("cores", [2, 3])
-def test_parse_text_split_matches_line_loop(tmp_path, cores, workers, split):
-    # The same, with every file of two lines or more split in two or
-    # three shares, the later ones read by worker processes.
+@pytest.fixture
+def dealt(monkeypatch):
+    """Every frame sent to a worker during the test, as its length."""
+    frames, ask = [], _textlines._ask
+
+    def recorded(proc, item):
+        sent = ask(proc, item)
+        if sent:
+            frames.append(memoryview(item).nbytes)
+        return sent
+
+    monkeypatch.setattr(_textlines, "_ask", recorded)
+    return frames
+
+
+# Read sizes that cut a line, and a \r\n, at every byte, then one that
+# holds a few lines, then the default, each with the largest corpus file
+# read at that size: small reads of a large file take seconds and meet
+# no shape the smaller files lack.
+_BLOCKS = {1: 4096, 2: 4096, 3: 4096, 7: 4096, 64: 1 << 16, _textlines._BLOCK: math.inf}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_parse_text_matches_line_loop(tmp_path, monkeypatch, workers, split, dealt, block, cores):
+    # The reader must give the line loop's array bytes, or its exception
+    # type and message, on every file, with its blocks cut anywhere and
+    # dealt to one, two or three processes.  A worker exits 0 once the
+    # file is read through, and is ended when a fault stops the read.
     split(cores, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", block)
     for name, data in _text_corpus().items():
+        if len(data) > _BLOCKS[block]:
+            continue
         p = tmp_path / f"{name}.txt"
         p.write_bytes(data)
-        started = len(workers)
-        assert _parse_result(_parse_text, p) == _parse_result(_parse_text_lines, p), name
-        if len(data) >= 64:
-            assert len(workers) > started, name
-    assert all(w.returncode is not None for w in workers)
+        with p.open("rb") as fh:
+            cuts = sum(1 for _ in _textlines.blocks(fh.fileno()))
+        started, frames = len(workers), len(dealt)
+        result = _parse_result(_parse_text, p)
+        assert result == _expected(name, p), name
+        assert (len(dealt) > frames) == (cores > 1 and len(data) >= 16 and cuts > 1), name
+        ended = {w.returncode for w in workers[started:]}
+        assert None not in ended, name
+        if result[0] == "values":
+            assert ended <= {0}, name
 
 
-@pytest.mark.parametrize("name", ["cut_on_lf", "cut_past_lf", "cut_in_crlf", "cut_past_cr",
-                                  "late_crlf", "late_lone_cr", "long_no_final_newline"])
-def test_split_file_is_read_in_one_pass(tmp_path, monkeypatch, workers, split, name):
-    # A share must start at a line start: one that started mid-line or
-    # between \r and \n would fail on an empty or partial line and send
-    # a clean file to the line loop.
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("name", ["no_final_newline", "crlf", "lone_cr", "late_crlf",
+                                  "late_lone_cr", "long_no_final_newline", "long_lines"])
+def test_clean_file_never_takes_the_line_loop(tmp_path, monkeypatch, workers, split, block, name):
+    # Wherever a read ends, between \r and \n, after a final \r or inside
+    # a long line, each block holds whole lines and its one pass takes it.
     split(2, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", block)
     p = tmp_path / f"{name}.txt"
     p.write_bytes(_text_corpus()[name])
-    expected = _parse_text_lines(p)
-    monkeypatch.setattr(harness, "_parse_text_lines", None)
-    assert _parse_text(p).tobytes() == expected.tobytes()
+    monkeypatch.setattr(harness, "_read_lines", None)
+    assert _parse_text(p).tobytes() == _line_loop(p).tobytes()
     assert len(workers) == 1 and workers[0].returncode == 0
 
 
@@ -616,31 +663,48 @@ def test_parse_text_error_names_late_line(tmp_path):
 
 
 def test_load_text_non_finite_keeps_message(tmp_path):
-    # A bad value is named by its plain float repr and its file line,
-    # whether the one-pass reader or the line loop took the file.
+    # A bad value is named by its plain float repr and its file line.
     assert _load_error(tmp_path, "inf_nan") == "non-finite value inf at line 2"
     assert _load_error(tmp_path, "header_inf") == "non-finite value inf at line 4"
+
+
+def test_first_fault_in_file_order_is_named(tmp_path):
+    # A negative value before an inf or a bad literal is the fault named;
+    # a non-finite value anywhere, or a parse error anywhere, used to win.
+    assert _load_error(tmp_path, "negative_before_inf") == \
+        "negative value -2.0 at line 2; domain is [0, inf)"
+    assert _load_error(tmp_path, "negative_before_bad_literal") == \
+        "negative value -2.0 at line 2; domain is [0, inf)"
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_UTF8))
+def test_invalid_utf8_is_named_by_its_line(tmp_path, name):
+    assert _load_error(tmp_path, name) == \
+        f"{tmp_path / name}.txt: line {_NOT_UTF8[name]}: not UTF-8"
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_comments_blanks_and_crlf_take_the_one_pass_reader(tmp_path, monkeypatch, workers, split,
                                                            cores):
     # Blank and comment lines are skipped block by block, in this
-    # process's share and in a worker's, without the line loop.
+    # process's blocks and in a worker's, without the line loop.
     split(cores, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", 4096)
     values = _lines(tt.sample(Lomax(1.0, 1.0), 3000, seed=6))
     lines = ["# Lomax(1, 1), seed 6", "", *values[:1500], "  ", "# half way", *values[1500:]]
     p = tmp_path / "commented.txt"
     p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    expected = _parse_text_lines(p)
-    monkeypatch.setattr(harness, "_parse_text_lines", None)
+    expected = _line_loop(p)
+    monkeypatch.setattr(harness, "_read_lines", None)
     assert _parse_text(p).tobytes() == expected.tobytes()
     assert len(workers) == cores - 1 and all(w.returncode == 0 for w in workers)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_negative_after_a_comment_is_named_by_its_line(tmp_path, workers, split, cores):
+def test_negative_after_a_comment_is_named_by_its_line(tmp_path, monkeypatch, workers, split,
+                                                       cores):
     split(cores, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", 4096)
     assert _load_error(tmp_path, "comment_negative") == \
         "negative value -0.5 at line 3; domain is [0, inf)"
     assert _load_error(tmp_path, "late_comment_negative") == \
@@ -655,11 +719,24 @@ def test_load_raw_f64_names_value_position(tmp_path):
     assert str(exc.value) == "negative value -1.0 at value 3; domain is [0, inf)"
 
 
+@pytest.mark.parametrize("values, message", [
+    ((1.0, -2.0, math.inf), "negative value -2.0 at value 2; domain is [0, inf)"),
+    ((1.0, math.nan, -2.0), "non-finite value nan at value 2"),
+    ((-math.inf, 2.0), "non-finite value -inf at value 1"),
+])
+def test_load_raw_f64_names_its_first_bad_value(tmp_path, values, message):
+    # One rule for both formats: the first value that is not nonnegative
+    # and finite, labelled non-finite or negative.
+    p = tmp_path / "bad.f64"
+    p.write_bytes(struct.pack(f"<{len(values)}d", *values))
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.RAW_F64)
+    assert str(exc.value) == message
+
+
 def test_load_text_peak_memory_per_value(tmp_path):
     # The one-pass reader peaks near 12 B/value, with or without a header
-    # comment, which only its own block of lines is read twice for.  The
-    # line loop would take near 17 B/value, with a machine double and line
-    # number per value.
+    # comment, which only its own block of lines is read twice for.
     n = 200_000
     body = "\n".join(_lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))) + "\n"
     for name, text in (("plain", body), ("commented", "# Lomax(1, 1), seed 4\n" + body)):
@@ -668,6 +745,20 @@ def test_load_text_peak_memory_per_value(tmp_path):
         [split], peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
         assert split.n == n, name
         assert peak / n <= 20.0, name
+
+
+def test_an_odd_line_costs_one_block(tmp_path):
+    # One NBSP-padded line, which only the line loop can read, sends its
+    # own block there and no other: reading the whole file again line by
+    # line peaked at 19.2 B/value.
+    n = 200_000
+    lines = _lines(tt.sample(Lomax(1.0, 1.0), n, seed=4))
+    lines[n // 2] = f"\u00a0{lines[n // 2]}"
+    p = tmp_path / "nbsp.txt"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    [split], peak = _peak_bytes(tt.load_samples, p, FileFormat.TEXT)
+    assert split.n == n
+    assert peak / n <= 15.0
 
 
 def _sample_file(n: int):
@@ -705,23 +796,18 @@ def test_stopping_after_the_first_chunk_ends_every_worker(workers, split):
     assert all(w.returncode is not None for w in workers)
 
 
-# A fake worker's first answer, as ``frame``: in the format protocol the
-# lines of the first frame it reads, after their length; in the parse
-# protocol its count and doubles.
+# A fake worker's answer to the first frame it reads, as ``frame``: its
+# byte length, then its codec's answer to the frame's bytes.
 _FIRST_ANSWER = """\
-if sys.argv[1] == "format":
-    count = int.from_bytes(sys.stdin.buffer.read(8), sys.byteorder)
-    text = codec["format_lines"](memoryview(sys.stdin.buffer.read(8 * count)).cast("d"))
-    frame = len(text).to_bytes(8, sys.byteorder) + text
-else:
-    values = codec["parse_lines"](0, int(sys.argv[2]), int(sys.argv[3]))
-    frame = len(values).to_bytes(8, sys.byteorder) + values.tobytes()
+size = int.from_bytes(sys.stdin.buffer.read(8), sys.byteorder)
+answer = codec["_CODECS"][sys.argv[1]](sys.stdin.buffer.read(size))
+frame = len(answer).to_bytes(8, sys.byteorder) + answer
 """
 
 # A worker that cannot start, one that dies before it reads, one that
 # dies midway through its first answer, and one that dies after it: the
-# writer formats every chunk the worker did not answer whole, and the
-# reader reads the file again line by line.
+# writer formats, and the reader parses, every item the worker did not
+# answer whole.
 _DYING = {
     "cannot_start": None,
     "dies_at_once": "sys.exit(1)",
@@ -732,16 +818,20 @@ _DYING = {
 }
 
 
+def _kill_workers(tmp_path, monkeypatch, how):
+    if _DYING[how] is None:
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    else:
+        monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
+
+
 @pytest.mark.parametrize("how", _DYING)
 def test_writer_formats_the_chunks_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
     # Seven chunks on three cores: each worker is dealt two, the second
     # after the round in which a worker that dies after its first answer
     # has sent it.
     split(3, values=_CHUNK)
-    if _DYING[how] is None:
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
-    else:
-        monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
+    _kill_workers(tmp_path, monkeypatch, how)
     n = 6 * _CHUNK + 5
     assert b"".join(_sample_file(n)) == _text(tt.sample(Lomax(1.0, 1.0), n, seed=4))
     assert len(workers) == (0 if how == "cannot_start" else 2)
@@ -749,70 +839,70 @@ def test_writer_formats_the_chunks_of_a_dead_worker(tmp_path, monkeypatch, worke
 
 
 @pytest.mark.parametrize("how", _DYING)
-def test_reader_falls_back_past_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+def test_reader_parses_the_blocks_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
+    # Forty-odd blocks on two cores, in one pass each, wherever they go.
     split(2, values=1)
-    if _DYING[how] is None:
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
-    else:
-        monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
+    monkeypatch.setattr(_textlines, "_BLOCK", 1024)
     p = tmp_path / "clean.txt"
     p.write_bytes(_text_corpus()["late_crlf"])
-    assert _parse_text(p).tobytes() == _parse_text_lines(p).tobytes()
+    expected = _line_loop(p)
+    _kill_workers(tmp_path, monkeypatch, how)
+    monkeypatch.setattr(harness, "_read_lines", None)
+    assert _parse_text(p).tobytes() == expected.tobytes()
+    assert len(workers) == (0 if how == "cannot_start" else 1)
     assert all(w.returncode is not None for w in workers)
 
 
-def test_bad_literal_in_a_worker_share_names_its_line(tmp_path, workers, split):
+def test_bad_literal_in_a_worker_block_names_its_line(tmp_path, monkeypatch, workers, split,
+                                                      dealt):
     split(2, values=1)
+    monkeypatch.setattr(_textlines, "_BLOCK", 1024)
     p = tmp_path / "late.txt"
     p.write_bytes(_text_corpus()["late_bad_literal"])
     with pytest.raises(ValueError, match=r"line 1501: cannot parse '4\.0e'$"):
         tt.load_samples(p, FileFormat.TEXT)
-    assert len(workers) == 1 and workers[0].returncode == 1  # it met the literal itself
+    assert len(workers) == 1 and dealt and workers[0].returncode is not None
 
 
-def test_parse_worker_sends_a_count_then_its_doubles(tmp_path):
-    # The worker protocol, run as the reader starts it: the file on
-    # stdin, a byte range as arguments; out come an 8-byte native count
-    # and that many native doubles, or exit 1 on a line it cannot take.
-    p = tmp_path / "share.txt"
-    data = b"# head\n1.5\n\n2.25\r\n3.0\n"
-    p.write_bytes(data)
-
-    def parse(start, end):
-        with p.open("rb") as fh:
-            return subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, "parse",
-                                   str(start), str(end)], stdin=fh, capture_output=True)
-
-    for start, expected in ((0, [1.5, 2.25, 3.0]), (data.index(b"2.25"), [2.25, 3.0])):
-        done = parse(start, len(data))
-        assert done.returncode == 0
-        assert int.from_bytes(done.stdout[:8], sys.byteorder) == len(expected)
-        assert array("d", done.stdout[8:]).tolist() == expected
-    p.write_bytes(b"1.0\n4.0e\n")
-    assert parse(0, 9).returncode == 1
-
-
-def test_format_worker_answers_each_frame_with_its_lines():
-    # The worker protocol, run as the writer starts it: frames of an
-    # 8-byte native count and that many native doubles in; for each, a
-    # frame of its repr lines' length and the lines out; exit 0 at EOF,
-    # and exit 1 on a frame cut short.
-    frames = [[1.5, 0.1], [5e-324, 1e300, 2.0, 123456789.0]]
-    sent = b"".join(len(f).to_bytes(8, sys.byteorder) + array("d", f).tobytes() for f in frames)
-
-    def format_frames(data):
-        return subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, "format"],
-                              input=data, capture_output=True)
-
-    done = format_frames(sent)
-    assert done.returncode == 0
+def _run_worker(mode, frames: list[bytes], cut: int = 0):
+    """Worker ``mode``'s exit code and answers to ``frames``, the last
+    ``cut`` bytes of their framing left out."""
+    sent = b"".join(len(f).to_bytes(8, sys.byteorder) + f for f in frames)
+    done = subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, mode],
+                          input=sent[:len(sent) - cut], capture_output=True)
     answers, out = [], done.stdout
     while out:
         size = int.from_bytes(out[:8], sys.byteorder)
         answers.append(out[8:8 + size])
         out = out[8 + size:]
-    assert answers == [("\n".join(map(repr, f)) + "\n").encode() for f in frames]
-    assert format_frames(sent[:-8]).returncode == 1
+    return done.returncode, answers
+
+
+def test_format_worker_answers_each_frame_with_its_lines():
+    # The worker protocol, run as the writer starts it: frames of an
+    # 8-byte native byte length and that many bytes of native doubles
+    # in; for each, a frame of their repr lines out; exit 0 at EOF, and
+    # exit 1 on a frame cut short.
+    values = [[1.5, 0.1], [5e-324, 1e300, 2.0, 123456789.0]]
+    frames = [array("d", v).tobytes() for v in values]
+    assert _run_worker("format", frames) == \
+        (0, [("\n".join(map(repr, v)) + "\n").encode() for v in values])
+    assert _run_worker("format", frames, cut=8)[0] == 1
+
+
+def test_parse_worker_answers_each_block_with_its_count_and_values():
+    # The same frames carry blocks of whole lines; each answer is the
+    # block's line count as 8 native bytes, then its values as native
+    # doubles, or the count alone for a block the one pass cannot take.
+    blocks = [b"# head\r\n1.5\n\n2.25\r\n", b"3.0", b"1.0\n4.0e\n", "# caf\u00e9\n".encode()]
+    count = [n.to_bytes(8, sys.byteorder) for n in range(5)]
+    assert _run_worker("parse", blocks) == (0, [
+        count[4] + array("d", [1.5, 2.25]).tobytes(),
+        count[1] + array("d", [3.0]).tobytes(),
+        count[2],
+        count[1],
+    ])
+    assert _run_worker("parse", blocks, cut=1)[0] == 1
 
 
 def _load_from_a_fifo(tmp_path, data: bytes, fmt):
@@ -828,9 +918,12 @@ def _load_from_a_fifo(tmp_path, data: bytes, fmt):
         p.unlink()
 
 
-def test_load_text_from_a_fifo_takes_no_worker(tmp_path, workers, split):
+def test_load_text_from_a_fifo_takes_no_worker(tmp_path, monkeypatch, workers, split):
+    # A stream's size reads 0, so it takes one process, and a clean one
+    # is read block by block in the one pass, never by the line loop.
     split(2, values=1)
     values = tt.sample(Lomax(1.0, 1.0), 5000, seed=4)
+    monkeypatch.setattr(harness, "_read_lines", None)
     [loaded] = _load_from_a_fifo(tmp_path, _text(values), FileFormat.TEXT)
     assert loaded.values.tobytes() == np.sort(values).tobytes()
     assert workers == []
@@ -851,10 +944,10 @@ def test_load_raw_f64_from_a_fifo(tmp_path):
 
 @pytest.mark.parametrize("name", ["negative", "late_bad_literal"])
 def test_bad_text_from_a_fifo_is_named_by_its_line(tmp_path, workers, name):
-    # A stream is read once, by the line loop: its message is the file's.
+    # A stream is read as a file is: its message is the file's.
     p = tmp_path / f"{name}.txt"
     p.write_bytes(_text_corpus()[name])
-    expected = _parse_result(_parse_text_lines, p)[1].replace(str(p), str(tmp_path / "fifo"))
+    expected = _parse_result(_line_loop, p)[1].replace(str(p), str(tmp_path / "fifo"))
     with pytest.raises(ValueError) as exc:
         _load_from_a_fifo(tmp_path, p.read_bytes(), FileFormat.TEXT)
     assert str(exc.value) == expected
