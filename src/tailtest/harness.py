@@ -34,8 +34,9 @@ Both directions deal their chunks or blocks round-robin to one process
 per usable core, up to one per ``_SPLIT`` values: each other process is
 a worker running ``_textlines``, the codec this process uses too.  A
 stream (a pipe or FIFO) has no size, so it takes one process.  Raw f64
-files are the chunks' own buffers, read straight into one array (a
-stream whole first), and a bad value is named by its position.
+files are the chunks' own buffers; a file or stream is read into one
+buffer, sized by its length on disk and read on to its end, which
+becomes the array, and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -49,7 +50,7 @@ import contextlib
 import json
 import math
 import os
-import stat
+import re
 import sys
 from array import array
 from collections.abc import Iterable
@@ -170,6 +171,10 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 # up to one per usable core.
 _SPLIT = 4 * distributions._CHUNK
 
+# A byte a text line does not hold.  A random double's 8 bytes all avoid
+# it with probability about 5e-4, two doubles' about 2e-7.
+_NOT_TEXT, _LINE_END = re.compile(rb"[^\t\n\r\x20-\x7e]"), re.compile(rb"[\n\r]")
+
 
 def _shares(values: int) -> int:
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -258,27 +263,26 @@ def _read_lines(path: Path, block: bytes, before: int, out: array) -> None:
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
-    """Read a raw file into one writable array: a regular file straight in,
-    sized by its length on disk; any other (a pipe, whose size reads 0)
-    whole, then copied in.  The first value that is not nonnegative and
-    finite is named by its position."""
+    """Read a raw file or stream into one writable array: a buffer sized
+    by its length on disk (0 for a stream), read on to its end 1 MiB at a
+    time.  Text is refused; the first bad value is named by its position."""
     with path.open("rb") as fh:
-        st = os.fstat(fh.fileno())
-        data = None if stat.S_ISREG(st.st_mode) else fh.read()
-        size = st.st_size if data is None else len(data)
-        if size == 0:
-            raise ValueError(f"{path}: empty file")
-        if size % 8 != 0:
-            raise ValueError(
-                f"{path}: length {size} is not a multiple of 8 "
-                f"(trailing fragment at offset {size - size % 8})"
-            )
-        arr = np.empty(size // 8, dtype="<f8")
-        if data is not None:
-            arr[:] = np.frombuffer(data, dtype="<f8")
-        elif fh.readinto(arr) != size:
-            raise ValueError(f"{path}: file changed size while being read")
-    arr = arr.astype(float, copy=False)
+        data = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        size = fh.readinto(data)
+        data.resize(size, refcheck=False)  # trimmed if the file came up short
+        chunk = np.empty(1 << 20, np.uint8)
+        while got := fh.readinto(chunk):  # on to the end, where a stream's values arrive
+            data.resize(size + got, refcheck=False)  # no view of data is alive
+            data[size:] = chunk[:got]
+            size += got
+    if size == 0:
+        raise ValueError(f"{path}: empty file")
+    if size % 8 != 0:
+        raise ValueError(f"{path}: length {size} is not a multiple of 8 "
+                         f"(trailing fragment at offset {size - size % 8})")
+    if not _NOT_TEXT.search(data) and _LINE_END.search(data):
+        raise ValueError(f"{path}: printable ASCII lines are text, not raw f64; read it as text")
+    arr = data.view("<f8").astype(float, copy=False)
     if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails both
         pos = int(np.argmin((arr >= 0.0) & (arr < math.inf)))
         _check_value(float(arr[pos]), "value", pos + 1)
@@ -291,13 +295,16 @@ def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT,
 
     ``fmt`` is a FileFormat or its value ("text" or "f64").  Text files
     hold one decimal literal per line; '#' comment lines and blank lines
-    are skipped.  RAW_F64 is packed little-endian IEEE-754.  Negative
-    and non-finite values are rejected.  ``splits`` is a rank layout's
-    ``count``, 1 or 4: the values are dealt round-robin on input order
-    into that many splits before sorting - fine for i.i.d. data, a
-    deliberate warning sign for time-ordered data - and their count must
-    be a multiple of it.
+    are skipped.  RAW_F64 is packed little-endian IEEE-754; bytes that
+    are all printable ASCII lines are refused as text.  Negative and
+    non-finite values are rejected.  ``splits`` is a rank layout's
+    ``count``, 1 or 4, and nothing else: the values are dealt round-robin
+    on input order into that many splits before sorting - fine for i.i.d.
+    data, a deliberate warning sign for time-ordered data - and their
+    count must be a multiple of it.
     """
+    if splits not in (1, 4):
+        raise ValueError(f"splits must be a rank layout's count, 1 or 4, not {splits!r}")
     path = Path(path)
     arr = _parse_text(path) if FileFormat(fmt) is FileFormat.TEXT else _parse_raw_f64(path)
     if arr.size < splits:

@@ -62,13 +62,26 @@ def separation_gap(z, tail: TailParams, bounds: WellBehavedBounds):
     """Gap alpha*(1-z)^2 / (beta^3 * b1) below the threshold 1 - z.
 
     Accepts a scalar or an array of z in (0, 1); the tester subtracts
-    half the gap from its reference when deciding.
+    half the gap from its reference when deciding.  With alpha 0 the gap
+    is 0 whatever the bounds; any other gap that is not finite (beta**3
+    * b1 underflowing to 0, or the quotient overflowing) raises.
     """
     z = np.asarray(z, dtype=float)
     if not np.all((0.0 < z) & (z < 1.0)):
         raise ValueError("z must lie in (0, 1)")
     om = 1.0 - z
-    return tail.alpha * om * om / (bounds.beta ** 3 * bounds.b1)
+    if tail.alpha == 0.0:
+        return 0.0 * om
+    try:
+        scale = bounds.beta ** 3 * bounds.b1
+    except OverflowError:  # beta**3 is past the largest double: the gap is 0
+        scale = math.inf
+    with np.errstate(all="ignore"):
+        gap = tail.alpha * om * om / scale
+    if not np.all(np.isfinite(gap)):
+        raise ValueError(f"separation gap alpha*(1-z)^2 / (beta^3 * b1) is not finite at "
+                         f"alpha={tail.alpha!r}, beta={bounds.beta!r}, b1={bounds.b1!r}")
+    return gap
 
 
 def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:

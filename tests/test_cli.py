@@ -71,6 +71,44 @@ def test_infinite_bound_flag_is_one_error_line(tmp_path, command, flag, capsys):
     assert captured.err == f"error: {flag[2:]} must be finite\n"
 
 
+@pytest.mark.parametrize("command,bounds", [
+    ("test", ["--alpha", "0.25", "--beta", "1e-300", "--b1", "1e-300"]),
+    ("test", ["--alpha", "1e300", "--beta", "1e-10", "--b1", "1"]),
+    ("simulate", ["--alpha", "0.25", "--beta", "1e-300", "--b1", "1"]),
+], ids=["test-underflow", "test-overflow", "simulate"])
+def test_gap_that_is_not_finite_is_one_error_line(tmp_path, command, bounds, capsys):
+    # beta**3 * b1 underflowing to 0, or the quotient overflowing, made an
+    # infinite gap: `test` then warned and failed to write its JSON, and
+    # `simulate` warned and wrote -inf boundaries.
+    out = tmp_path / "out"
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", "8",
+                    *_OWN_FLAGS[command], *bounds, "--out", str(out)])
+    captured = capsys.readouterr()
+    alpha, beta, b1 = (repr(float(v)) for v in bounds[1::2])
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == ("error: separation gap alpha*(1-z)^2 / (beta^3 * b1) is not finite "
+                            f"at alpha={alpha}, beta={beta}, b1={b1}\n")
+
+
+@pytest.mark.parametrize("command,bounds", [
+    ("proxy", ["--beta", "1e-300"]),
+    ("proxy", ["--alpha", "0.25", "--beta", "1e300"]),
+    ("test", ["--alpha", "0.25", "--rho", "0.5", "--beta", "1e300", "--b1", "1", "--b2", "1"]),
+], ids=["proxy-no-alpha", "proxy-huge-beta", "test-huge-beta"])
+def test_gap_that_vanishes_is_zero(tmp_path, command, bounds, capsys):
+    # alpha 0 is no gap whatever the bounds (`proxy` warned and wrote nan),
+    # and a beta whose cube is past the largest double gives a gap of 0
+    # (both commands raised OverflowError).
+    out = tmp_path / "out"
+    sampled = ["--n", "2000", "--seed", "1"] if command == "test" else []
+    assert run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--k", "8",
+                    *sampled, *bounds, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "proxy":
+        rows = out.read_text().splitlines()
+        assert rows[0].endswith(",gap") and all(r.endswith(",0.0") for r in rows[1:])
+
+
 @pytest.mark.parametrize("k,refusal", [
     ("0", "k must be >= 4"), ("-1", "k must be >= 4"),
     (str(2 ** 63 - 1), "k must be < 2**63 - 1"), ("1" + "0" * 400, "k must be < 2**63 - 1"),
@@ -476,6 +514,37 @@ def _file_test_matches(tmp_path, n, k, variant):
         expected = tt.run_test(
             [tt.SortedSampleSplit.from_samples(values[j::4]) for j in range(4)], config)
     assert report.read_bytes() == tt.serialize_report(expected)
+
+
+def test_text_file_read_as_f64_is_one_error_line(tmp_path, capsys):
+    # 76,392 bytes of text, a multiple of 8: it was read as 9,549 doubles
+    # and tested heavy, though its values are exponential.
+    p = tmp_path / "e.txt"
+    assert run_cli(["sample", "--dist", "exponential", "--params", "lambda=1", "--n", "4000",
+                    "--seed", "12", "--out", str(p)]) == 0
+    assert p.stat().st_size == 76_392
+    code = run_cli(["test", "--input", str(p), "--format", "f64", "--k", "8", "--weak", *BOUNDS])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == \
+        f"error: {p}: printable ASCII lines are text, not raw f64; read it as text\n"
+
+
+@pytest.mark.parametrize("variant", [tt.Variant.WEAK, tt.Variant.FULL])
+def test_raw_input_piped_to_stdin_reports_as_the_file(tmp_path, variant):
+    # A pipe is read by the loop that reads a file, to the same bytes.
+    sample_file, report = tmp_path / "s.f64", tmp_path / "r.json"
+    assert run_cli([*_LOMAX, "--n", "40000", "--format", "f64", "--out", str(sample_file)]) == 0
+    flags = ["--format", "f64", "--k", "8", *BOUNDS,
+             *(["--weak"] if variant is tt.Variant.WEAK else [])]
+    assert run_cli(["test", "--input", str(sample_file), *flags, "--out", str(report)]) == 0
+    src = Path(tt.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    piped = subprocess.run([sys.executable, "-m", "tailtest.cli", "test", "--input", "/dev/stdin",
+                            *flags], input=sample_file.read_bytes(), env=env, check=True,
+                           capture_output=True, timeout=120)
+    assert piped.stdout == report.read_bytes() and piped.stderr == b""
 
 
 def test_pipeline_consistency_weak(tmp_path):

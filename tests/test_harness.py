@@ -402,6 +402,60 @@ def test_load_raw_f64_rejects_empty(tmp_path):
     assert str(exc.value) == f"{p}: empty file"
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_raw_f64_refuses_text(tmp_path, ending):
+    # 40 or 48 bytes of text were read as five or six doubles.
+    p = tmp_path / "text.f64"
+    p.write_bytes((b"0.25" + ending) * 8)
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.RAW_F64)
+    assert str(exc.value) == f"{p}: printable ASCII lines are text, not raw f64; read it as text"
+
+
+def test_load_raw_f64_takes_printable_bytes_without_a_line_ending(tmp_path):
+    p = tmp_path / "printable.f64"
+    p.write_bytes(b"ABCDEFGH")
+    [split] = tt.load_samples(p, FileFormat.RAW_F64)
+    assert split.values.tolist() == [struct.unpack("<d", b"ABCDEFGH")[0]]
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_load_raw_f64_reads_a_changing_file_to_its_end(tmp_path, monkeypatch, change):
+    # The length on disk only sizes the first read; the file is read on to
+    # its end, as text is.  A file that shrank was refused, and one that
+    # grew was read only as far as its old length.
+    values = tt.sample(Lomax(1.0, 1.0), 3000, seed=4)
+    data = values.astype("<f8").tobytes()
+    p = tmp_path / "changing.f64"
+    p.write_bytes(data[:8000] if change == "grows" else data)
+    fstat = os.fstat
+
+    def fstat_then_change(fd):
+        st = fstat(fd)
+        if change == "grows":
+            with p.open("ab") as fh:
+                fh.write(data[8000:])
+        else:
+            os.truncate(p, 8000)
+        return st
+
+    monkeypatch.setattr(harness.os, "fstat", fstat_then_change)
+    [split] = tt.load_samples(p, FileFormat.RAW_F64)
+    kept = values if change == "grows" else values[:1000]
+    assert split.values.tobytes() == np.sort(kept).tobytes()
+
+
+@pytest.mark.parametrize("splits", [0, -1, 2, 3, 5])
+def test_load_refuses_splits_no_layout_reads(tmp_path, splits):
+    # 0 divided by zero, -1 failed in numpy's reshape, and 3 dealt three
+    # splits that no layout reads.
+    p = tmp_path / "twelve.txt"
+    p.write_text("".join(f"{v}.5\n" for v in range(12)))
+    with pytest.raises(ValueError) as exc:
+        tt.load_samples(p, FileFormat.TEXT, splits)
+    assert str(exc.value) == f"splits must be a rank layout's count, 1 or 4, not {splits}"
+
+
 def test_load_raw_peak_memory_per_value(tmp_path):
     # The file is read straight into the array it is sorted in: 8 B per
     # value.  Viewing the file's bytes and sorting a copy took about 17 B.
@@ -940,6 +994,19 @@ def test_load_raw_f64_from_a_fifo(tmp_path):
         with pytest.raises(ValueError) as exc:
             _load_from_a_fifo(tmp_path, data, FileFormat.RAW_F64)
         assert str(exc.value) == f"{tmp_path / 'fifo'}: {message}"
+
+
+def test_load_raw_f64_from_a_fifo_holds_each_value_once(tmp_path):
+    # A stream is read into one array that grows by what each read
+    # brings, so it peaks as a file does, near 9 B per value with the
+    # sortedness mask.  Reading it whole, then copying it into the array,
+    # held every value twice: 16 B.
+    n = 1_000_000
+    values = tt.sample(Lomax(1.0, 1.0), n, seed=4)
+    data = values.astype("<f8").tobytes()
+    [split], peak = _peak_bytes(_load_from_a_fifo, tmp_path, data, FileFormat.RAW_F64)
+    assert split.values.tobytes() == np.sort(values).tobytes()
+    assert peak / n <= 10.0
 
 
 @pytest.mark.parametrize("name", ["negative", "late_bad_literal"])

@@ -111,6 +111,29 @@ def test_gap_array_matches_scalar_bit_for_bit():
         assert gap == float(tt.separation_gap(z, tail, bounds))
 
 
+@pytest.mark.parametrize("alpha,beta,b1", [(0.25, 1e-300, 1e-300), (1e300, 1e-10, 1.0),
+                                           (0.25, 1e-300, math.inf)])
+def test_gap_that_is_not_finite_raises(alpha, beta, b1):
+    # beta**3 * b1 underflowing to 0 gave inf with a numpy warning, the
+    # quotient overflowing inf, and 0 * inf nan.
+    with pytest.raises(ValueError) as exc:
+        tt.separation_gap(np.array([0.25, 0.5]), TailParams(alpha, 0.5),
+                          tt.WellBehavedBounds(beta, b1, 1.0, 0.1))
+    assert str(exc.value) == ("separation gap alpha*(1-z)^2 / (beta^3 * b1) is not finite "
+                              f"at alpha={alpha!r}, beta={beta!r}, b1={b1!r}")
+
+
+@pytest.mark.parametrize("alpha,beta,b1", [(0.0, 1e-300, 1e-300), (0.0, 1e-300, math.inf),
+                                           (0.25, 1e300, 1.0), (0.25, math.inf, 1.0)])
+def test_gap_that_vanishes_is_zero(alpha, beta, b1):
+    # alpha 0 is no gap whatever the bounds (0 / 0 gave nan); a beta whose
+    # cube is past the largest double (Python's ** raised OverflowError)
+    # or infinite, as estimate_bounds gives an unbounded density, is 0.
+    gap = tt.separation_gap(np.array([0.25, 0.5]), TailParams(alpha, 0.5),
+                            tt.WellBehavedBounds(beta, b1, 1.0, 0.1))
+    assert gap.tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("z", [0.0, 1.0, [0.5, 1.0]])
 def test_gap_rejects_z_outside_unit_interval(z):
     with pytest.raises(ValueError):
