@@ -39,29 +39,18 @@ def format_lines(values) -> bytes:
 
 
 def parse_lines(block) -> bytes:
-    """The answer to ``block``, bytes of whole lines: its line count as 8
-    native bytes, then ``float()`` of each line as native doubles.
+    """``float()`` of each line of ``block``, bytes of whole lines, as
+    native doubles, or nothing if any line is not a float.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in
-    text mode.  The block is read in one ``map(float, ...)`` pass.
-    ``float`` reads a line's bytes as ASCII, so any line it takes is
-    read as its UTF-8 text would be.  If that pass fails on a block of
-    ASCII, it is run again without the blank and ``#`` lines, which the
-    reader's line loop skips too.  A block that neither pass takes is
-    answered with its line count alone.
+    text mode.  The block is read in one ``map(float, ...)`` pass, so an
+    answer holds one value per line.  ``float`` reads a line's bytes as
+    ASCII, so any line it takes is read as its UTF-8 text would be.
     """
-    lines = block.splitlines()
-    count = len(lines).to_bytes(8, sys.byteorder)
     try:
-        return count + array("d", map(float, lines)).tobytes()
+        return array("d", map(float, block.splitlines())).tobytes()
     except ValueError:
-        if not all(map(bytes.isascii, lines)):
-            return count
-    try:
-        kept = [line for line in lines if line.strip()[:1] not in (b"", b"#")]
-        return count + array("d", map(float, kept)).tobytes()
-    except ValueError:
-        return count
+        return b""
 
 
 _CODECS = {"format": format_lines, "parse": parse_lines}

@@ -26,10 +26,11 @@ Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  A file is written as its values are drawn, one
 ``distributions._CHUNK`` of values at a time, so no process holds n
 values.  Text is read in order, in blocks of whole lines, each in one
-``float()`` pass that skips ASCII comment and blank lines.  Only a
-block that pass cannot take whole (a bad literal, a non-ASCII line) or
-that holds a negative or non-finite value goes through the line loop,
-which gives the same values or names the first fault by its file line.
+``float()`` pass.  Only a block that pass cannot take whole (a comment,
+blank, bad or non-ASCII line) or that holds a negative or non-finite
+value goes through the line loop, which skips comment and blank lines,
+numbers the lines, and gives the same values or names the first fault
+by its file line.
 Both directions deal their chunks or blocks round-robin to one process
 per usable core, up to one per ``_SPLIT`` values: each other process is
 a worker running ``_textlines``, the codec this process uses too.  A
@@ -51,7 +52,6 @@ import json
 import math
 import os
 import re
-import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
@@ -214,12 +214,12 @@ def _parse_text(path: Path) -> np.ndarray:
     The blocks of whole lines are dealt round-robin to this process and
     ``_shares`` - 1 workers (``_textlines.deal``); a stream's size reads
     0, so it takes one process.  A block answered with values, all
-    nonnegative and finite, is appended as they are: the line loop would
-    give the same values, since ``float`` strips a subset of what
-    ``str.strip`` strips (not U+001C..U+001F) and a line it accepts is
-    neither blank nor a comment.  Any other block goes through the line
-    loop here, its lines numbered on from the blocks before it, so the
-    first fault in file order raises.
+    nonnegative and finite, is appended as they are, one per line: the
+    line loop would give the same values, since ``float`` strips a
+    subset of what ``str.strip`` strips (not U+001C..U+001F) and a line
+    it accepts is neither blank nor a comment.  Any other block goes
+    through the line loop here, its lines numbered on from the blocks
+    before it, so the first fault in file order raises.
     """
     from ._textlines import blocks, deal
 
@@ -231,23 +231,25 @@ def _parse_text(path: Path) -> np.ndarray:
         with contextlib.closing(deal("parse", read, shares)) as answers:
             for answer in answers:
                 block = dealt.popleft()
-                values = np.frombuffer(answer, offset=8)
+                values = np.frombuffer(answer)
                 if values.size and values.min() >= 0.0 and values.max() < math.inf:
-                    out.frombytes(memoryview(answer)[8:])
+                    out.frombytes(answer)
+                    lines += values.size
                 else:
-                    _read_lines(path, block, lines, out)
-                lines += int.from_bytes(answer[:8], sys.byteorder)
+                    lines += _read_lines(path, block, lines, out)
     if not out:
         raise ValueError(f"{path}: no sample values found")
     return np.frombuffer(out)  # writable: the array's own buffer
 
 
-def _read_lines(path: Path, block: bytes, before: int, out: array) -> None:
-    """The line loop: append the value of each line of ``block``, which
-    follows line ``before`` of the file, to ``out``, skipping blank and
-    ``#`` lines; raise at the first line that is not UTF-8, not a float,
-    or not nonnegative and finite."""
-    for lineno, line in enumerate(block.splitlines(), start=before + 1):
+def _read_lines(path: Path, block: bytes, before: int, out: array) -> int:
+    """The line loop, the one reader of blank and ``#`` lines: append
+    the value of each other line of ``block``, which follows line
+    ``before`` of the file, to ``out`` and answer how many lines it
+    read; raise at the first line that is not UTF-8, not a float, or
+    not nonnegative and finite."""
+    lines = block.splitlines()
+    for lineno, line in enumerate(lines, start=before + 1):
         try:
             text = line.decode("utf-8").strip()
         except UnicodeDecodeError:
@@ -260,6 +262,7 @@ def _read_lines(path: Path, block: bytes, before: int, out: array) -> None:
             raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
         _check_value(value, "line", lineno)
         out.append(value)
+    return len(lines)
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:
@@ -303,7 +306,7 @@ def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT,
     data, a deliberate warning sign for time-ordered data - and their
     count must be a multiple of it.
     """
-    if splits not in (1, 4):
+    if type(splits) is not int or splits not in (1, 4):  # not 4.0, not True
         raise ValueError(f"splits must be a rank layout's count, 1 or 4, not {splits!r}")
     path = Path(path)
     arr = _parse_text(path) if FileFormat(fmt) is FileFormat.TEXT else _parse_raw_f64(path)

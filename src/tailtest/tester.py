@@ -106,6 +106,10 @@ class TestConfig:
             )
         if not 0.0 <= self.noise_sigmas < math.inf:
             raise ValueError("noise_sigmas must be finite and >= 0")
+        # Refused here, before any sample is read: the gap is largest at
+        # the first scanned bucket, so it is finite at every bucket if it
+        # is finite there.  ``_plan`` computes the gap of every bucket.
+        separation_gap(self.layout.buckets(self.k)[0] / self.k, self.tail, self.bounds)
 
     @property
     def layout(self) -> RankLayout:

@@ -90,6 +90,19 @@ def test_gap_that_is_not_finite_is_one_error_line(tmp_path, command, bounds, cap
                             f"at alpha={alpha}, beta={beta}, b1={b1}\n")
 
 
+@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
+def test_gap_that_is_not_finite_is_refused_before_the_input_is_read(tmp_path, variant, capsys):
+    # The gap depends on the flags alone: a file was read and sorted in
+    # full, or here found missing, before it was refused.
+    code = run_cli(["test", "--input", str(tmp_path / "missing.txt"), *variant, "--k", "16",
+                    "--alpha", "0.25", "--rho", "0.5", "--beta", "1e-300", "--b1", "1e-300",
+                    "--b2", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: separation gap alpha*(1-z)^2 / (beta^3 * b1) is not finite "
+                            "at alpha=0.25, beta=1e-300, b1=1e-300\n")
+
+
 @pytest.mark.parametrize("command,bounds", [
     ("proxy", ["--beta", "1e-300"]),
     ("proxy", ["--alpha", "0.25", "--beta", "1e300"]),
@@ -135,6 +148,26 @@ def test_repeated_parameter_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not out.exists()
     assert captured.err == "error: parameter 'a' is given more than once\n"
+
+
+@pytest.mark.parametrize("flags,refusal", [
+    (["--params", "a=1,lambda", "--n", "2000"], "parameter 'lambda' is not of the form key=value"),
+    (["--params", "a=1,lambda=1"], "--n is required with --dist"),
+], ids=["param-without-equals", "no-n"])
+def test_dist_flag_refusal_is_one_error_line(flags, refusal, capsys):
+    code = run_cli(["test", "--dist", "lomax", *flags, "--k", "8", *BOUNDS])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
+
+
+def test_empty_parameter_items_are_skipped(capsys):
+    reports = []
+    for params in ("a=1,lambda=1", " a=1,,lambda=1, "):
+        assert run_cli(["test", "--dist", "lomax", "--params", params, "--n", "2000",
+                        "--k", "8", *BOUNDS]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and '"verdict"' in reports[0]
 
 
 @pytest.mark.parametrize("exc,line", [

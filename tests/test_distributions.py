@@ -77,6 +77,15 @@ def test_invalid_parameters_rejected():
             family(*args)
 
 
+@pytest.mark.parametrize("name", ["beta", "b1", "b2"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_bounds_must_be_positive(name, value):
+    bounds = {"beta": 1.0, "b1": 1.0, "b2": 1.0, name: value}
+    with pytest.raises(ValueError) as exc:
+        tt.WellBehavedBounds(**bounds, zeta=0.1)
+    assert str(exc.value) == f"{name} must be > 0"
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 # ---------------------------------------------------------------------------

@@ -345,6 +345,12 @@ def test_replicate_requires_two_reps():
         tt.replicate(Exponential(1.0), 1, 1000, weak_config(), base_seed=0)
 
 
+def test_sampled_test_requires_one_rep():
+    with pytest.raises(ValueError) as exc:
+        tt.run_sampled_test(Exponential(1.0), 1000, 0, weak_config(), reps=0)
+    assert str(exc.value) == "reps must be >= 1"
+
+
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
@@ -445,10 +451,11 @@ def test_load_raw_f64_reads_a_changing_file_to_its_end(tmp_path, monkeypatch, ch
     assert split.values.tobytes() == np.sort(kept).tobytes()
 
 
-@pytest.mark.parametrize("splits", [0, -1, 2, 3, 5])
+@pytest.mark.parametrize("splits", [0, -1, 2, 3, 5, 4.0, True])
 def test_load_refuses_splits_no_layout_reads(tmp_path, splits):
     # 0 divided by zero, -1 failed in numpy's reshape, and 3 dealt three
-    # splits that no layout reads.
+    # splits that no layout reads.  4.0 and True equal a count, and each
+    # failed in numpy's reshape with a TypeError.
     p = tmp_path / "twelve.txt"
     p.write_text("".join(f"{v}.5\n" for v in range(12)))
     with pytest.raises(ValueError) as exc:
@@ -485,14 +492,16 @@ def test_load_split_holds_each_value_once(tmp_path):
     assert (dealt - whole) / n <= 1.5
 
 
-@pytest.mark.parametrize("count", [5, 6, 7, 4 * 1000 + 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 7, 4 * 1000 + 3])
 def test_load_split_refuses_uneven_count(tmp_path, count):
-    # The benchmark's file workload matches this exact message.
+    # Fewer than four values fill no split.  The benchmark's file
+    # workload matches the uneven count's exact message.
     p = tmp_path / "uneven.txt"
     p.write_text("".join(f"{v}.5\n" for v in range(count)))
     with pytest.raises(ValueError) as exc:
         tt.load_samples(p, FileFormat.TEXT, splits=4)
-    assert str(exc.value) == "all four splits must hold the same number of samples"
+    assert str(exc.value) == (f"{p}: need at least 4 values to build four splits" if count < 4
+                              else "all four splits must hold the same number of samples")
 
 
 def test_load_preserves_multiset(tmp_path):
@@ -738,19 +747,26 @@ def test_invalid_utf8_is_named_by_its_line(tmp_path, name):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_comments_blanks_and_crlf_take_the_one_pass_reader(tmp_path, monkeypatch, workers, split,
-                                                           cores):
-    # Blank and comment lines are skipped block by block, in this
-    # process's blocks and in a worker's, without the line loop.
+def test_only_blocks_with_comment_or_blank_lines_take_the_line_loop(tmp_path, monkeypatch,
+                                                                    workers, split, cores):
+    # A header comment, a blank line midway and a trailing blank line:
+    # the one pass answers nothing for each of their blocks, here or in
+    # a worker, and only those blocks reach the line loop.
     split(cores, values=1)
     monkeypatch.setattr(_textlines, "_BLOCK", 4096)
     values = _lines(tt.sample(Lomax(1.0, 1.0), 3000, seed=6))
-    lines = ["# Lomax(1, 1), seed 6", "", *values[:1500], "  ", "# half way", *values[1500:]]
+    lines = ["# Lomax(1, 1), seed 6", *values[:1500], "", *values[1500:], ""]
     p = tmp_path / "commented.txt"
-    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    expected = _line_loop(p)
-    monkeypatch.setattr(harness, "_read_lines", None)
-    assert _parse_text(p).tobytes() == expected.tobytes()
+    p.write_bytes(("\n".join(lines) + "\n").encode())
+    with p.open("rb") as fh:
+        cut = list(_textlines.blocks(fh.fileno()))
+    odd = [b for b in cut if any(line[:1] in (b"", b"#") for line in b.splitlines())]
+    assert len(odd) == 3 and len(cut) > 10
+    looped, read_lines = [], harness._read_lines
+    monkeypatch.setattr(harness, "_read_lines", lambda path, block, *rest: (
+        looped.append(block) or read_lines(path, block, *rest)))
+    assert _parse_text(p).tobytes() == _line_loop(p).tobytes()
+    assert looped == odd
     assert len(workers) == cores - 1 and all(w.returncode == 0 for w in workers)
 
 
@@ -944,17 +960,14 @@ def test_format_worker_answers_each_frame_with_its_lines():
     assert _run_worker("format", frames, cut=8)[0] == 1
 
 
-def test_parse_worker_answers_each_block_with_its_count_and_values():
+def test_parse_worker_answers_each_block_with_its_values_or_nothing():
     # The same frames carry blocks of whole lines; each answer is the
-    # block's line count as 8 native bytes, then its values as native
-    # doubles, or the count alone for a block the one pass cannot take.
-    blocks = [b"# head\r\n1.5\n\n2.25\r\n", b"3.0", b"1.0\n4.0e\n", "# caf\u00e9\n".encode()]
-    count = [n.to_bytes(8, sys.byteorder) for n in range(5)]
+    # block's values as native doubles, one per line, or nothing for a
+    # block with a blank, comment, bad or non-ASCII line.
+    blocks = [b"1.5\r\n 2.25\r3.0", b"4.0\n\n5.0\n", b"# head\n1.0\n", b"1.0\n4.0e\n",
+              "1.0\n\u0661\n".encode(), b"6.5\n"]
     assert _run_worker("parse", blocks) == (0, [
-        count[4] + array("d", [1.5, 2.25]).tobytes(),
-        count[1] + array("d", [3.0]).tobytes(),
-        count[2],
-        count[1],
+        array("d", [1.5, 2.25, 3.0]).tobytes(), b"", b"", b"", b"", array("d", [6.5]).tobytes(),
     ])
     assert _run_worker("parse", blocks, cut=1)[0] == 1
 

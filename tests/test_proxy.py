@@ -231,6 +231,13 @@ def test_discrete_proxy_error_within_smoothness_bound(model):
                 assert abs(tt.discrete_proxy(model, i, k) - s) <= cap
 
 
+def test_proxy_curve_refuses_k_below_4():
+    with pytest.raises(ValueError) as exc:
+        tt.proxy_curve(Exponential(1.0), 3, TailParams(0.25, 0.5),
+                       tt.WellBehavedBounds(1.0, 1.0, 1.0, 1.0 / 6))
+    assert str(exc.value) == "k must be >= 4"
+
+
 def test_proxy_curve_structure():
     curve = tt.proxy_curve(Exponential(1.0), 16, TailParams(0.25, 0.5),
                            tt.WellBehavedBounds(1.0, 1.0, 1.0, 1.0 / 32))

@@ -74,6 +74,17 @@ def test_calculators_reject_zero_alpha():
         tt.required_samples(8, TailParams(0.0, 0.5), WellBehavedBounds(1, 1, 1, 0.1))
 
 
+@pytest.mark.parametrize("call,refusal", [
+    (lambda b: tt.required_buckets(TAIL, b, c_k=0.0), "c_k must be > 0"),
+    (lambda b: tt.required_samples(3, TAIL, b), "k must be >= 4"),
+    (lambda b: tt.required_samples(8, TAIL, b, c_n=0.0), "c_n must be > 0"),
+], ids=["c_k", "k", "c_n"])
+def test_calculators_refuse_constants_out_of_range(call, refusal):
+    with pytest.raises(ValueError) as exc:
+        call(WellBehavedBounds(1, 1, 1, 0.1))
+    assert str(exc.value) == refusal
+
+
 def test_calculators_reject_infinite_bounds():
     # estimate_bounds gives the stretched exponential infinite bounds: its
     # density is unbounded at the origin.
@@ -102,6 +113,14 @@ def test_config_validation():
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=-1.0)
     with pytest.raises(ValueError, match="noise_sigmas must be finite and >= 0"):
         TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=math.inf)
+    # The gap is fixed by the config alone, so it is refused when the
+    # config is built, before any sample is read.
+    for variant in Variant:
+        with pytest.raises(ValueError) as exc:
+            TestConfig(tail=TAIL, bounds=WellBehavedBounds(1e-300, 1e-300, 1, 1 / 32), k=16,
+                       variant=variant)
+        assert str(exc.value) == ("separation gap alpha*(1-z)^2 / (beta^3 * b1) is not finite "
+                                  "at alpha=0.25, beta=1e-300, b1=1e-300")
 
 
 def test_run_test_refuses_a_wrong_split_count():
