@@ -28,6 +28,8 @@ import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
+import numpy as np
+
 from . import distributions
 from .distributions import TailParams, WellBehavedBounds, model_from_name
 from .harness import (
@@ -327,7 +329,8 @@ def run_cli(argv=None) -> int:
         # numpy's own refusal of a negative seed names neither flag nor value.
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError("seed must be >= 0")
-        return _HANDLERS[args.command](args)
+        with np.errstate(all="ignore"):  # each non-finite result is refused by its own check
+            return _HANDLERS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         # A bare MemoryError has no message of its own.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

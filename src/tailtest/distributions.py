@@ -13,9 +13,9 @@ array; ``sample_file_chunks`` (in ``harness``) writes them one at a time.
 
 A test reads only a few order statistics, and
 ``uniform_order_statistics`` draws those exactly, without the other
-samples: O(k) gamma draws per split whatever n is.  They come from
-their own stream, so a sampled test is not the test of ``sample``'s
-values at the same seed.
+samples: one call of O(k) gamma draws per seed whatever n is.  They
+come from their own stream, so a sampled test is not the test of
+``sample``'s values at the same seed.
 """
 
 from __future__ import annotations
@@ -378,9 +378,7 @@ def quantile(model: DistributionModel, u):
     if np.any((u_arr < 0.0) | (u_arr >= 1.0)):
         raise ValueError("quantile requires 0 <= u < 1")
     out = model.quantile(u_arr)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(u) == 0 else out
 
 
 # Values drawn and mapped per chunk: 128 KiB of float64, so a chunk and the
@@ -403,23 +401,24 @@ def _variates(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def uniform_order_statistics(n: int, ranks_by_split, seed: int) -> list[np.ndarray]:
-    """Per split, the order statistics at its 1-based ranks of n uniforms on (0, 1).
+def uniform_order_statistics(n: int, ranks, seed: int) -> np.ndarray:
+    """Order statistics of n uniforms on (0, 1) at 1-based ranks, ascending
+    along each row of the grid ``ranks``: one row per split.
 
     Uniform order statistics at ranks r_1 < ... < r_m are partial sums
     of independent Gamma(r_j - r_(j-1)) spacings over their Gamma(n+1)
-    total (Renyi's representation), so each split costs m + 1 gamma
-    draws from the seed's one generator, taken split by split.  A
-    quotient that rounds to 1 is clamped to the largest double below 1,
-    where every family's quantile is finite.
+    total (Renyi's representation).  The grid's spacings are one
+    ``standard_gamma`` call on the seed's generator, which draws them
+    row by row, so a row does not depend on the rows after it.  A
+    quotient that rounds to 1 is clamped to the largest double below 1.
     """
-    gen = np.random.default_rng(seed)
-    out = []
-    for ranks in ranks_by_split:
-        # np.diff's prepend and append would cost more than the draws.
-        sums = np.cumsum(gen.standard_gamma(np.diff(np.concatenate(([0], ranks, [n + 1])))))
-        out.append(np.minimum(sums[:-1] / sums[-1], _BELOW_ONE))
-    return out
+    ranks = np.asarray(ranks)
+    shapes = np.empty((*ranks.shape[:-1], ranks.shape[-1] + 1), dtype=np.int64)
+    shapes[..., :-1] = ranks  # np.diff's prepend and append cost more than the draws
+    shapes[..., -1] = n + 1
+    shapes[..., 1:] -= ranks
+    sums = np.random.default_rng(seed).standard_gamma(shapes).cumsum(axis=-1)
+    return np.minimum(sums[..., :-1] / sums[..., -1:], _BELOW_ONE)
 
 
 def _sample_chunks(model: DistributionModel, n: int, seed: int):
@@ -429,13 +428,21 @@ def _sample_chunks(model: DistributionModel, n: int, seed: int):
     generator, which are the values one ``random(n)`` call would give.
     The quantile acts on each value alone and gives the same bits on a
     chunk as on the whole array, so the chunking never shows in the
-    values.  n and the seed are checked at the call, before any chunk.
+    values.  n and the seed are checked at the call, before any chunk,
+    and each chunk is refused unless finite (``_finite``) before it is yielded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    return (model.quantile(_variates(rng.random(min(_CHUNK, n - start))))
+    return (_finite(model, model.quantile(_variates(rng.random(min(_CHUNK, n - start)))))
             for start in range(0, n, _CHUNK))
+
+
+def _finite(model: DistributionModel, chunk: np.ndarray) -> np.ndarray:
+    """``chunk`` of ``model``'s samples, if all are finite."""
+    if not chunk.max() < math.inf:  # NaN fails too
+        raise ValueError(f"{model!r} draws a non-finite sample: its quantile overflows float64")
+    return chunk
 
 
 def sample(model: DistributionModel, n: int, seed: int) -> np.ndarray:

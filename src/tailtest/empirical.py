@@ -10,8 +10,8 @@ independent splits so the terms are independent; the single-granularity
 middle one twice.
 
 A layout's ranks depend on (n, k, buckets) alone (``layout_ranks``);
-``held_ranks`` groups them per split, and a split answers all of its
-ranks in one ``SortedSampleSplit.at`` call.
+``held_ranks`` lays them out as one grid, a row of distinct ranks per
+split, and a split answers its row in one ``SortedSampleSplit.at`` call.
 
 A bucket whose length difference comes out non-positive carries no
 curvature signal; the statistic maps it to ``math.inf``, which the
@@ -26,10 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "SortedSampleSplit",
-    "rank_index",
-]
+__all__ = ["SortedSampleSplit", "rank_index"]
+
 
 @dataclass(frozen=True)
 class SortedSampleSplit:
@@ -38,7 +36,10 @@ class SortedSampleSplit:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_sorted(self.values))
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size < 1:
+            raise ValueError("values must be a one-dimensional array with n >= 1")
+        object.__setattr__(self, "values", _checked_sorted(values))
 
     @property
     def n(self) -> int:
@@ -62,24 +63,24 @@ class SortedSampleSplit:
         pair only ever meets in a bucket length of zero, which is
         degenerate whichever zero comes first.
         """
-        arr = np.asarray(samples, dtype=float)
-        return cls(values=np.sort(arr))
+        return cls(values=np.sort(np.asarray(samples, dtype=float)))
 
 
 def _checked_sorted(values) -> np.ndarray:
-    """values as a float array, if one-dimensional, nonempty, nonnegative,
-    finite and ascending; else a ValueError naming the first failure."""
+    """values as a float array, if each row (along its last axis, none
+    empty) is nonnegative, finite and ascending; else a ValueError naming
+    the first failure of the first row that fails, as row by row would."""
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError("values must be a one-dimensional array with n >= 1")
-    # One pass accepts exactly what the checks below accept: NaN fails
-    # every comparison, so ascending from a nonnegative start to a
+    # One pass per row accepts exactly what the checks below accept: NaN
+    # fails every comparison, so ascending from a nonnegative start to a
     # finite end means all finite.  The checks name the first failure.
-    if not (np.all(values[1:] >= values[:-1]) and values[0] >= 0.0
-            and math.isfinite(values[-1])):
-        if not np.all(np.isfinite(values)):
+    ok = ((values[..., 1:] >= values[..., :-1]).all(axis=-1) & (values[..., 0] >= 0.0)
+          & np.isfinite(values[..., -1]))
+    if not ok.all():
+        row = values.reshape(-1, values.shape[-1])[np.argmin(ok.ravel())]
+        if not np.all(np.isfinite(row)):
             raise ValueError("values must all be finite")
-        if values[0] < 0.0:
+        if row[0] < 0.0:
             raise ValueError("values must be nonnegative")
         raise ValueError("values must be sorted ascending")
     return values
@@ -208,19 +209,15 @@ def layout_ranks(layout: RankLayout, n: int, buckets, k: int) -> np.ndarray:
     return rank_index(n, np.array(layout.fractions(np.asarray(buckets), k)))
 
 
-def held_ranks(layout: RankLayout, idx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per split, the distinct ranks of ``layout_ranks``'s ``idx`` it is read
-    at, ascending; and where each endpoint of ``idx`` lies among those
-    ranks laid end to end in split order.
+def held_ranks(layout: RankLayout, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ranks of ``layout_ranks``'s ``idx`` each split is read
+    at, ascending, as the rows of one (splits, m) grid; and where each
+    endpoint of ``idx`` lies in the grid laid out flat.
 
-    So the splits' values at their ranks, concatenated, give the (4,
-    len(buckets)) endpoints when indexed by the positions.
+    Every layout reads as many distinct ranks from each of its splits.
     """
     splits = np.asarray(layout.splits)
-    ranks, at = [], np.empty(idx.shape, dtype=np.intp)
-    for s in range(layout.count):
-        mine = splits == s
-        # Not np.unique: its first call imports numpy.ma, about 17 ms.
-        ranks.append(np.array(sorted(set(idx[mine].flat))))
-        at[mine] = sum(r.size for r in ranks[:-1]) + np.searchsorted(ranks[-1], idx[mine])
-    return ranks, at
+    # Not np.unique: its first call imports numpy.ma, about 17 ms.
+    ranks = np.array([sorted(set(idx[splits == s].flat)) for s in range(layout.count)])
+    at = [s * ranks.shape[1] + np.searchsorted(ranks[s], row) for s, row in zip(splits, idx)]
+    return ranks, np.array(at)

@@ -1,18 +1,15 @@
 """Experiment replication, and every byte format the package reads or writes.
 
-A sampled test reads at most four order statistics per bucket, and
-draws only those: the layout's ranks per split go to
-``distributions.uniform_order_statistics``, whose exact uniform order
-statistics the family's quantile maps, so no array of n values exists
-at any point.  They come from their own stream, so the test at a seed
-is not the test of a ``sample`` file at that seed.
-``run_sampled_test`` and ``replicate`` are one path over seeds
-base_seed + r: the ranks and the boundary depend on (config, n) alone
-and are computed once per call (``tester._plan``); each seed draws from
-its own generator and its values are checked before the next seed
-draws; every seed's statistics are one row of a (reps, buckets) array,
-which ``replicate`` reduces per bucket and ``run_sampled_test`` hands
-whole to the plan, whose ``outcome`` takes the seeds' majority vote.
+A sampled test draws only the order statistics it reads, so no array
+of n values exists.  ``run_sampled_test`` and ``replicate`` are one
+path over seeds base_seed + r: the ranks and the boundary depend on
+(config, n) alone and are computed once per call (``tester._plan``);
+each seed's grid of exact uniform order statistics is one
+``distributions.uniform_order_statistics`` call, from its own stream
+(so not the test of a ``sample`` file at that seed), and one quantile
+call maps it.  Every seed's statistics are one row of a (reps, buckets)
+array, which ``replicate`` reduces per bucket and ``run_sampled_test``
+hands whole to the plan, whose ``outcome`` takes the seeds' majority vote.
 
 ``load_samples(path, fmt, splits)`` deals a sample file round-robin into
 as many splits as a rank layout reads (``RankLayout.count``): the splits
@@ -98,21 +95,20 @@ class ReplicationRow:
 def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: int, reps: int):
     """The decision plan, and the statistics of seed base_seed + r's sample as row r.
 
-    Only the values at the ranks the layout reads are drawn, O(k) per
-    split whatever n is, from each seed's own generator.  They are exact
-    uniform order statistics of n draws per split, mapped through the
-    quantile as they are: unlike ``sample``'s variates they lie on no
-    2**-53 grid, so they need no half-step offset.  Each split's mapped
-    values are checked as a sorted sample's are before the next seed draws.
+    A seed draws the plan's (splits, m) grid of ranks in one call and
+    maps it through the quantile in one, as it is: exact uniform order
+    statistics lie on no 2**-53 grid, so unlike ``sample``'s variates
+    they need no half-step offset.  Its rows are checked as sorted
+    samples are, in split order, before the next seed draws.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     plan = tester._plan(config, n)
-    held = np.empty((reps, sum(r.size for r in plan.ranks)))
-    for row, seed in zip(held, range(base_seed, base_seed + reps)):
+    held = np.empty((reps, *plan.ranks.shape))
+    for grid, seed in zip(held, range(base_seed, base_seed + reps)):
         draws = distributions.uniform_order_statistics(n, plan.ranks, seed)
-        row[...] = np.concatenate([_checked_sorted(model.quantile(u)) for u in draws])
-    return plan, plan.statistics(held)
+        grid[...] = _checked_sorted(model.quantile(draws))
+    return plan, plan.statistics(held.reshape(reps, -1))
 
 
 def run_sampled_test(model: DistributionModel, n: int, seed: int, config: TestConfig,
@@ -132,8 +128,9 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     """Run the configured tester reps times with seeds base_seed + index.
 
     Per bucket, aggregates mean and sample standard deviation of the
-    statistic with degenerate markers left out of the moments, and
-    attaches the analytic proxy curve and the boundary for overlay.  The
+    statistic with degenerate markers left out of the moments (``nan``
+    where too few reps are left for one), and attaches the analytic
+    proxy curve and the boundary for overlay.  The
     boundary is a function of (n, k, config) alone: the one a ``test``
     of the same n reports.
     """
@@ -145,16 +142,10 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     rows = []
     for j, i in enumerate(plan.buckets):
         values = stats[live[:, j], j]  # contiguous, reduced as a list of them would be
-        if values.size:
-            mean = float(np.mean(values))
-            std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-        else:
-            mean = math.nan
-            std = math.nan
         rows.append(ReplicationRow(
             i=i,
-            s_hat_mean=mean,
-            s_hat_std=std,
+            s_hat_mean=float(np.mean(values)) if values.size else math.nan,
+            s_hat_std=float(np.std(values, ddof=1)) if values.size > 1 else math.nan,
             proxy_s=proxy_value(model, i / config.k),
             threshold=1.0 - i / config.k,
             boundary=float(plan.boundary[j]),

@@ -188,19 +188,19 @@ def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
 class _Plan:
     """What a decision fixes before any sample exists: ranks and boundary.
 
-    ``ranks`` and ``at`` are ``held_ranks``' for the scanned buckets.
+    ``ranks`` and ``at`` are ``held_ranks``' grid and positions for the buckets.
     """
 
     config: TestConfig
     n: int
     buckets: range
-    ranks: list
+    ranks: np.ndarray
     at: np.ndarray
     boundary: np.ndarray
 
     def statistics(self, held: np.ndarray) -> np.ndarray:
         """The statistic at every bucket, one row per row of held values
-        (``held_ranks``' ranks' values laid end to end)."""
+        (the values at ``held_ranks``' grid of ranks, laid out flat)."""
         return four_point_ratio(*np.moveaxis(held[..., self.at], -2, 0), self.config.k)
 
     def outcome(self, s_hat: np.ndarray, seed: int | None) -> TestOutcome:

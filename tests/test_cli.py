@@ -200,6 +200,50 @@ def test_sample_of_fewer_than_one_value_is_one_error_line(tmp_path, n, capsys):
     assert captured.err == "error: n must be >= 1\n"
 
 
+# Families whose quantile overflows float64: numpy warned of the overflow
+# on stderr (an error in this suite) before each call's outcome.
+_OVERFLOWING = {"lomax": ("a=0.001,lambda=1", "Lomax(shape=0.001, scale=1.0)"),
+                "halfgaussian": ("sigma=1e308", "HalfGaussian(scale=1e+308)"),
+                "exponential": ("lambda=1e-320", "Exponential(rate=1e-320)")}
+
+
+@pytest.mark.parametrize("fmt", ["text", "f64"])
+@pytest.mark.parametrize("family", _OVERFLOWING)
+def test_sample_of_a_value_past_the_largest_double_is_one_error_line(tmp_path, family, fmt,
+                                                                     capsys):
+    # Each family gives inf for some of its 5 values; the chunk holding
+    # one is refused before it is written, and a regular --out is left
+    # as it was.
+    params, name = _OVERFLOWING[family]
+    out = tmp_path / "x"
+    out.write_bytes(b"old\n")
+    code = run_cli(["sample", "--dist", family, "--params", params, "--n", "5", "--seed", "1",
+                    "--format", fmt, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {name} draws a non-finite sample: "
+                            f"its quantile overflows float64\n")
+    assert out.read_bytes() == b"old\n" and [p.name for p in tmp_path.iterdir()] == ["x"]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["test", "--dist", "lomax", "--params", "a=0.001,lambda=1", "--n", "1000", "--k", "8",
+      *BOUNDS], "values must all be finite"),
+    (["simulate", "--dist", "exponential", "--params", "lambda=1e-320", "--reps", "2",
+      "--n", "1000", "--seed", "1", "--k", "8", *BOUNDS], "values must all be finite"),
+    (["proxy", "--dist", "exponential", "--params", "lambda=1e-320", "--k", "8"],
+     "proxy undefined at z=0.25: pdf slope is -0.0, must be < 0"),
+], ids=["test", "simulate", "proxy"])
+def test_quantile_past_the_largest_double_is_one_error_line(tmp_path, argv, line, capsys):
+    # The overflow gives inf, which each command refuses by name; numpy's
+    # warning does not print ahead of that line.
+    out = tmp_path / "out"
+    code = run_cli([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("command", ["sample", "test", "simulate"])
 def test_negative_seed_is_one_error_line(tmp_path, command, capsys):
     # numpy's refusal, "expected non-negative integer", named no flag.
@@ -414,6 +458,29 @@ def test_atomic_write_failure_leaves_target(tmp_path):
         _atomic_write(str(target), chunks())
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_error_is_reported_when_its_temp_file_cannot_be_removed(tmp_path, monkeypatch):
+    # Removing the temp file after a failed write fails too: that second
+    # failure is ignored, and the write's own error is the one raised.
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+    removals = []
+
+    def chunks():
+        yield b"x" * (1 << 20)
+        raise RuntimeError("chunk failed")
+
+    def refuse(path):
+        removals.append(Path(path))
+        raise PermissionError(errno.EACCES, "refused", path)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(target), chunks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.parent for p in removals] == [tmp_path] and removals[0].name.startswith("out.txt.")
+    assert removals[0].stat().st_size == 1 << 20  # the temp file, left behind
 
 
 def test_outputs_get_the_mode_of_a_plain_new_file(tmp_path):

@@ -97,6 +97,16 @@ def test_quantile_examples():
         assert tt.quantile(model, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_quantile_of_an_array_is_the_models_array(model):
+    # A scalar mass gives a float; an array gives the family's own array,
+    # bit for bit.
+    u = np.array([0.0, 2.0 ** -54, 0.25, 0.5, 0.85, 0.999, 1.0 - 2.0 ** -53])
+    out = tt.quantile(model, u)
+    assert isinstance(out, np.ndarray) and out.tobytes() == model.quantile(u).tobytes()
+    assert isinstance(tt.quantile(model, 0.25), float)
+
+
 def test_quantile_domain_errors():
     with pytest.raises(ValueError):
         tt.quantile(Exponential(1.0), 1.0)
@@ -316,14 +326,16 @@ class _TinyTailSpacing:
     """A generator stub whose last gamma spacing is far below one ulp of the sum."""
 
     def standard_gamma(self, shape):
-        return np.r_[shape[:-1], 1e-300]
+        spacings = shape.astype(float)
+        spacings[..., -1] = 1e-300
+        return spacings
 
 
 def test_order_statistics_clamp_below_one(monkeypatch):
     # With a vanishing tail spacing the top order statistic's quotient
     # rounds to exactly 1, where every quantile is infinite.
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _TinyTailSpacing())
-    [u] = tt.distributions.uniform_order_statistics(100, [np.array([10, 50, 100])], seed=0)
+    [u] = tt.distributions.uniform_order_statistics(100, np.array([[10, 50, 100]]), seed=0)
     assert u.tolist() == [0.1, 0.5, 1.0 - 2.0 ** -53]
     for model in ALL_MODELS:
         assert np.all(np.isfinite(model.quantile(u))), model
@@ -350,9 +362,9 @@ def test_order_statistics_follow_their_beta_laws(n, ranks):
 
 
 def test_order_statistics_draw_split_by_split_from_one_stream():
-    # Each split's m + 1 gamma spacings come, in split order, from the
-    # seed's one PCG64 stream, so dropping later splits leaves earlier ones.
-    ranks = [np.array([1, 5, 9]), np.array([2, 3]), np.array([10])]
+    # Each row's m + 1 gamma spacings come, in row order, from the seed's
+    # one PCG64 stream, so dropping later rows leaves earlier ones.
+    ranks = np.array([[1, 5, 9], [2, 3, 10], [4, 6, 7]])
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
     expected = []
     for r in ranks:
@@ -361,7 +373,17 @@ def test_order_statistics_draw_split_by_split_from_one_stream():
     draws = tt.distributions.uniform_order_statistics
     assert [u.tobytes() for u in draws(10, ranks, 4)] == expected
     assert [u.tobytes() for u in draws(10, ranks[:2], 4)] == expected[:2]
+    assert draws(10, ranks[0], 4).tobytes() == expected[0]  # one split, one row
     assert draws(10, ranks, 5)[0].tobytes() != expected[0]
+
+
+def test_sample_refuses_a_family_past_the_largest_double():
+    # Lomax(0.001, 1)'s quantile overflows float64 for most variates: the
+    # library's sample refuses the chunk and names the family.
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        tt.sample(Lomax(0.001, 1.0), 5, 1)
+    assert str(exc.value) == ("Lomax(shape=0.001, scale=1.0) draws a non-finite sample: "
+                              "its quantile overflows float64")
 
 
 # Sizes around ``sample``'s chunk: ending on a chunk edge, one past

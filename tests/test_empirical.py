@@ -12,7 +12,7 @@ from tailtest import (
     Variant,
     WellBehavedBounds,
 )
-from tailtest.empirical import rank_index
+from tailtest.empirical import _checked_sorted, rank_index
 
 
 def perfect_split(model, n):
@@ -84,6 +84,25 @@ def test_split_validation():
         with pytest.raises(ValueError, match=message):
             SortedSampleSplit(np.array(values))
     assert SortedSampleSplit(np.array([-0.0, 0.0, 0.0, 1.0])).n == 4
+
+
+def test_grid_is_checked_row_by_row():
+    # A (splits, m) grid of a sampled test's values passes when every row
+    # would, and otherwise names the first failure of the first row that
+    # fails, as checking the rows one by one in order would.
+    grid = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 5.0]])
+    assert _checked_sorted(grid).tobytes() == grid.tobytes()
+    cases = [
+        ([[0.0, 1.0, 0.5], [1.0, np.nan, 2.0]], "sorted ascending"),
+        ([[0.0, 1.0, 2.0], [-1.0, 0.0, np.inf]], "all be finite"),
+        ([[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "nonnegative"),
+        ([[3.0, 4.0, 5.0], [0.0, 2.0, 1.0]], "sorted ascending"),
+    ]
+    for values, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _checked_sorted(np.array(values))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SortedSampleSplit(grid)
 
 
 def test_from_samples_sorts():

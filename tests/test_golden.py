@@ -95,7 +95,7 @@ GOLDEN = {
     "full_no_noise.json":
         "b160a3d86675059083bbda7b201572f900a462c716c3662af91f565c31361526",
     "simulate_full.csv":
-        "27fb2d07c8cd6aad00b73997965fe988957c1bcf2a80bea104620de94c725246",
+        "c7ccdbe0edc0a609ea93a4c231b5cf640a24236eb64f58d22e1d9bd09f471274",
     "simulate_weak.csv":
         "eea68f6e4cc145049ca43bfb90332c500ebea52c355a309c1f3b4a509c85cc0d",
     "small_full.json":
@@ -103,7 +103,7 @@ GOLDEN = {
     "small_weak.json":
         "460a1b7e09e3e47d32cdfd2013f6c7ed27fbd4fddabffcc20b2fd1402b45313f",
     "small_simulate_weak.csv":
-        "965aed679bf992c9957f7602412cdb49dc2c48fbdd2285b74e80f463ea81715f",
+        "26548ebfb480a381c8adbdf2d6f6547fb41ec1df92b05c6ac91ef260db984f1b",
     "proxy_exponential.csv":
         "48dd2af583b070bc400086199d3e8a6c8dfb9b090293ed7813905c2dea49974f",
     "proxy_lomax.csv":

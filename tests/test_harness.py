@@ -101,8 +101,8 @@ def test_replicate_matches_per_seed_tests(model, variant, k, n):
     assert [row.i for row in rows] == [rec.i for rec in single[0].records]
     for j, row in enumerate(rows):
         live = np.array([o.records[j].s_hat for o in single if not o.records[j].degenerate])
-        moments = [np.mean(live), np.std(live, ddof=1) if live.size > 1 else 0.0] \
-            if live.size else [math.nan, math.nan]
+        moments = [np.mean(live) if live.size else math.nan,
+                   np.std(live, ddof=1) if live.size > 1 else math.nan]
         assert np.array_equal([row.s_hat_mean, row.s_hat_std], moments, equal_nan=True), row.i
         assert all(row.boundary == o.records[j].boundary for o in single), row.i
     plan, stats = harness._sampled(model, n, config, base, reps)
@@ -110,6 +110,47 @@ def test_replicate_matches_per_seed_tests(model, variant, k, n):
         [serialize_report(o) for o in single]
     if n == 20:
         assert any(rec.degenerate for o in single for rec in o.records)
+
+
+@pytest.mark.parametrize("variant,n,base", [(Variant.FULL, 1_000, 10), (Variant.WEAK, 11, 3)])
+def test_bucket_live_in_one_rep_has_no_standard_deviation(variant, n, base):
+    # The exponential golden simulate calls: one value has a mean but no
+    # sample standard deviation, so such a bucket's std is nan, as is a
+    # bucket with no live rep.
+    model, config = Exponential(1.0), config_for(variant, 8)
+    _, stats = harness._sampled(model, n, config, base, 3)
+    live = np.count_nonzero(~np.isinf(stats), axis=0)
+    assert 1 in live
+    for row, count in zip(tt.replicate(model, 3, n, config, base), live):
+        assert math.isnan(row.s_hat_std) == (count < 2), row.i
+        assert math.isnan(row.s_hat_mean) == (count < 1), row.i
+
+
+class _CountedGenerator:
+    """A seed's generator whose ``standard_gamma`` calls are counted."""
+
+    def __init__(self, seed, calls):
+        self.gen, self.calls = np.random.Generator(np.random.PCG64(seed)), calls
+
+    def standard_gamma(self, shape):
+        self.calls.append("gamma")
+        return self.gen.standard_gamma(shape)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_seed_is_one_gamma_call_and_one_quantile_call(monkeypatch, variant):
+    # However many splits the layout reads, each seed draws its whole
+    # grid of spacings at once and maps it at once, and the statistics
+    # are those of the unpatched draw.
+    model, config, reps, n = Lomax(1.0, 1.0), config_for(variant, 16), 7, 50_000
+    _, expected = harness._sampled(model, n, config, 2, reps)
+    calls, quantile = [], Lomax.quantile
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountedGenerator(seed, calls))
+    monkeypatch.setattr(Lomax, "quantile", lambda self, u: calls.append("quantile") or
+                        quantile(self, u))
+    _, stats = harness._sampled(model, n, config, 2, reps)
+    assert calls == ["gamma", "quantile"] * reps
+    assert stats.tobytes() == expected.tobytes()
 
 
 def test_majority_of_reps_matches_per_seed_verdicts(tmp_path):
@@ -170,7 +211,7 @@ def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
 
 
 class _FaultyExponential(Exponential):
-    """Exponential(1) whose quantile spoils what it returns on call ``at``."""
+    """Exponential(1) whose quantile spoils the last row of what it returns on call ``at``."""
 
     def __init__(self, fault, at):
         super().__init__(1.0)
@@ -180,12 +221,13 @@ class _FaultyExponential(Exponential):
         fault, at, calls = self.spoil
         x = np.array(super().quantile(u))
         if calls[0] == at:
+            last = x.reshape(-1, x.shape[-1])[-1]  # a view: the last split's values
             if fault == "nan":
-                x[1] = math.nan
+                last[1] = math.nan
             elif fault == "negative":
-                x[0] = -1.0
+                last[0] = -1.0
             else:
-                x[[0, 1]] = x[[1, 0]]
+                last[[0, 1]] = last[[1, 0]]
         calls[0] += 1
         return x
 
@@ -195,18 +237,17 @@ class _FaultyExponential(Exponential):
                                            ("negative", "values must be nonnegative"),
                                            ("descending", "values must be sorted ascending")])
 def test_every_check_survives_batching(variant, fault, message):
-    # Rep 3 of 5 maps one split's order statistics wrong: drawing every
-    # rep in one call still refuses it, as the test at its seed does.
+    # Rep 3 of 5 maps its last split's order statistics wrong, after the
+    # splits before it mapped right: drawing every rep in one call still
+    # refuses it, as the test at its seed does.
     config, n, base = config_for(variant, 8), 1_000, 40
-    splits = 4 if variant is Variant.FULL else 1
-    last = splits - 1  # the rep's last split, mapped after the others passed
     with pytest.raises(ValueError) as one:
-        tt.run_sampled_test(_FaultyExponential(fault, last), n, base + 3, config)
+        tt.run_sampled_test(_FaultyExponential(fault, 0), n, base + 3, config)
     assert str(one.value) == message
     for run in (lambda model: tt.replicate(model, 5, n, config, base),
                 lambda model: tt.run_sampled_test(model, n, base, config, reps=5)):
         with pytest.raises(ValueError) as batched:
-            run(_FaultyExponential(fault, 3 * splits + last))
+            run(_FaultyExponential(fault, 3))
         assert str(batched.value) == message
 
 
