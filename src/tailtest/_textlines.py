@@ -1,28 +1,25 @@
-"""Text sample lines: one codec and one frame protocol, run on every usable core.
+"""Text sample lines read on every usable core: one parser and one frame protocol.
 
-``format_lines`` writes one shortest round-trip decimal (``repr``) per
-value, and ``parse_lines`` reads a block of whole lines with
-``float()``.  ``blocks`` reads a file or stream in order as blocks of
-whole lines, and ``deal`` hands items round-robin to the calling
-process and to worker processes and yields each item's answer in
-order: chunks of doubles as a sample file is written, blocks of lines
-as one is read.  A worker is this module run as a script, in an
-interpreter that loads neither numpy nor site packages::
+``parse_lines`` reads a block of whole lines with ``float()``.
+``blocks`` reads a file or stream in order as blocks of whole lines,
+and ``deal`` hands them round-robin to the calling process and to
+worker processes and yields each block's answer in order.  A worker is
+this module run as a script, in an interpreter that loads neither numpy
+nor site packages::
 
-    python -I -S _textlines.py format|parse
+    python -I -S _textlines.py
         stdin: frames, each an 8-byte native byte length and then that
         many bytes, until EOF; stdout: for each frame, a frame of its
-        answer, ``format_lines`` or ``parse_lines`` of its bytes.
-        Exit 1 on a frame cut short.
+        answer, ``parse_lines`` of its bytes.  Exit 1 on a frame cut
+        short.
 
 So this module imports only the standard library, and ``subprocess``
 only where a worker starts.  The worker is ``sys.executable``, so its
-``repr`` and ``float`` are the caller's, and so are its bytes.  A
-worker answers each frame whole before it reads the next, and the
-dealer reads each answer whole before it sends that worker another
-frame.  A pipe holds 64 KB, a frame of doubles 128 KB and the answer
-to a block up to 256 KB, so any other order could leave each side
-waiting for the other to read.
+``float`` is the caller's, and so are its values.  A worker answers
+each frame whole before it reads the next, and the dealer reads each
+answer whole before it sends that worker another frame.  A pipe holds
+64 KB and a block's answer up to 256 KB, so any other order could leave
+each side waiting for the other to read.
 """
 
 import os
@@ -30,12 +27,6 @@ import sys
 from array import array
 
 _BLOCK = 1 << 16  # bytes read at a time: a few thousand lines
-
-
-def format_lines(values) -> bytes:
-    """The line of each native double in buffer ``values`` (an ndarray or a frame)."""
-    doubles = memoryview(values).cast("B").cast("d")
-    return ("\n".join(map(repr, doubles.tolist())) + "\n").encode("ascii")
 
 
 def parse_lines(block) -> bytes:
@@ -51,9 +42,6 @@ def parse_lines(block) -> bytes:
         return array("d", map(float, block.splitlines())).tobytes()
     except ValueError:
         return b""
-
-
-_CODECS = {"format": format_lines, "parse": parse_lines}
 
 
 def blocks(fd):
@@ -76,12 +64,12 @@ def blocks(fd):
         yield tail
 
 
-def _start(mode):
-    """A worker answering frames with ``mode``'s codec; None if it cannot start."""
+def _start():
+    """A worker answering frames with ``parse_lines``; None if it cannot start."""
     import subprocess  # 7.5 ms, paid only where a worker starts
 
     try:
-        return subprocess.Popen([sys.executable, "-I", "-S", __file__, mode],
+        return subprocess.Popen([sys.executable, "-I", "-S", __file__],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL)
     except OSError:
@@ -128,9 +116,8 @@ def _answer(proc):
     return None
 
 
-def deal(mode, items, shares):
-    """The answer of ``mode``'s codec ("format" or "parse") to each of
-    ``items``, in order.
+def deal(items, shares):
+    """``parse_lines`` of each of ``items``, in order.
 
     The items are dealt round-robin to this process and ``shares - 1``
     workers.  Each round sends every worker its next frame, then answers
@@ -141,35 +128,34 @@ def deal(mode, items, shares):
     workers' input is closed and each is waited for; closing the
     iterator before that kills them.
     """
-    codec = _CODECS[mode]
-    procs = [_start(mode) for _ in range(shares - 1)]
+    procs = [_start() for _ in range(shares - 1)]
     finished = False
     try:
         items = iter(items)
         for own in items:
             dealt = [(j, item, _ask(proc, item))
                      for j, (proc, item) in enumerate(zip(procs, items))]
-            yield codec(own)
+            yield parse_lines(own)
             for j, item, sent in dealt:
                 answer = _answer(procs[j]) if sent else None
                 if answer is None:
                     _end(procs[j:j + 1], kill=True)
                     procs[j] = None
-                    answer = codec(item)
+                    answer = parse_lines(item)
                 yield answer
         finished = True
     finally:
         _end(procs, kill=not finished)
 
 
-def _main(argv):
-    codec, frames, out = _CODECS[argv[0]], sys.stdin.buffer, sys.stdout.buffer
+def _main():
+    frames, out = sys.stdin.buffer, sys.stdout.buffer
     while word := frames.read(8):
         size = int.from_bytes(word, sys.byteorder)
         data = frames.read(size)
         if len(word) != 8 or len(data) != size:
             return 1
-        answer = codec(data)
+        answer = parse_lines(data)
         out.write(len(answer).to_bytes(8, sys.byteorder))
         out.write(answer)
         out.flush()
@@ -177,4 +163,4 @@ def _main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(_main(sys.argv[1:]))
+    sys.exit(_main())

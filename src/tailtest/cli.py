@@ -88,23 +88,17 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
     resolves to, which is renamed over it, so a symlink stays a symlink.
     The file gets the mode a plain ``open`` gives a new file, 0666 less
     the umask, not the temp file's 0600.  If producing or writing a chunk
-    fails, the chunk iterator is closed (ending any worker processes it
-    holds), the temp file is removed and a regular target is left as it was.
+    fails, the temp file is removed and a regular target is left as it was.
     """
     try:
-        try:
-            regular = stat.S_ISREG(os.stat(path).st_mode)  # follows links
-        except FileNotFoundError:
-            regular = True
-        if regular:
-            _replace(Path(os.path.realpath(path)), chunks)
-        else:
-            with open(path, "wb") as fh:
-                fh.writelines(chunks)
-    except BaseException:
-        if hasattr(chunks, "close"):
-            chunks.close()
-        raise
+        regular = stat.S_ISREG(os.stat(path).st_mode)  # follows links
+    except FileNotFoundError:
+        regular = True
+    if regular:
+        _replace(Path(os.path.realpath(path)), chunks)
+    else:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _replace(target: Path, chunks: Iterable) -> None:
@@ -255,7 +249,7 @@ def _make_config(args) -> TestConfig:
 def _cmd_sample(args) -> int:
     model = model_from_name(args.dist, _parse_params(args.params))
     chunks = distributions._sample_chunks(model, args.n, args.seed)
-    _atomic_write(args.out, sample_file_chunks(chunks, args.n, args.format))
+    _atomic_write(args.out, sample_file_chunks(chunks, args.format))
     return EXIT_OK
 
 

@@ -297,9 +297,12 @@ class HalfGaussian(DistributionModel):
     def sf(self, x):
         return _ERFC(np.asarray(x, dtype=float) / (self.scale * _SQRT2))
 
+    # x / scale / scale, not x / scale**2: the square overflows for a
+    # scale past 1.3e154 and loses bits below 1.5e-154 (it is 0 below
+    # 2.2e-162), where x / scale is still of order 1.
     def pdf_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        return -(x / self.scale ** 2) * self.pdf(x)
+        return -(x / self.scale / self.scale) * self.pdf(x)
 
     def quantile(self, u):
         return _half_normal_quantile(u, self.scale)
@@ -310,7 +313,7 @@ class HalfGaussian(DistributionModel):
     def hazard_derivative(self, x):
         x = np.asarray(x, dtype=float)
         h = self.hazard_rate(x)
-        return h * (h - x / self.scale ** 2)
+        return h * (h - x / self.scale / self.scale)
 
 
 @dataclass(frozen=True)

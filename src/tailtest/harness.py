@@ -22,18 +22,19 @@ gives the bytes of sorting a copy (see
 Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  A file is written as its values are drawn, one
 ``distributions._CHUNK`` of values at a time, so no process holds n
-values.  Text is read in order, in blocks of whole lines, each in one
-``float()`` pass.  Only a block that pass cannot take whole (a comment,
-blank, bad or non-ASCII line) or that holds a negative or non-finite
-value goes through the line loop, which skips comment and blank lines,
-numbers the lines, and gives the same values or names the first fault
-by its file line.
-Both directions deal their chunks or blocks round-robin to one process
-per usable core, up to one per ``_SPLIT`` values: each other process is
-a worker running ``_textlines``, the codec this process uses too.  A
-stream (a pipe or FIFO) has no size, so it takes one process.  Raw f64
-files are the chunks' own buffers; a file or stream is read into one
-buffer, sized by its length on disk and read on to its end, which
+values.  Text is written in this process, each chunk's lines by
+``_decimal.lines``, a numpy kernel that writes ``repr``'s bytes.  Text
+is read in order, in blocks of whole lines, each in one ``float()``
+pass.  Only a block that pass cannot take whole (a comment, blank, bad
+or non-ASCII line) or that holds a negative or non-finite value goes
+through the line loop, which skips comment and blank lines, numbers the
+lines, and gives the same values or names the first fault by its file
+line.  The reader deals its blocks round-robin to one process per
+usable core, up to one per 16 * ``_SPLIT`` bytes: each other process
+is a worker running ``_textlines``, the parser this process uses too.
+A stream (a pipe or FIFO) has no size, so it takes one process.  Raw
+f64 files are the chunks' own buffers; a file or stream is read into
+one buffer, sized by its length on disk and read on to its end, which
 becomes the array, and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
@@ -157,9 +158,8 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 # sample files
 # ---------------------------------------------------------------------------
 
-# A text file gets one more process per _SPLIT values written, or per
-# 16 * _SPLIT bytes read (a sampled double's line takes 16 to 25 bytes),
-# up to one per usable core.
+# A text file read gets one more process per 16 * _SPLIT bytes (a
+# sampled double's line takes 16 to 25 bytes), up to one per usable core.
 _SPLIT = 4 * distributions._CHUNK
 
 # A byte a text line does not hold.  A random double's 8 bytes all avoid
@@ -167,28 +167,27 @@ _SPLIT = 4 * distributions._CHUNK
 _NOT_TEXT, _LINE_END = re.compile(rb"[^\t\n\r\x20-\x7e]"), re.compile(rb"[\n\r]")
 
 
-def _shares(values: int) -> int:
+def _shares(size: int) -> int:
+    """Processes to read a text file of ``size`` bytes."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cores, 1 + values // _SPLIT)
+    return min(cores, 1 + size // (16 * _SPLIT))
 
 
-def sample_file_chunks(chunks: Iterable[np.ndarray], n: int, fmt: FileFormat | str) -> Iterable:
+def sample_file_chunks(chunks: Iterable[np.ndarray], fmt: FileFormat | str) -> Iterable:
     """A sample file's bytes in ``fmt``, as bytes-like chunks to write in order.
 
-    ``chunks`` are the file's n values as contiguous float64 arrays in
+    ``chunks`` are the file's values as contiguous float64 arrays in
     file order, as ``distributions._sample_chunks`` draws them, taken as
-    the bytes are wanted, so at most a round of chunks is held at once.
-    RAW_F64 is each chunk's own little-endian buffer.  Text is one
-    shortest round-trip decimal per line, the chunks dealt round-robin to
-    this process and ``_shares(n) - 1`` worker processes, which get each
-    chunk's native bytes (``_textlines.deal``).  Close the iterator to
-    stop early: that ends the workers.
+    the bytes are wanted, so one chunk is held at a time.  RAW_F64 is
+    each chunk's own little-endian buffer.  Text is one shortest
+    round-trip decimal per line: each chunk's ``repr`` lines, written in
+    this process by ``_decimal.lines`` a block of them at a time.
     """
     if FileFormat(fmt) is FileFormat.RAW_F64:
         return (np.ascontiguousarray(chunk, dtype="<f8") for chunk in chunks)
-    from ._textlines import deal
+    from ._decimal import lines  # its tables are built only where text is written
 
-    return deal("format", chunks, _shares(n))
+    return (text for chunk in chunks for text in lines(chunk))
 
 
 def _check_value(value: float, where: str, at: int) -> None:
@@ -218,8 +217,8 @@ def _parse_text(path: Path) -> np.ndarray:
     dealt = collections.deque()  # blocks read and not yet answered, at most a round
     with path.open("rb", buffering=0) as fh:
         read = (dealt.append(block) or block for block in blocks(fh.fileno()))
-        shares = _shares(os.fstat(fh.fileno()).st_size // 16)
-        with contextlib.closing(deal("parse", read, shares)) as answers:
+        shares = _shares(os.fstat(fh.fileno()).st_size)
+        with contextlib.closing(deal(read, shares)) as answers:
             for answer in answers:
                 block = dealt.popleft()
                 values = np.frombuffer(answer)

@@ -44,18 +44,25 @@ def proxy_value(model: DistributionModel, z: float) -> float:
     """S(z) = -f(Q(z))^2 / f'(Q(z)) for 0 < z < 1.
 
     Undefined where the density has zero slope (e.g. the half-Gaussian
-    at z = 0); that raises rather than returning a signed infinity.
+    at z = 0); that raises rather than returning a signed infinity.  So
+    does an S that f, f' or f**2 leaving the double range makes 0, inf
+    or nan (a half-Gaussian of scale 1e-200, whose f' is near 1e400).
     """
     if not (0.0 < z < 1.0):
         raise ValueError("z must lie in (0, 1)")
     x = model.quantile(np.float64(z))
-    f = float(model.pdf(x))
-    fprime = float(model.pdf_derivative(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        f = float(model.pdf(x))
+        fprime = float(model.pdf_derivative(x))
     if not fprime < 0.0:
         raise ValueError(
             f"proxy undefined at z={z!r}: pdf slope is {fprime!r}, must be < 0"
         )
-    return -(f * f) / fprime
+    proxy = -(f * f) / fprime
+    if not 0.0 < proxy < math.inf:
+        raise ValueError(f"proxy undefined at z={z!r}: -f^2/f' is {proxy!r} for "
+                         f"f = {f!r}, f' = {fprime!r}, outside the double range")
+    return proxy
 
 
 def separation_gap(z, tail: TailParams, bounds: WellBehavedBounds):

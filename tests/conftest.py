@@ -1,4 +1,4 @@
-"""Fixtures for the worker processes that read and write text sample files."""
+"""Fixtures for the worker processes that read text sample files."""
 
 import os
 import subprocess
@@ -25,7 +25,7 @@ def workers(monkeypatch):
 @pytest.fixture
 def split(monkeypatch):
     """split(cores, values): that many usable cores, and one more share per
-    ``values`` values (per 16 * values bytes read) instead of ``harness._SPLIT``."""
+    16 * ``values`` bytes read instead of per 16 * ``harness._SPLIT``."""
     def use(cores, values=None):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)

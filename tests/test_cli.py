@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import stat
 import subprocess
@@ -14,9 +15,9 @@ import pytest
 
 import tailtest as tt
 from tailtest import _textlines
+from tailtest._decimal import _BLOCK
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
-from tailtest.harness import _SPLIT
 
 BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
 
@@ -244,6 +245,29 @@ def test_quantile_past_the_largest_double_is_one_error_line(tmp_path, argv, line
     assert captured.err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("sigma", ["1e308", "1e-200"])
+@pytest.mark.parametrize("command", ["proxy", "simulate"])
+def test_halfgaussian_scale_past_the_double_range_is_one_error_line(tmp_path, command, sigma,
+                                                                   capsys):
+    # sigma**2 overflowed at 1e308 (an OverflowError traceback) and was 0
+    # at 1e-200 (proxy_s nan in every row, exit 0).  Each command now
+    # answers finite rows or one error line that names z.
+    out = tmp_path / "out.csv"
+    own = ["--k", "8", "--alpha", "0.25", "--beta", "1", "--b1", "1"] if command == "proxy" else [
+        "--reps", "2", "--n", "1000", "--seed", "1", "--k", "8", *BOUNDS]
+    code = run_cli([command, "--dist", "halfgaussian", "--params", f"sigma={sigma}", *own,
+                    "--out", str(out)])
+    captured = capsys.readouterr()
+    if code == 0:
+        rows = out.read_text().splitlines()
+        column = rows[0].split(",").index("proxy_s")
+        assert all(math.isfinite(float(r.split(",")[column])) for r in rows[1:])
+    else:
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: proxy undefined at z=0.25: ")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["sample", "test", "simulate"])
 def test_negative_seed_is_one_error_line(tmp_path, command, capsys):
     # numpy's refusal, "expected non-negative integer", named no flag.
@@ -322,8 +346,9 @@ def test_no_command_loads_scipy(tmp_path):
 def test_a_second_sampled_test_loads_no_module():
     # Start-up cost: `complexity` loads only argparse's lazy locale
     # lookup, and a second sampled test loads nothing the first has not.
-    # None of them loads what only text files need: the worker codec and
-    # subprocess, which takes 7.5 ms to import.
+    # None of them loads what only text files need: the text writer's
+    # kernel and tables, the reader's workers, and subprocess, which
+    # takes 7.5 ms to import.
     src = Path(tt.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -336,7 +361,8 @@ def test_a_second_sampled_test_loads_no_module():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert tailtest.cli.run_cli(argv) == 0\n"
         "    print(json.dumps(sorted(set(sys.modules) - before)))\n"
-        "print(json.dumps(sorted({'subprocess', 'tailtest._textlines'} & set(sys.modules))))\n"
+        "text = {'subprocess', 'tailtest._textlines', 'tailtest._decimal'}\n"
+        "print(json.dumps(sorted(text & set(sys.modules))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -357,10 +383,11 @@ def test_sample_text_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, _SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _CHUNK + 3, 200_003])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK,
+                               _CHUNK + 1, _CHUNK + _BLOCK + 1, 2 * _CHUNK + 3, 200_003])
 def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
-    # On two cores, from _SPLIT values on, a worker formats every second
-    # chunk, and exits 0 once its input is closed.
+    # At the kernel's block edges and across chunks, on two cores, the
+    # writer starts no process.
     split(2)
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -368,14 +395,35 @@ def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
     values = tt.sample(tt.Lomax(1.0, 1.0), n, seed=4)
     expected = "\n".join(repr(float(v)) for v in values) + "\n"
     assert out.read_bytes() == expected.encode("ascii")
-    assert len(workers) == (n >= _SPLIT)
-    assert all(w.returncode == 0 for w in workers)
+    assert workers == []
 
 
-def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, split, capsys):
-    # The disk fills after the first chunk: one error line, no temp file,
-    # and the worker formatting every second chunk is ended and reaped.
-    split(2, values=_CHUNK)
+def test_sample_text_starts_no_process_and_imports_no_subprocess(tmp_path, workers, split):
+    # The writer is this process alone on any core count; in a fresh
+    # interpreter, writing text loads the kernel and not subprocess.
+    split(8)
+    argv = ["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "300000",
+            "--seed", "4", "--out", str(tmp_path / "x.txt")]
+    assert run_cli(argv) == 0
+    assert workers == []
+    src = Path(tt.__file__).resolve().parents[1]
+    script = (
+        "import json, os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(8))\n"
+        "import tailtest.cli\n"
+        f"assert tailtest.cli.run_cli({argv!r}) == 0\n"
+        "loaded = {'subprocess', 'multiprocessing', 'tailtest._textlines', 'tailtest._decimal'}\n"
+        "print(json.dumps(sorted(loaded & set(sys.modules))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == ["tailtest._decimal"]
+
+
+def test_write_failing_midway_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # The disk fills after the first write: one error line, no temp file.
     real_fdopen = os.fdopen
 
     class FullDisk:
@@ -400,7 +448,6 @@ def test_write_failing_midway_ends_every_worker(tmp_path, monkeypatch, workers, 
                     "--n", str(4 * _CHUNK), "--seed", "4", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []
-    assert len(workers) == 1 and workers[0].returncode is not None
 
 
 def test_bad_literal_in_a_worker_block_is_one_error_line(tmp_path, monkeypatch, workers, split,

@@ -205,6 +205,26 @@ def test_stretched_exponential_infinite_at_origin():
     assert got == [math.inf, -math.inf, math.inf, -math.inf]
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_halfgaussian_derivatives_do_not_square_the_scale(scale):
+    # scale**2 overflowed (OverflowError) at 1e308 and was 0 at 1e-200,
+    # where the slope of the density was then nan.  The derivatives hold
+    # their sign wherever the density is positive and its slope finite.
+    model, x = HalfGaussian(scale), np.array([0.25, 1.0, 1.5]) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        slope, hazard = model.pdf_derivative(x), model.hazard_derivative(x)
+    assert not np.isnan(slope).any() and (slope <= 0.0).all()
+    assert not np.isnan(hazard).any() and (hazard >= 0.0).all()
+
+
+def test_halfgaussian_derivatives_at_unit_scale_are_the_squared_forms():
+    # x / 1 / 1 is x / 1**2 to the bit: every golden proxy holds.
+    model, x = HalfGaussian(1.0), np.linspace(0.0, 6.0, 61)
+    assert model.pdf_derivative(x).tobytes() == (-(x / 1.0 ** 2) * model.pdf(x)).tobytes()
+    h = model.hazard_rate(x)
+    assert model.hazard_derivative(x).tobytes() == (h * (h - x / 1.0 ** 2)).tobytes()
+
+
 def test_hazard_halfgaussian_at_origin():
     model = HalfGaussian(1.0)
     f0 = 2.0 / math.sqrt(2.0 * math.pi)

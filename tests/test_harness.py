@@ -874,7 +874,7 @@ def test_an_odd_line_costs_one_block(tmp_path):
 
 def _sample_file(n: int):
     """The text of n Lomax(1, 1) values at seed 4, streamed from the model."""
-    return sample_file_chunks(distributions._sample_chunks(Lomax(1.0, 1.0), n, 4), n, "text")
+    return sample_file_chunks(distributions._sample_chunks(Lomax(1.0, 1.0), n, 4), "text")
 
 
 @pytest.mark.parametrize("n", [1 << 18, 1 << 20 | 1])
@@ -891,34 +891,24 @@ def _text(values) -> bytes:
 
 
 def _fake_worker(tmp_path, body: str) -> str:
-    """A worker script: the codec's functions as ``codec``, then ``body``."""
+    """A worker script: the module's functions as ``codec``, then ``body``."""
     script = tmp_path / "worker.py"
     script.write_text(f"import runpy, sys\ncodec = runpy.run_path({_textlines.__file__!r})\n"
                       + body)
     return str(script)
 
 
-def test_stopping_after_the_first_chunk_ends_every_worker(workers, split):
-    split(3, values=_CHUNK)
-    chunks = _sample_file(4 * _CHUNK)
-    assert next(chunks)
-    chunks.close()
-    assert len(workers) == 2
-    assert all(w.returncode is not None for w in workers)
-
-
 # A fake worker's answer to the first frame it reads, as ``frame``: its
-# byte length, then its codec's answer to the frame's bytes.
+# byte length, then the parser's answer to the frame's bytes.
 _FIRST_ANSWER = """\
 size = int.from_bytes(sys.stdin.buffer.read(8), sys.byteorder)
-answer = codec["_CODECS"][sys.argv[1]](sys.stdin.buffer.read(size))
+answer = codec["parse_lines"](sys.stdin.buffer.read(size))
 frame = len(answer).to_bytes(8, sys.byteorder) + answer
 """
 
 # A worker that cannot start, one that dies before it reads, one that
 # dies midway through its first answer, and one that dies after it: the
-# writer formats, and the reader parses, every item the worker did not
-# answer whole.
+# reader parses every block the worker did not answer whole.
 _DYING = {
     "cannot_start": None,
     "dies_at_once": "sys.exit(1)",
@@ -934,19 +924,6 @@ def _kill_workers(tmp_path, monkeypatch, how):
         monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
     else:
         monkeypatch.setattr(_textlines, "__file__", _fake_worker(tmp_path, _DYING[how]))
-
-
-@pytest.mark.parametrize("how", _DYING)
-def test_writer_formats_the_chunks_of_a_dead_worker(tmp_path, monkeypatch, workers, split, how):
-    # Seven chunks on three cores: each worker is dealt two, the second
-    # after the round in which a worker that dies after its first answer
-    # has sent it.
-    split(3, values=_CHUNK)
-    _kill_workers(tmp_path, monkeypatch, how)
-    n = 6 * _CHUNK + 5
-    assert b"".join(_sample_file(n)) == _text(tt.sample(Lomax(1.0, 1.0), n, seed=4))
-    assert len(workers) == (0 if how == "cannot_start" else 2)
-    assert all(w.returncode is not None for w in workers)
 
 
 @pytest.mark.parametrize("how", _DYING)
@@ -975,11 +952,11 @@ def test_bad_literal_in_a_worker_block_names_its_line(tmp_path, monkeypatch, wor
     assert len(workers) == 1 and dealt and workers[0].returncode is not None
 
 
-def _run_worker(mode, frames: list[bytes], cut: int = 0):
-    """Worker ``mode``'s exit code and answers to ``frames``, the last
-    ``cut`` bytes of their framing left out."""
+def _run_worker(frames: list[bytes], cut: int = 0):
+    """A worker's exit code and answers to ``frames``, the last ``cut``
+    bytes of their framing left out."""
     sent = b"".join(len(f).to_bytes(8, sys.byteorder) + f for f in frames)
-    done = subprocess.run([sys.executable, "-I", "-S", _textlines.__file__, mode],
+    done = subprocess.run([sys.executable, "-I", "-S", _textlines.__file__],
                           input=sent[:len(sent) - cut], capture_output=True)
     answers, out = [], done.stdout
     while out:
@@ -989,28 +966,18 @@ def _run_worker(mode, frames: list[bytes], cut: int = 0):
     return done.returncode, answers
 
 
-def test_format_worker_answers_each_frame_with_its_lines():
-    # The worker protocol, run as the writer starts it: frames of an
-    # 8-byte native byte length and that many bytes of native doubles
-    # in; for each, a frame of their repr lines out; exit 0 at EOF, and
-    # exit 1 on a frame cut short.
-    values = [[1.5, 0.1], [5e-324, 1e300, 2.0, 123456789.0]]
-    frames = [array("d", v).tobytes() for v in values]
-    assert _run_worker("format", frames) == \
-        (0, [("\n".join(map(repr, v)) + "\n").encode() for v in values])
-    assert _run_worker("format", frames, cut=8)[0] == 1
-
-
 def test_parse_worker_answers_each_block_with_its_values_or_nothing():
-    # The same frames carry blocks of whole lines; each answer is the
-    # block's values as native doubles, one per line, or nothing for a
-    # block with a blank, comment, bad or non-ASCII line.
+    # The worker protocol, run as the reader starts it: frames of an
+    # 8-byte native byte length and that many bytes of whole lines in;
+    # for each, a frame of the block's values as native doubles, one per
+    # line, or nothing for a block with a blank, comment, bad or
+    # non-ASCII line, out; exit 0 at EOF, and exit 1 on a frame cut short.
     blocks = [b"1.5\r\n 2.25\r3.0", b"4.0\n\n5.0\n", b"# head\n1.0\n", b"1.0\n4.0e\n",
               "1.0\n\u0661\n".encode(), b"6.5\n"]
-    assert _run_worker("parse", blocks) == (0, [
+    assert _run_worker(blocks) == (0, [
         array("d", [1.5, 2.25, 3.0]).tobytes(), b"", b"", b"", b"", array("d", [6.5]).tobytes(),
     ])
-    assert _run_worker("parse", blocks, cut=1)[0] == 1
+    assert _run_worker(blocks, cut=1)[0] == 1
 
 
 def _load_from_a_fifo(tmp_path, data: bytes, fmt):

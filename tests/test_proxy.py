@@ -70,6 +70,21 @@ def test_scale_invariance(c):
         assert abs(a - b) <= 1e-12 * abs(a)
 
 
+@pytest.mark.parametrize("sigma", [1e-100, 1e100])
+def test_halfgaussian_proxy_is_scale_free_far_from_unit_scale(sigma):
+    for z in (0.1, 0.25, 0.5, 0.9):
+        a, b = tt.proxy_value(HalfGaussian(1.0), z), tt.proxy_value(HalfGaussian(sigma), z)
+        assert abs(a - b) <= 4 * math.ulp(a)
+
+
+@pytest.mark.parametrize("sigma", [1e-155, 1e-200, 1e308])
+def test_proxy_out_of_the_double_range_raises(sigma):
+    # S is scale-free, but f' (near 1e310 and 1e400) or f (near 1e-309)
+    # leaves the double range: refused by z, never nan, inf or 0.
+    with pytest.raises(ValueError, match=r"^proxy undefined at z=0\.25: "):
+        tt.proxy_value(HalfGaussian(sigma), 0.25)
+
+
 def test_proxy_domain_errors():
     with pytest.raises(ValueError):
         tt.proxy_value(Exponential(1.0), 0.0)
