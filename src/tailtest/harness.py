@@ -24,18 +24,14 @@ reads them.  A file is written as its values are drawn, one
 ``distributions._CHUNK`` of values at a time, so no process holds n
 values.  Text is written in this process, each chunk's lines by
 ``_decimal.lines``, a numpy kernel that writes ``repr``'s bytes.  Text
-is read in order, in blocks of whole lines, each in one ``float()``
-pass.  Only a block that pass cannot take whole (a comment, blank, bad
-or non-ASCII line) or that holds a negative or non-finite value goes
-through the line loop, which skips comment and blank lines, numbers the
-lines, and gives the same values or names the first fault by its file
-line.  The reader deals its blocks round-robin to one process per
-usable core, up to one per 16 * ``_SPLIT`` bytes: each other process
-is a worker running ``_textlines``, the parser this process uses too.
-A stream (a pipe or FIFO) has no size, so it takes one process.  Raw
-f64 files are the chunks' own buffers; a file or stream is read into
-one buffer, sized by its length on disk and read on to its end, which
-becomes the array, and a bad value is named by its position.
+is read in this process too, a file or a stream alike, in blocks of
+whole lines, by ``_textlines.values``, a numpy kernel that gives
+``float()``'s value of each plain decimal line.  The lines it leaves go
+through one ``float()`` map, or if that fails through the line loop,
+which skips comment and blank lines and names the first fault by its
+file line.  Raw f64 files are the chunks' own buffers; a file or stream
+is read into one buffer, sized by its length on disk and read on to its
+end, which becomes the array, and a bad value is named by its position.
 
 Reports: ``serialize_report`` writes a TestOutcome as JSON and a
 non-empty tuple of ReplicationRow or ProxyPoint rows (what ``replicate``
@@ -44,13 +40,10 @@ and ``proxy_curve`` return) as CSV headed by the row type's field names.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import json
 import math
 import os
 import re
-from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
@@ -158,19 +151,15 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
 # sample files
 # ---------------------------------------------------------------------------
 
-# A text file read gets one more process per 16 * _SPLIT bytes (a
-# sampled double's line takes 16 to 25 bytes), up to one per usable core.
-_SPLIT = 4 * distributions._CHUNK
-
 # A byte a text line does not hold.  A random double's 8 bytes all avoid
 # it with probability about 5e-4, two doubles' about 2e-7.
 _NOT_TEXT, _LINE_END = re.compile(rb"[^\t\n\r\x20-\x7e]"), re.compile(rb"[\n\r]")
 
-
-def _shares(size: int) -> int:
-    """Processes to read a text file of ``size`` bytes."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cores, 1 + size // (16 * _SPLIT))
+# The text reader's first array, 2 MiB: glibc maps it apart from the heap,
+# so it grows by remapping pages, not copying bytes (one copy at a few MB
+# added 5 MB to ``test --input``'s peak RSS), and numpy asks for huge
+# pages only from 4 MiB, so only the pages written are resident.
+_TEXT_FIRST = 1 << 18
 
 
 def sample_file_chunks(chunks: Iterable[np.ndarray], fmt: FileFormat | str) -> Iterable:
@@ -199,47 +188,47 @@ def _check_value(value: float, where: str, at: int) -> None:
 
 
 def _parse_text(path: Path) -> np.ndarray:
-    """Read a text sample file or stream block by block: one ``float()`` pass, else the line loop.
+    """Read a text sample file or stream block by block: the kernel, one
+    ``float()`` map of the lines it leaves, and the line loop if that fails
+    or gives a negative or non-finite value, so the first fault in file
+    order raises.  A line ``float`` takes is neither blank nor a comment,
+    and it strips a subset of what ``str.strip`` strips (not
+    U+001C..U+001F), so the line loop would give the same value."""
+    from ._textlines import blocks, values
 
-    The blocks of whole lines are dealt round-robin to this process and
-    ``_shares`` - 1 workers (``_textlines.deal``); a stream's size reads
-    0, so it takes one process.  A block answered with values, all
-    nonnegative and finite, is appended as they are, one per line: the
-    line loop would give the same values, since ``float`` strips a
-    subset of what ``str.strip`` strips (not U+001C..U+001F) and a line
-    it accepts is neither blank nor a comment.  Any other block goes
-    through the line loop here, its lines numbered on from the blocks
-    before it, so the first fault in file order raises.
-    """
-    from ._textlines import blocks, deal
-
-    out, lines = array("d"), 0
-    dealt = collections.deque()  # blocks read and not yet answered, at most a round
+    out, n, lines = np.empty(_TEXT_FIRST), 0, 0
     with path.open("rb", buffering=0) as fh:
-        read = (dealt.append(block) or block for block in blocks(fh.fileno()))
-        shares = _shares(os.fstat(fh.fileno()).st_size)
-        with contextlib.closing(deal(read, shares)) as answers:
-            for answer in answers:
-                block = dealt.popleft()
-                values = np.frombuffer(answer)
-                if values.size and values.min() >= 0.0 and values.max() < math.inf:
-                    out.frombytes(answer)
-                    lines += values.size
-                else:
-                    lines += _read_lines(path, block, lines, out)
-    if not out:
+        for block in blocks(fh.fileno()):
+            got, left, starts, ends = values(block)
+            at = np.flatnonzero(left)
+            if at.size:
+                odd = [block[s:e] for s, e in zip(starts[at].tolist(), ends[at].tolist())]
+                try:
+                    read = np.fromiter(map(float, odd), float, at.size)
+                except ValueError:  # a comment, blank or bad line
+                    read = None
+                if read is None or not (read.min() >= 0.0 and read.max() < math.inf):  # or NaN
+                    read = _read_lines(path, odd, lines + 1 + at)
+                got[at] = read
+                got = got[~np.isnan(got)]  # the blank and comment lines
+            if n + got.size > out.size:
+                out.resize(n + got.size, refcheck=False)  # no view of out is alive
+            out[n:n + got.size] = got
+            n += got.size
+            lines += starts.size
+    if not n:
         raise ValueError(f"{path}: no sample values found")
-    return np.frombuffer(out)  # writable: the array's own buffer
+    out.resize(n, refcheck=False)
+    return out
 
 
-def _read_lines(path: Path, block: bytes, before: int, out: array) -> int:
-    """The line loop, the one reader of blank and ``#`` lines: append
-    the value of each other line of ``block``, which follows line
-    ``before`` of the file, to ``out`` and answer how many lines it
-    read; raise at the first line that is not UTF-8, not a float, or
-    not nonnegative and finite."""
-    lines = block.splitlines()
-    for lineno, line in enumerate(lines, start=before + 1):
+def _read_lines(path: Path, lines: list, numbers: np.ndarray) -> np.ndarray:
+    """The line loop, the one reader of blank and ``#`` lines: the value
+    of each of ``lines``, bytes that are lines ``numbers`` of the file,
+    NaN for a blank or ``#`` line; raise at the first line that is not
+    UTF-8, not a float, or not nonnegative and finite."""
+    got = np.full(len(lines), math.nan)
+    for j, (line, lineno) in enumerate(zip(lines, numbers.tolist())):
         try:
             text = line.decode("utf-8").strip()
         except UnicodeDecodeError:
@@ -251,8 +240,8 @@ def _read_lines(path: Path, block: bytes, before: int, out: array) -> int:
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: cannot parse {text!r}") from None
         _check_value(value, "line", lineno)
-        out.append(value)
-    return len(lines)
+        got[j] = value
+    return got
 
 
 def _parse_raw_f64(path: Path) -> np.ndarray:

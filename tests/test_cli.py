@@ -347,8 +347,8 @@ def test_a_second_sampled_test_loads_no_module():
     # Start-up cost: `complexity` loads only argparse's lazy locale
     # lookup, and a second sampled test loads nothing the first has not.
     # None of them loads what only text files need: the text writer's
-    # kernel and tables, the reader's workers, and subprocess, which
-    # takes 7.5 ms to import.
+    # kernel and tables, the reader's kernel, and subprocess, which takes
+    # 7.5 ms to import.
     src = Path(tt.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -368,10 +368,10 @@ def test_a_second_sampled_test_loads_no_module():
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    complexity, first, second, workers = map(json.loads, out)
+    complexity, first, second, text = map(json.loads, out)
     assert set(complexity) <= {"_locale", "locale"}
     assert first and second == []
-    assert workers == []
+    assert text == []
 
 
 def test_sample_text_deterministic(tmp_path):
@@ -385,41 +385,59 @@ def test_sample_text_deterministic(tmp_path):
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK,
                                _CHUNK + 1, _CHUNK + _BLOCK + 1, 2 * _CHUNK + 3, 200_003])
-def test_sample_text_is_one_repr_per_line(tmp_path, n, workers, split):
-    # At the kernel's block edges and across chunks, on two cores, the
-    # writer starts no process.
-    split(2)
+def test_sample_text_is_one_repr_per_line(tmp_path, n):
+    # At the kernel's block edges and across chunks.
     out = tmp_path / "x.txt"
     assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1",
                     "--n", str(n), "--seed", "4", "--out", str(out)]) == 0
     values = tt.sample(tt.Lomax(1.0, 1.0), n, seed=4)
     expected = "\n".join(repr(float(v)) for v in values) + "\n"
     assert out.read_bytes() == expected.encode("ascii")
-    assert workers == []
 
 
-def test_sample_text_starts_no_process_and_imports_no_subprocess(tmp_path, workers, split):
-    # The writer is this process alone on any core count; in a fresh
-    # interpreter, writing text loads the kernel and not subprocess.
-    split(8)
-    argv = ["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "300000",
-            "--seed", "4", "--out", str(tmp_path / "x.txt")]
-    assert run_cli(argv) == 0
-    assert workers == []
+# Runs the CLI calls in its arguments, each a JSON list, in a fresh
+# interpreter where every way ``os`` has to start a process raises, and
+# prints which modules of a process pool or of either text kernel loaded.
+_NO_PROCESS = (
+    "import json, os, sys\n"
+    "def started(*args, **kwargs):\n"
+    "    raise AssertionError('a process was started')\n"
+    "for name in ('fork', 'forkpty', 'posix_spawn', 'posix_spawnp', 'system', 'popen',\n"
+    "             'execv', 'execve', 'spawnv', 'spawnve'):\n"
+    "    setattr(os, name, started)\n"
+    "import tailtest.cli\n"
+    "for argv in sys.argv[1:]:\n"
+    "    assert tailtest.cli.run_cli(json.loads(argv)) == 0, argv\n"
+    "loaded = {'subprocess', 'multiprocessing', 'tailtest._textlines', 'tailtest._decimal'}\n"
+    "print(json.dumps(sorted(loaded & set(sys.modules))))\n"
+)
+
+
+def _loaded_in_a_fresh_interpreter(*argvs, stdin: str = "") -> list[str]:
     src = Path(tt.__file__).resolve().parents[1]
-    script = (
-        "import json, os, sys\n"
-        "os.sched_getaffinity = lambda pid: set(range(8))\n"
-        "import tailtest.cli\n"
-        f"assert tailtest.cli.run_cli({argv!r}) == 0\n"
-        "loaded = {'subprocess', 'multiprocessing', 'tailtest._textlines', 'tailtest._decimal'}\n"
-        "print(json.dumps(sorted(loaded & set(sys.modules))))\n"
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == ["tailtest._decimal"]
+    out = subprocess.run([sys.executable, "-c", _NO_PROCESS, *map(json.dumps, argvs)], env=env,
+                         input=stdin, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_sample_text_starts_no_process_and_imports_no_subprocess(tmp_path):
+    # Writing text loads the writer's kernel, and not subprocess.
+    argv = ["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "300000",
+            "--seed", "4", "--out", str(tmp_path / "x.txt")]
+    assert _loaded_in_a_fresh_interpreter(argv) == ["tailtest._decimal"]
+
+
+def test_reading_text_starts_no_process_and_imports_no_subprocess(tmp_path):
+    # Reading text, from a file and from a pipe, loads the reader's
+    # kernel, and neither subprocess nor multiprocessing.
+    p = tmp_path / "x.txt"
+    p.write_text("".join(f"{v!r}\n" for v in tt.sample(tt.Lomax(1.0, 1.0), 300_000, 4).tolist()))
+    test = ["test", "--k", "16", *BOUNDS, "--weak", "--out", str(tmp_path / "r.json")]
+    loaded = _loaded_in_a_fresh_interpreter([*test, "--input", str(p)],
+                                            [*test, "--input", "/dev/stdin"], stdin=p.read_text())
+    assert loaded == ["tailtest._textlines"]
 
 
 def test_write_failing_midway_is_one_error_line(tmp_path, monkeypatch, capsys):
@@ -450,19 +468,15 @@ def test_write_failing_midway_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_literal_in_a_worker_block_is_one_error_line(tmp_path, monkeypatch, workers, split,
-                                                        capfd):
-    # The worker is dealt the 32nd block, which holds line 501, answers it
-    # with its line count alone and writes nothing to the CLI's stderr;
-    # the line loop names the line.
-    split(2, values=1)
+def test_bad_literal_in_a_late_block_is_one_error_line(tmp_path, monkeypatch, capfd):
+    # The 32nd block holds line 501; the line loop names it, and nothing
+    # else reaches the CLI's stderr.
     monkeypatch.setattr(_textlines, "_BLOCK", 64)  # 16 lines of "1.0"
     p = tmp_path / "late.txt"
-    p.write_text("1.0\n" * 500 + "4.0e\n" + "2.0\n" * 100)  # the worker reads every second block
+    p.write_text("1.0\n" * 500 + "4.0e\n" + "2.0\n" * 100)
     assert run_cli(["test", "--input", str(p), "--k", "16", "--alpha", "0.25", "--rho", "0.5",
                     "--beta", "1", "--b1", "1", "--b2", "1", "--weak"]) == 1
     assert capfd.readouterr().err == f"error: {p}: line 501: cannot parse '4.0e'\n"
-    assert len(workers) == 1 and workers[0].returncode is not None
 
 
 def _feed(fifo, data):
@@ -591,7 +605,7 @@ def test_sample_through_a_symlink_replaces_what_it_links_to(tmp_path):
 
 
 # Starts the command in its arguments and prints its peak RSS in KiB as
-# ``wait4`` reports it: that of the child or of any worker it reaped.
+# ``wait4`` reports it: that of the child or of any process it reaped.
 # A child's figure is at least the peak of the process that spawned it
 # (``exec`` keeps the high-water mark of the address space it replaces),
 # so it is spawned from this small interpreter, not from pytest's.
@@ -622,9 +636,9 @@ def _sample_peak_rss_kib(tmp_path, n: int, fmt: str) -> int:
 
 @pytest.mark.parametrize("fmt", ["text", "f64"])
 def test_sample_peak_rss_is_flat_in_n(tmp_path, fmt):
-    # Each process of a `sample` call, workers included, holds a few
-    # chunks of values and their text whatever n is; holding the n values
-    # would add 30 MB from 2**18 to 2**22 values.
+    # A `sample` call's one process holds a few chunks of values and
+    # their text whatever n is; holding the n values would add 30 MB from
+    # 2**18 to 2**22 values.
     small, large = (_sample_peak_rss_kib(tmp_path, n, fmt) for n in (1 << 18, 1 << 22))
     assert abs(large - small) <= 3 * 1024, (small, large)
 
