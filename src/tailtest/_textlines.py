@@ -1,18 +1,20 @@
 """Text sample lines read in numpy: ``float()``'s value of each plain decimal line.
 
-``blocks`` reads a file or stream in order as blocks of whole lines,
-each ended by ``\\n``.  ``values`` reads each line of 2 to 24 bytes made
-of digits and one "." (what ``repr`` writes in fixed notation) in
-whole-array operations, and leaves every other line to the caller.
+``blocks`` reads a file or stream in order, into one reused buffer, as
+blocks of whole lines, each ended by ``\\n``.  ``Work.values`` reads each
+line of 2 to 24 bytes made of digits and one "." (what ``repr`` writes
+in fixed notation) in whole-array operations, written into one stream's
+work arrays, and leaves every other line to the caller.
 
 A line is three little-endian 64-bit words, the 24 bytes up to its end,
-loaded unaligned; the bytes before its start are cleared and each byte
-is xored with "0".  SWAR tests find the "." and any byte that is not a
-digit, and three multiply-shift steps turn each word's eight digits,
-the point read as a 0, into a number below 10**8.  The words make N,
-which must be below 10**19 (a first word below 1000).  With f digits
-after the point, F = N mod 10**f and m = (N - F) / 10 + F are the
-digits without the point, and the value is m / 10**f.
+each shifted together from two aligned words of the block's buffer; the
+bytes before its start are cleared and each byte is xored with "0".
+SWAR tests find the "." and any byte that is not a digit, and three
+multiply-shift steps (simdjson's eight-digit parse) turn each word's
+eight digits, the point read as a 0, into a number below 10**8.  The
+words make N, which must be below 10**19 (a first word below 1000).
+With f digits after the point, F = N mod 10**f and m = (N - F) / 10 + F
+are the digits without the point, and the value is m / 10**f.
 
 m and 10**f (f <= 23) are exact in the x87 80-bit ``longdouble``, whose
 division rounds once, to 64 bits; rounding that to a double gives the
@@ -28,16 +30,23 @@ import os
 
 import numpy as np
 
-_BLOCK = 1 << 15  # bytes read at a time: about 1,800 sampled lines
+_BLOCK = 1 << 16  # bytes read at a time: about 3,600 sampled lines
 
+_PAD = 24  # zero bytes in front of a block: a line's three words end at its end
+_TAIL = 8  # bytes after a block, read with its last word
 _U = np.uint64
+_0, _1, _3, _7, _10, _56, _64 = map(_U, (0, 1, 3, 7, 10, 56, 64))
+_1000, _E8, _E16, _EXACT = _U(1000), _U(10**8), _U(10**16), _U(2**53)
+_POINT, _LOW11, _HALF = _U(0x1E), _U(0x7FF), _U(0x400)  # "." xor "0"; a midpoint's low 11 bits
+_NEXT, _NEWLINE = np.array([[1], [2], [3]]), np.uint8(10)
 _ZEROS = _U(0x3030303030303030)  # "0" in each byte
 _POINTS = _U(0x1E1E1E1E1E1E1E1E)  # "." xor "0" in each byte
 _ONES, _HIGH = _U(0x0101010101010101), _U(0x8080808080808080)
 _LOW7, _TEN_UP = _U(0x7F7F7F7F7F7F7F7F), _U(0x7676767676767676)
-_LANES = [(_U(10), _U(8), _U(0x00FF00FF00FF00FF)), (_U(100), _U(16), _U(0x0000FFFF0000FFFF)),
-          (_U(10000), _U(32), _U(0xFFFFFFFF))]
-_WORDS = np.array([[0], [8], [16]])  # word k of a line starts 24 - 8k bytes before its end
+# Each step joins pairs of digit lanes: x * (scale * 2**shift + 1) >> shift
+# puts 10*a + b in lane a's place, and the mask drops the lanes between.
+_LANES = [(_U(10 << 8 | 1), _U(8), _U(0x00FF00FF00FF00FF)),
+          (_U(100 << 16 | 1), _U(16), _U(0x0000FFFF0000FFFF)), (_U(10000 << 32 | 1), _U(32), None)]
 # _KEEP[k, size]: the mask that clears word k's 24 - 8k - size bytes
 # before the start of a line of ``size`` bytes (any size >= 24 keeps all).
 _KEEP = np.array([[2**64 - (1 << 8 * min(max(24 - 8 * k - size, 0), 8)) for size in range(25)]
@@ -56,21 +65,33 @@ def blocks(fd):
     """The bytes of file or stream ``fd`` from its offset on, in order, as
     blocks of whole lines, the last of which may lack its line ending.
 
-    Each read of ``_BLOCK`` bytes is cut after its last line ending.
-    What follows is carried to the next cut as a list of reads, joined
-    once, so a long line is not copied over and over.  No block holds
-    half of a ``\\r\\n``, so ``_newlines`` can end its lines with ``\\n``.
+    Each block is ``(text, size)``: the block is ``text[24:24 + size]``,
+    behind 24 zero bytes and before at least 8 more, in one buffer that
+    every read reuses, so a block is spent once the next is asked for.
+    Each read of ``_BLOCK`` bytes goes in after the carried bytes of a
+    line not yet ended, and is cut after its last line ending; a long
+    line doubles the buffer.  No block holds half of a ``\\r\\n``, so each
+    one's ``\\r\\n`` and lone ``\\r`` can be read as ``\\n`` in place before
+    it is yielded.
     """
-    rest = []
-    while block := os.read(fd, _BLOCK):
+    text, have = bytearray(_PAD + _BLOCK + _TAIL), 0  # have: the carried bytes, from _PAD on
+    while True:
+        end = _PAD + have
+        if len(text) < end + _BLOCK + _TAIL:
+            text = text[:end] + bytearray(max(len(text), end + _BLOCK + _TAIL))
+        got = os.readv(fd, [memoryview(text)[end:end + _BLOCK]])
+        if not got:
+            break
         # A final \r may be the first half of \r\n: not an ending yet.
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        cut = max(text.rfind(b"\n", end, end + got), text.rfind(b"\r", end, end + got - 1)) + 1
+        end += got
         if cut:
-            yield _newlines(b"".join([*rest, block[:cut]]))
-            rest = []
-        rest.append(block[cut:])
-    if tail := b"".join(rest):
-        yield _newlines(tail)
+            yield text, _ended(text, cut - _PAD)
+            text[_PAD:_PAD + end - cut] = text[cut:end]
+            end -= cut - _PAD
+        have = end - _PAD
+    if have:
+        yield text, _ended(text, have)
 
 
 def _newlines(block):
@@ -78,40 +99,127 @@ def _newlines(block):
     return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
 
 
+def _ended(text, size):
+    """The size of block ``text[24:24 + size]`` once ``_newlines`` has
+    read its line endings, in place."""
+    if text.find(b"\r", _PAD, _PAD + size) < 0:
+        return size
+    block = _newlines(text[_PAD:_PAD + size])
+    text[_PAD:_PAD + len(block)] = block
+    return len(block)
+
+
+class Work:
+    """One stream's work arrays: the kernel writes every step of a block
+    into them, so what ``values`` returns is spent by the next call.
+    They grow, to an eighth more than a block needs, only for a block of
+    more lines or bytes than any before; a block of n lines takes their
+    first n words of each row, so its rows are contiguous whatever n is."""
+
+    def __init__(self):
+        self._newline = np.empty(0, bool)
+        self._grow(0)
+
+    def _grow(self, lines):
+        self._u64 = np.empty(11 * lines, np.uint64)
+        self._i64 = np.empty(2 * lines, np.int64)
+        self._bool = np.empty(2 * lines, bool)
+        self._got = np.empty(lines, np.float64)
+        self._wide = np.empty(2 * lines, np.longdouble)
+
+    def values(self, text, size):
+        """``(got, left, starts, ends)`` for the block ``text[24:24 + size]``,
+        behind 24 zero bytes and before 8 more of any value: line j is
+        ``block[starts[j]:ends[j]]``, and ``got[j]`` is its ``float()``
+        value unless ``left[j]``, a line ``values`` does not take.  All four
+        are spent by the next call."""
+        if size > self._newline.size:
+            self._newline = np.empty(size + size // 8, bool)
+        newline = self._newline[:size]
+        np.equal(np.frombuffer(text, np.uint8, size, _PAD), _NEWLINE, out=newline)
+        ends = np.flatnonzero(newline)
+        if not size or not newline[-1]:
+            ends = np.append(ends, size)
+        n = ends.size
+        if n > self._got.size:
+            self._grow(n + n // 8)
+        u64 = self._u64[:11 * n].reshape(11, n)
+        x, one, t, (r, fraction) = u64[0:3], u64[3:6], u64[6:9], u64[9:11]
+        starts, length = self._i64[:2 * n].reshape(2, n)
+        taken, test = self._bool[:2 * n].reshape(2, n)
+        got = self._got[:n]
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        np.subtract(ends, starts, out=length)
+        # Word k of a line ending at e is text's 8 bytes from e + 8k: the
+        # aligned words e // 8 + k and the next, shifted together.
+        words, at, right, left = u64[3:7], u64[7:11].view(np.intp), r, fraction
+        np.right_shift(ends, 3, out=at[0])
+        np.add(at[0], _NEXT, out=at[1:])
+        np.frombuffer(text, np.uint64, len(text) // 8).take(at, out=words, mode="clip")
+        np.bitwise_and(ends.view(np.uint64), _7, out=right)
+        right <<= _3
+        np.subtract(_64, right, out=left)
+        np.right_shift(words[:3], right, out=x)
+        x |= np.left_shift(words[1:], left, out=words[1:])
+        x ^= _ZEROS
+        x &= _KEEP.take(length, axis=1, out=t, mode="clip")
+        np.bitwise_xor(x, _POINTS, out=one)
+        np.bitwise_and(one, _LOW7, out=t)
+        t += _LOW7
+        t |= one
+        np.invert(t, out=one)
+        one &= _HIGH
+        one >>= _7  # a 1 in each ".", a 0 elsewhere
+        x ^= np.multiply(one, _POINT, out=t)  # the point reads as a 0 digit
+        np.bitwise_and(x, _LOW7, out=t)
+        t += _TEN_UP
+        t |= x
+        t &= _HIGH  # the high bit of each byte above 9
+        # Digits and one point, in 2 to 24 bytes.
+        np.equal(np.maximum.reduce(t, axis=0, out=r), _0, out=taken)
+        np.add.reduce(one, axis=0, out=r)
+        r *= _ONES
+        r >>= _56
+        taken &= np.equal(r, _1, out=test)
+        taken &= np.greater_equal(length, 2, out=test)
+        taken &= np.less_equal(length, 24, out=test)
+        one *= _AFTER
+        np.add.reduce(one, axis=0, out=r)
+        r >>= _56
+        r -= _1
+        f = r.view(np.intp)
+        for scale, shift, mask in _LANES:  # 8 digits a word, then 4, 2, 1 numbers
+            x *= scale
+            x >>= shift
+            if mask is not None:
+                x &= mask
+        digits, m = x[0], x[0]
+        taken &= np.less(digits, _1000, out=test)  # N < 10**19
+        digits *= _E16
+        digits += np.multiply(x[1], _E8, out=fraction)
+        digits += x[2]
+        np.remainder(digits, _POW10.take(f, out=fraction, mode="clip"), out=fraction)
+        m -= fraction
+        m //= _10
+        m += fraction
+        if _X87:
+            q, d = self._wide[:2 * n].reshape(2, n)
+            np.copyto(q, m)
+            q /= _POW10_WIDE.take(f, out=d, mode="clip")
+            # Each 80-bit value's low 64 bits, its mantissa.
+            mantissa = np.ndarray(q.shape, "<u8", q, 0, (q.itemsize,))
+            np.bitwise_and(mantissa, _LOW11, out=fraction)
+            taken &= np.not_equal(fraction, _HALF, out=test)
+            np.copyto(got, q, casting="same_kind")
+        else:
+            taken &= np.less_equal(m, _EXACT, out=test)
+            taken &= np.less_equal(f, 22, out=test)
+            np.copyto(got, m)
+            got /= _POW10_F64.take(f, out=t[0].view(np.float64), mode="clip")
+        return got, np.logical_not(taken, out=taken), starts, ends
+
+
 def values(block):
-    """``(got, left, starts, ends)`` for a block that ``blocks`` yields:
-    line j is ``block[starts[j]:ends[j]]``, and ``got[j]`` is its
-    ``float()`` value unless ``left[j]``, a line ``values`` does not take.
-    """
-    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
-    if not block.endswith(b"\n"):
-        ends = np.append(ends, len(block))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    size = ends - starts
-    padded = bytes(24) + block  # word k of a line ending at e is at e + 8k here
-    # Indexing the unaligned view copies 3 words a line; take would copy all of it first.
-    x = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))[ends + _WORDS] ^ _ZEROS
-    x &= _KEEP.take(size, axis=1, mode="clip")
-    one = x ^ _POINTS
-    one = (~(((one & _LOW7) + _LOW7) | one) & _HIGH) >> _U(7)  # a 1 in each ".", a 0 elsewhere
-    x ^= one * _U(0x1E)  # the point reads as a 0 digit
-    not_digit = (((x & _LOW7) + _TEN_UP) | x) & _HIGH  # the high bit of each byte above 9
-    # Digits and one point, in 2 to 24 bytes.
-    taken = ((not_digit.max(axis=0) == 0) & ((one.sum(axis=0) * _ONES) >> _U(56) == 1)
-             & (size >= 2) & (size <= 24))
-    f = ((one * _AFTER).sum(axis=0) >> _U(56)).astype(np.intp) - 1
-    for scale, shift, mask in _LANES:  # 8 digits a word, then 4, 2, 1 numbers
-        x = (x * scale + (x >> shift)) & mask
-    taken &= x[0] < 1000  # N < 10**19
-    digits = x[0] * _U(10**16) + x[1] * _U(10**8) + x[2]
-    fraction = digits % _POW10.take(f, mode="clip")
-    m = (digits - fraction) // _U(10) + fraction
-    if _X87:
-        q = m.astype(np.longdouble) / _POW10_WIDE.take(f, mode="clip")
-        mantissa = np.ndarray(q.shape, "<u8", q, 0, (q.itemsize,))  # each 80-bit value's low 64
-        taken &= mantissa & _U(0x7FF) != 0x400
-        got = q.astype(np.float64)
-    else:
-        taken &= (m <= _U(2**53)) & (f <= 22)
-        got = m.astype(np.float64) / _POW10_F64.take(f, mode="clip")
-    return got, ~taken, starts, ends
+    """``Work().values`` of one block of bytes on its own."""
+    return Work().values(bytes(_PAD) + block + bytes(_TAIL), len(block))

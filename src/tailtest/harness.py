@@ -23,9 +23,9 @@ Sample files: ``sample_file_chunks`` writes them and ``load_samples``
 reads them.  A file is written as its values are drawn, one
 ``distributions._CHUNK`` of values at a time, so no process holds n
 values.  Text is written in this process, each chunk's lines by
-``_decimal.lines``, a numpy kernel that writes ``repr``'s bytes.  Text
+``_decimal.stream``, a numpy kernel that writes ``repr``'s bytes.  Text
 is read in this process too, a file or a stream alike, in blocks of
-whole lines, by ``_textlines.values``, a numpy kernel that gives
+whole lines, by ``_textlines.Work.values``, a numpy kernel that gives
 ``float()``'s value of each plain decimal line.  The lines it leaves go
 through one ``float()`` map, or if that fails through the line loop,
 which skips comment and blank lines and names the first fault by its
@@ -157,8 +157,9 @@ _NOT_TEXT, _LINE_END = re.compile(rb"[^\t\n\r\x20-\x7e]"), re.compile(rb"[\n\r]"
 
 # The text reader's first array, 2 MiB: glibc maps it apart from the heap,
 # so it grows by remapping pages, not copying bytes (one copy at a few MB
-# added 5 MB to ``test --input``'s peak RSS), and numpy asks for huge
-# pages only from 4 MiB, so only the pages written are resident.
+# added 5 MB to ``test --input``'s peak RSS).  It grows by an eighth or
+# more at a time, a dozen times to 1M values, and ``resize`` zeroes what
+# it adds, so at most an eighth more than the values is resident.
 _TEXT_FIRST = 1 << 18
 
 
@@ -170,13 +171,13 @@ def sample_file_chunks(chunks: Iterable[np.ndarray], fmt: FileFormat | str) -> I
     the bytes are wanted, so one chunk is held at a time.  RAW_F64 is
     each chunk's own little-endian buffer.  Text is one shortest
     round-trip decimal per line: each chunk's ``repr`` lines, written in
-    this process by ``_decimal.lines`` a block of them at a time.
+    this process by ``_decimal.stream`` a block of them at a time.
     """
     if FileFormat(fmt) is FileFormat.RAW_F64:
         return (np.ascontiguousarray(chunk, dtype="<f8") for chunk in chunks)
-    from ._decimal import lines  # its tables are built only where text is written
+    from ._decimal import stream  # its tables are built only where text is written
 
-    return (text for chunk in chunks for text in lines(chunk))
+    return stream(chunks)
 
 
 def _check_value(value: float, where: str, at: int) -> None:
@@ -194,15 +195,16 @@ def _parse_text(path: Path) -> np.ndarray:
     order raises.  A line ``float`` takes is neither blank nor a comment,
     and it strips a subset of what ``str.strip`` strips (not
     U+001C..U+001F), so the line loop would give the same value."""
-    from ._textlines import blocks, values
+    from ._textlines import _PAD, Work, blocks
 
-    out, n, lines = np.empty(_TEXT_FIRST), 0, 0
+    out, n, lines, work = np.empty(_TEXT_FIRST), 0, 0, Work()
     with path.open("rb", buffering=0) as fh:
-        for block in blocks(fh.fileno()):
-            got, left, starts, ends = values(block)
+        for text, size in blocks(fh.fileno()):  # each block is spent here, before the next read
+            got, left, starts, ends = work.values(text, size)
             at = np.flatnonzero(left)
             if at.size:
-                odd = [block[s:e] for s, e in zip(starts[at].tolist(), ends[at].tolist())]
+                odd = [bytes(text[_PAD + s:_PAD + e])
+                       for s, e in zip(starts[at].tolist(), ends[at].tolist())]
                 try:
                     read = np.fromiter(map(float, odd), float, at.size)
                 except ValueError:  # a comment, blank or bad line
@@ -211,8 +213,8 @@ def _parse_text(path: Path) -> np.ndarray:
                     read = _read_lines(path, odd, lines + 1 + at)
                 got[at] = read
                 got = got[~np.isnan(got)]  # the blank and comment lines
-            if n + got.size > out.size:
-                out.resize(n + got.size, refcheck=False)  # no view of out is alive
+            if n + got.size > out.size:  # by an eighth or more, then cut to n at the end
+                out.resize(max(out.size + out.size // 8, n + got.size), refcheck=False)
             out[n:n + got.size] = got
             n += got.size
             lines += starts.size

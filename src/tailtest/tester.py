@@ -146,7 +146,8 @@ def required_buckets(tail: TailParams, bounds: WellBehavedBounds,
     """Coarse bucket count: max of the smoothness and mass-resolution terms.
 
     ceil(max(c_k * b2 * beta^4 * (2*b1 + b2) / alpha, 4/rho)), at
-    least 5 since rho < 1.  A budget that overflows a float is a ValueError.
+    least 5 since rho < 1.  A budget that overflows a float, or that is
+    2**63 - 1 or more (no ``TestConfig`` takes that k), is a ValueError.
     """
     if not tail.alpha > 0.0:
         raise ValueError("alpha must be > 0 for the bucket calculator")
@@ -154,9 +155,13 @@ def required_buckets(tail: TailParams, bounds: WellBehavedBounds,
         raise ValueError("c_k must be > 0")
     try:
         smooth = c_k * bounds.b2 * bounds.beta ** 4 * (2.0 * bounds.b1 + bounds.b2) / tail.alpha
-        return math.ceil(max(smooth, 4.0 / tail.rho))
+        k = math.ceil(max(smooth, 4.0 / tail.rho))
     except OverflowError:
         raise ValueError("bucket budget is not finite: beta, b1, b2 or c_k is too large") from None
+    if k >= 2 ** 63 - 1:
+        raise ValueError("bucket budget is not below 2**63 - 1: alpha or rho is too small, "
+                         "or beta, b1, b2 or c_k is too large")
+    return k
 
 
 def required_samples(k: int, tail: TailParams, bounds: WellBehavedBounds,
@@ -243,6 +248,8 @@ def _plan(config: TestConfig, n: int) -> _Plan:
     se = layout.null_se(fractions, k, n, reference)
     gap = separation_gap(np.asarray(buckets) / k, config.tail, config.bounds)
     boundary = reference - np.maximum(gap / 2.0, config.noise_sigmas * se)
+    if not np.isfinite(boundary).all():  # a finite noise_sigmas whose noise term overflows
+        raise ValueError("boundary is not finite: noise_sigmas is too large")
     return _Plan(config, n, buckets, ranks, at, boundary)
 
 

@@ -39,6 +39,17 @@ def test_complexity_infinite_bound_is_one_error_line(flag, capsys):
     assert captured.err == "error: bucket budget is not finite: beta, b1, b2 or c_k is too large\n"
 
 
+def test_complexity_bucket_budget_past_int64_is_one_error_line(capsys):
+    # A finite budget no TestConfig takes: refused by the calculator, not
+    # as a k flag that `complexity` does not have.
+    code = run_cli(["complexity", "--alpha", "1e-300", "--rho", "0.5", "--beta", "1",
+                    "--b1", "1", "--b2", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: bucket budget is not below 2**63 - 1: alpha or rho is too "
+                            "small, or beta, b1, b2 or c_k is too large\n")
+
+
 def test_infinite_noise_sigmas_is_one_error_line(capsys):
     # An infinite noise floor would put every boundary at -inf, which no
     # JSON report can hold; the config refuses it before any sampling.
@@ -48,6 +59,19 @@ def test_infinite_noise_sigmas_is_one_error_line(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: noise_sigmas must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_overflowing_noise_sigmas_is_one_error_line(tmp_path, command, capsys):
+    # A finite noise floor whose noise term overflows puts every boundary
+    # at -inf: `test` failed to write its JSON and `simulate` wrote -inf.
+    out = tmp_path / "out"
+    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "64",
+                    "--k", "8", *BOUNDS, "--noise-sigmas", "1e308", "--seed", "1",
+                    *(["--reps", "2"] if command == "simulate" else []), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == "error: boundary is not finite: noise_sigmas is too large\n"
 
 
 # Each command's own flags besides --dist, --params, --k, --alpha, --beta,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tailtest as tt
-from tailtest._decimal import _BLOCK, lines
+from tailtest._decimal import _BLOCK, lines, stream
 
 _TINY = 2.2250738585072014e-308  # the smallest normal double
 
@@ -72,6 +72,20 @@ def test_block_edges(n):
     texts = list(lines(values))
     assert [t.count(b"\n") for t in texts] == [len(b) for b in np.split(
         values, range(_BLOCK, n, _BLOCK))]
+
+
+def test_a_stream_reuses_its_work_arrays_at_every_size():
+    # Blocks of _BLOCK values, then fewer, then _BLOCK again, made in one
+    # set of work arrays: every block's bytes are its own, unchanged by
+    # the blocks made after it.
+    values = tt.sample(tt.Lomax(1.0, 1.0), 3 * _BLOCK + 17, seed=7)
+    sizes = [_BLOCK + 5, 3, 1, 2 * _BLOCK + 1, 7]
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    texts = list(stream(chunks))
+    assert [t.count(b"\n") for t in texts] == [_BLOCK, 5, 3, 1, _BLOCK, _BLOCK, 1, 7]
+    assert texts == [text for chunk in chunks for text in lines(chunk)]
+    _assert_repr_lines(values)
+    assert b"".join(texts) == b"".join(lines(values))
 
 
 def test_no_values_are_no_blocks():

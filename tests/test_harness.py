@@ -728,6 +728,33 @@ def test_clean_file_never_takes_the_line_loop(tmp_path, monkeypatch, block, name
     assert _parse_text(p).tobytes() == _line_loop(p).tobytes()
 
 
+def test_parse_text_spends_each_block_before_the_next_read(tmp_path, monkeypatch):
+    # A block's buffer and the arrays the kernel returns for it are the
+    # stream's own, overwritten by the next read: the reader is done with
+    # them by then, so scribbling over them as the next block is asked
+    # for changes nothing, on the kernel's path and the odd lines' path.
+    monkeypatch.setattr(_textlines, "_BLOCK", 4096)
+    lines = _lines(tt.sample(Lomax(1.0, 1.0), 5000, seed=9))
+    lines[2500:2500] = ["# comment", "", "\u00a01.5", "2.5e3"]
+    p = tmp_path / "spent.txt"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    returned, kernel, read = [], _textlines.Work.values, _textlines.blocks
+
+    def values(self, text, size):
+        returned[:] = kernel(self, text, size)
+        return tuple(returned)
+
+    def blocks(fd):
+        for text, size in read(fd):
+            yield text, size
+            text[24:24 + size] = b"x" * size
+            for array in returned:
+                array[...] = 7
+    monkeypatch.setattr(_textlines.Work, "values", values)
+    monkeypatch.setattr(_textlines, "blocks", blocks)
+    assert _parse_text(p).tobytes() == _line_loop(p).tobytes()
+
+
 def test_parse_text_error_names_late_line(tmp_path):
     p = tmp_path / "late.txt"
     p.write_bytes(_text_corpus()["bad_line_200001"])
@@ -842,8 +869,8 @@ def _sample_file(n: int):
 @pytest.mark.parametrize("n", [1 << 18, 1 << 20 | 1])
 def test_sample_file_chunks_text_peak_memory(n):
     # One chunk of text at a time, streamed from the model: a chunk's
-    # 16,384 doubles and the writer kernel's arrays and text for one
-    # block of 4,096 of them, at any n.
+    # 16,384 doubles, the writer's one set of work arrays (1.3 MB) and
+    # the text of one block of 8,192 of them, at any n.
     _, peak = _peak_bytes(lambda: sum(len(c) for c in _sample_file(n)))
     assert peak <= 4_000_000
 

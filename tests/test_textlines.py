@@ -7,7 +7,7 @@ import pytest
 
 import tailtest as tt
 from tailtest import _textlines
-from tailtest._textlines import _newlines, values
+from tailtest._textlines import Work, _newlines, blocks, values
 
 
 def _taken(block: bytes) -> np.ndarray:
@@ -149,3 +149,30 @@ def test_without_the_x87_type_only_exact_quotients_are_taken(monkeypatch):
     taken = _taken(block)
     assert list(taken[-6:]) == [True, False, True, False, True, False]
     assert 0 < taken.sum() < 20_000
+
+
+@pytest.mark.parametrize("x87", sorted({_textlines._X87, False}))
+def test_a_stream_reuses_its_work_arrays_at_every_size(tmp_path, monkeypatch, x87):
+    # Short lines, then long ones, then short ones again: the blocks'
+    # line counts shrink and then grow, so one stream's work arrays are
+    # reused at several sizes and grown once more.  Each block gives
+    # what a fresh kernel gives it, and float()'s values.
+    monkeypatch.setattr(_textlines, "_X87", x87)
+    monkeypatch.setattr(_textlines, "_BLOCK", 4096)
+    rng = np.random.default_rng(5)
+    short = _repr_block(rng.integers(1, 100, 3000) / 4)  # 4-6 bytes a line
+    wide = _repr_block(10.0 ** rng.uniform(-4, 15, 1500))  # up to 24 bytes a line
+    p = tmp_path / "lines.txt"
+    p.write_bytes(short + wide + short + short)
+    work, counts = Work(), []
+    with p.open("rb", buffering=0) as fh:
+        for text, size in blocks(fh.fileno()):
+            block = bytes(text[24:24 + size])
+            got, left, starts, ends = work.values(text, size)
+            fresh = values(block)
+            assert np.array_equal(starts, fresh[2]) and np.array_equal(ends, fresh[3])
+            assert np.array_equal(left, fresh[1])
+            assert got[~left].tobytes() == fresh[0][~fresh[1]].tobytes()
+            assert list(~left) == list(_taken(block))
+            counts.append(starts.size)
+    assert max(counts[:5]) > min(counts) < max(counts[-5:])
