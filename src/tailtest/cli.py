@@ -20,6 +20,7 @@ FIFO or device in place.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import stat
@@ -332,6 +333,7 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    gc.freeze()  # the imported heap lives to exit: no collection, exit's included, need trace it
     raise SystemExit(run_cli())
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -20,6 +21,14 @@ from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
 
 BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
+
+
+def _child_env() -> dict[str, str]:
+    """This process's environment, with this checkout's tailtest first on the path."""
+    src = Path(tt.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
 
 def test_complexity_prints_budgets(capsys):
     code = run_cli(["complexity", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
@@ -341,7 +350,6 @@ def test_no_command_loads_scipy(tmp_path):
     # Start-up cost: importing scipy.special takes about 0.3 s, more than a
     # sampled test spends computing.  No command and no half-Gaussian
     # method loads any scipy module.
-    src = Path(tt.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, sys\n"
         "import numpy as np\n"
@@ -360,9 +368,7 @@ def test_no_command_loads_scipy(tmp_path):
         "model.cdf(x), model.sf(x), model.quantile(x / 6.0), model.hazard_rate(x)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out == ["[]"]
 
@@ -373,7 +379,6 @@ def test_a_second_sampled_test_loads_no_module():
     # None of them loads what only text files need: the text writer's
     # kernel and tables, the reader's kernel, and subprocess, which takes
     # 7.5 ms to import.
-    src = Path(tt.__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
         "import tailtest.cli\n"
@@ -388,9 +393,7 @@ def test_a_second_sampled_test_loads_no_module():
         "text = {'subprocess', 'tailtest._textlines', 'tailtest._decimal'}\n"
         "print(json.dumps(sorted(text & set(sys.modules))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout.splitlines()
     complexity, first, second, text = map(json.loads, out)
     assert set(complexity) <= {"_locale", "locale"}
@@ -438,11 +441,9 @@ _NO_PROCESS = (
 
 
 def _loaded_in_a_fresh_interpreter(*argvs, stdin: str = "") -> list[str]:
-    src = Path(tt.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _NO_PROCESS, *map(json.dumps, argvs)], env=env,
-                         input=stdin, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", _NO_PROCESS, *map(json.dumps, argvs)],
+                         env=_child_env(), input=stdin, check=True, capture_output=True,
+                         text=True).stdout
     return json.loads(out)
 
 
@@ -643,14 +644,11 @@ _PEAK_RSS = (
 
 
 def _sample_peak_rss_kib(tmp_path, n: int, fmt: str) -> int:
-    src = Path(tt.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = tmp_path / f"x.{fmt}"
     done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS, sys.executable, "-m",
                            "tailtest.cli", *_LOMAX, "--n", str(n), "--format", fmt,
-                           "--out", str(out)],
-                          env=env, check=True, capture_output=True, text=True, timeout=300)
+                           "--out", str(out)], env=_child_env(),
+                          check=True, capture_output=True, text=True, timeout=300)
     code, peak = map(int, done.stdout.split())
     assert code == 0
     assert out.stat().st_size >= (8 if fmt == "f64" else 4) * n
@@ -723,11 +721,8 @@ def test_raw_input_piped_to_stdin_reports_as_the_file(tmp_path, variant):
     flags = ["--format", "f64", "--k", "8", *BOUNDS,
              *(["--weak"] if variant is tt.Variant.WEAK else [])]
     assert run_cli(["test", "--input", str(sample_file), *flags, "--out", str(report)]) == 0
-    src = Path(tt.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     piped = subprocess.run([sys.executable, "-m", "tailtest.cli", "test", "--input", "/dev/stdin",
-                            *flags], input=sample_file.read_bytes(), env=env, check=True,
+                            *flags], input=sample_file.read_bytes(), env=_child_env(), check=True,
                            capture_output=True, timeout=120)
     assert piped.stdout == report.read_bytes() and piped.stderr == b""
 
@@ -839,6 +834,64 @@ def test_bad_param_string_exits_1(tmp_path):
     code = run_cli(["sample", "--dist", "exponential", "--params", "lambda=abc",
                     "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.txt")])
     assert code == 1
+
+
+# One call per exit code, each writing what it writes to stdout and stderr.
+_VERDICT = ["--k", "16", "--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "64",
+            "--b2", "1024", "--n", "200000", "--seed", "1", "--weak", "--exit-verdict"]
+_EXIT_CALLS = {
+    0: ["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000", "--k", "8",
+        *BOUNDS],
+    1: ["complexity", "--alpha", "0.25", "--rho", "0.5", "--beta", "inf", "--b1", "1",
+        "--b2", "1"],
+    2: ["test", "--k", "16"],
+    3: ["test", "--dist", "lomax", "--params", "a=1,lambda=1", *_VERDICT],
+    4: ["test", "--dist", "exponential", "--params", "lambda=1", *_VERDICT],
+}
+
+
+@pytest.mark.parametrize("code", sorted(_EXIT_CALLS))
+def test_a_cli_process_answers_as_run_cli(code, capsys):
+    # `python -m tailtest.cli`, the path the console script and the
+    # benchmark take, writes the bytes and exits with the code of the
+    # same call in process; that call leaves the collector as it was.
+    argv = _EXIT_CALLS[code]
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    try:
+        assert run_cli(argv) == code
+    except SystemExit as exc:  # argparse's usage error
+        assert exc.code == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    captured = capsys.readouterr()
+    child = subprocess.run([sys.executable, "-m", "tailtest.cli", *argv], env=_child_env(),
+                           capture_output=True, timeout=120)
+    assert child.returncode == code
+    assert child.stdout == captured.out.encode("ascii")
+    assert child.stderr == captured.err.encode("ascii")
+
+
+# Calls the CLI's entry point with its arguments, printing to stderr the
+# collector's state as the command starts.
+_FREEZE_AT_RUN = (
+    "import gc, sys\n"
+    "import tailtest.cli as cli\n"
+    "run = cli.run_cli\n"
+    "def spy(argv=None):\n"
+    "    print(gc.get_freeze_count(), gc.isenabled(), file=sys.stderr)\n"
+    "    return run(argv)\n"
+    "cli.run_cli = spy\n"
+    "cli.main()\n"
+)
+
+
+def test_main_runs_its_command_on_a_frozen_heap():
+    # The imported heap sits in the permanent generation, which no
+    # collection traces, exit's included; the collector still runs.
+    child = subprocess.run([sys.executable, "-c", _FREEZE_AT_RUN, "complexity", *BOUNDS],
+                           env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0 and child.stdout == "k=12\nn=17177\n"
+    frozen, enabled = child.stderr.split()
+    assert int(frozen) > 0 and enabled == "True"
 
 
 def test_reps_with_input_rejected(tmp_path, capsys):
