@@ -176,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the heavy/light decision, write a JSON report")
     p.add_argument("--input", default=None, help="sample file to test instead of --dist")
-    p.add_argument("--format", choices=[f.value for f in FileFormat], default=FileFormat.TEXT.value,
-                   help="input file format")
+    p.add_argument("--format", choices=[f.value for f in FileFormat],
+                   help="--input file format (default text)")
     _add_dist_args(p, required=False)
     p.add_argument("--n", type=int, default=None,
                    help="samples per split when drawing via --dist")
@@ -186,8 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="coarse bucket count")
     _add_bounds_args(p)
     _add_variant_args(p)
-    p.add_argument("--reps", type=int, default=None,
-                   help="run seeds seed..seed+reps-1; the majority verdict wins, a tie is light")
     p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     p.add_argument("--exit-verdict", action="store_true",
                    help="exit 3 on heavy, 4 on light (otherwise always 0)")
@@ -269,17 +267,17 @@ def _cmd_test(args) -> int:
     config = _make_config(args)
 
     if args.input is not None:
-        if args.n is not None or args.params or args.reps is not None or args.seed is not None:
-            raise ValueError("--n, --params, --reps and --seed apply only to --dist; "
-                             "file data is fixed")
-        splits = load_samples(args.input, args.format, config.layout.count)
+        if args.n is not None or args.params or args.seed is not None:
+            raise ValueError("--n, --params and --seed apply only to --dist; file data is fixed")
+        splits = load_samples(args.input, args.format or FileFormat.TEXT, config.layout.count)
         outcome = run_test(splits, config)
     else:
+        if args.format is not None:
+            raise ValueError("--format applies only to --input; drawn data has no file format")
         if args.n is None:
             raise ValueError("--n is required with --dist")
         model = model_from_name(args.dist, _parse_params(args.params))
-        outcome = run_sampled_test(model, args.n, 0 if args.seed is None else args.seed, config,
-                                   1 if args.reps is None else args.reps)
+        outcome = run_sampled_test(model, args.n, 0 if args.seed is None else args.seed, config)
 
     payload = serialize_report(outcome)
     if args.out is not None:

@@ -89,6 +89,7 @@ class WellBehavedBounds:
 
 
 class TailClass(Enum):
+    """A model's true tail class, as ``classify_tail`` finds it on its quantile grid."""
     LIGHT = "light"
     HEAVY_AT_LEAST = "heavy_at_least"
     INDETERMINATE = "indeterminate"

@@ -8,8 +8,8 @@ each seed's grid of exact uniform order statistics is one
 ``distributions.uniform_order_statistics`` call, from its own stream
 (so not the test of a ``sample`` file at that seed), and one quantile
 call maps it.  Every seed's statistics are one row of a (reps, buckets)
-array, which ``replicate`` reduces per bucket and ``run_sampled_test``
-hands whole to the plan, whose ``outcome`` takes the seeds' majority vote.
+array, which ``replicate`` reduces per bucket; ``run_sampled_test``
+draws one seed and hands its row to the plan's ``outcome``.
 
 ``load_samples(path, fmt, splits)`` deals a sample file round-robin into
 as many splits as a rank layout reads (``RankLayout.count``): the splits
@@ -68,12 +68,14 @@ __all__ = [
 
 
 class FileFormat(Enum):
+    """A sample file's format: decimal text lines or packed little-endian f64."""
     TEXT = "text"
     RAW_F64 = "f64"
 
 
 @dataclass(frozen=True)
 class ReplicationRow:
+    """One bucket of ``replicate``: the statistic's moments over reps, proxy and boundary."""
     i: int
     s_hat_mean: float
     s_hat_std: float
@@ -95,8 +97,6 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     they need no half-step offset.  Its rows are checked as sorted
     samples are, in split order, before the next seed draws.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     plan = tester._plan(config, n)
     held = np.empty((reps, *plan.ranks.shape))
     for grid, seed in zip(held, range(base_seed, base_seed + reps)):
@@ -105,16 +105,11 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     return plan, plan.statistics(held.reshape(reps, -1))
 
 
-def run_sampled_test(model: DistributionModel, n: int, seed: int, config: TestConfig,
-                     reps: int = 1) -> TestOutcome:
-    """Draw the order statistics the configured variant reads and decide.
-
-    Seeds seed..seed + reps - 1 each decide; the outcome carries the
-    first seed's buckets and the seeds' majority verdict, and a tie is
-    light (``tester._Plan.outcome``).
-    """
-    plan, stats = _sampled(model, n, config, seed, reps)
-    return plan.outcome(stats, seed)
+def run_sampled_test(model: DistributionModel, n: int, seed: int,
+                     config: TestConfig) -> TestOutcome:
+    """Draw the order statistics the configured variant reads, from seed's stream, and decide."""
+    plan, stats = _sampled(model, n, config, seed, 1)
+    return plan.outcome(stats[0], seed)
 
 
 def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,

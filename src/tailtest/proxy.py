@@ -32,6 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxyPoint:
+    """One bucket of ``proxy_curve``: the exact and discrete proxies, threshold and gap."""
     i: int
     z: float
     proxy_s: float

@@ -1,9 +1,8 @@
 """End-to-end heavy/light decision procedures and budget calculators.
 
-A distribution is declared HEAVY when the bucket statistic falls below
-the decision boundary at any scanned bucket, LIGHT otherwise; a test of
-several samples (seeds) is HEAVY when a strict majority of them are, and
-a tie is LIGHT.  ``_Plan.outcome`` is the one place a verdict is formed.
+A sample is declared HEAVY when its bucket statistic falls below the
+decision boundary at any scanned bucket, LIGHT otherwise.
+``_Plan.outcome`` is the one place a verdict is formed.
 
 The boundary at bucket i is built from two pieces:
 
@@ -66,11 +65,13 @@ __all__ = [
 
 
 class Variant(Enum):
+    """The full four-split test or the weak one-split test."""
     FULL = "full"
     WEAK = "weak"
 
 
 class Verdict(Enum):
+    """A test's answer: heavy- or light-tailed."""
     HEAVY = "heavy"
     LIGHT = "light"
 
@@ -119,6 +120,7 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class BucketRecord:
+    """One scanned bucket of a test: its statistic, boundary and margin."""
     i: int
     s_hat: float
     boundary: float
@@ -128,6 +130,8 @@ class BucketRecord:
 
 @dataclass(frozen=True)
 class TestOutcome:
+    """A test's verdict with its per-bucket records, sample size and seed."""
+
     __test__ = False  # keep pytest from collecting this as a test class
 
     verdict: Verdict
@@ -209,23 +213,20 @@ class _Plan:
         return four_point_ratio(*np.moveaxis(held[..., self.at], -2, 0), self.config.k)
 
     def outcome(self, s_hat: np.ndarray, seed: int | None) -> TestOutcome:
-        """The outcome of (reps, buckets) statistics, one row per sample.
+        """The outcome of one sample's statistics, one per bucket.
 
-        It reports row 0's buckets.  A row is heavy when a live bucket
-        falls below the boundary: degenerate buckets count as above it
-        (extreme light evidence) and can never make a row heavy on their
-        own.  The verdict is HEAVY when a strict majority of rows are
-        heavy, so a tie is LIGHT and one row's verdict is its own.
+        The verdict is HEAVY when a live bucket falls below the boundary:
+        degenerate buckets count as above it (extreme light evidence) and
+        can never make the verdict heavy on their own.
         """
         degenerate = np.isinf(s_hat)
-        heavies = np.count_nonzero(np.any(~degenerate & (s_hat < self.boundary), axis=-1))
-        margin = np.where(degenerate[0], math.inf, s_hat[0] - self.boundary)
+        heavy = np.any(~degenerate & (s_hat < self.boundary))
+        margin = np.where(degenerate, math.inf, s_hat - self.boundary)
         records = tuple(BucketRecord(*row) for row in zip(
-            self.buckets, s_hat[0].tolist(), self.boundary.tolist(), margin.tolist(),
-            degenerate[0].tolist()))
-        verdict = Verdict.HEAVY if 2 * heavies > len(s_hat) else Verdict.LIGHT
-        return TestOutcome(verdict=verdict, records=records, n=self.n, seed=seed,
-                           config=self.config)
+            self.buckets, s_hat.tolist(), self.boundary.tolist(), margin.tolist(),
+            degenerate.tolist()))
+        return TestOutcome(verdict=Verdict.HEAVY if heavy else Verdict.LIGHT, records=records,
+                           n=self.n, seed=seed, config=self.config)
 
 
 def _plan(config: TestConfig, n: int) -> _Plan:
@@ -274,4 +275,4 @@ def run_test(splits, config: TestConfig) -> TestOutcome:
         raise ValueError("all four splits must hold the same number of samples")
     plan = _plan(config, n)
     held = np.concatenate([split.at(r) for split, r in zip(splits, plan.ranks)])
-    return plan.outcome(plan.statistics(held)[None], None)
+    return plan.outcome(plan.statistics(held), None)

@@ -771,27 +771,6 @@ def test_test_reports_json_schema(tmp_path):
                for b in doc["buckets"])
 
 
-def test_test_majority_vote(tmp_path):
-    out = tmp_path / "r.json"
-    assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1",
-                    "--n", "60000", "--seed", "2", "--reps", "5", "--k", "8",
-                    "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
-                    "--b1", "1", "--b2", "1", "--weak", "--exit-verdict",
-                    "--out", str(out)]) == 3
-    assert json.loads(out.read_text())["verdict"] == "heavy"
-
-
-@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
-def test_test_one_rep_is_the_plain_report(tmp_path, variant):
-    # One run's vote is its own verdict, so --reps 1 writes plain test's bytes.
-    args = ["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "20000", "--seed", "3",
-            "--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1",
-            "--b2", "1", *variant, "--out"]
-    assert run_cli([*args, str(tmp_path / "plain")]) == 0
-    assert run_cli([*args, str(tmp_path / "once"), "--reps", "1"]) == 0
-    assert (tmp_path / "once").read_bytes() == (tmp_path / "plain").read_bytes()
-
-
 def test_proxy_curve_csv(tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli(["proxy", "--dist", "lomax", "--params", "a=1,lambda=1",
@@ -894,18 +873,30 @@ def test_main_runs_its_command_on_a_frozen_heap():
     assert int(frozen) > 0 and enabled == "True"
 
 
-def test_reps_with_input_rejected(tmp_path, capsys):
-    # --reps, --n, --params and --seed only shape --dist draws; with a
-    # file they would be ignored, so each is refused with one error line.
+def test_flags_of_the_other_source_rejected(tmp_path, capsys):
+    # --n, --params and --seed only shape --dist draws, and --format only
+    # reads --input; with the other source each would be ignored, so each
+    # is refused with one error line.
     sample_file = tmp_path / "s.txt"
     sample_file.write_text("\n".join(str(v / 10) for v in range(1, 200)) + "\n")
-    for extra in (["--reps", "3"], ["--n", "7"], ["--params", "a=3"], ["--seed", "3"]):
-        code = run_cli(["test", "--input", str(sample_file), *extra,
-                        "--k", "8", "--alpha", "0.25", "--rho", "0.5",
-                        "--beta", "1", "--b1", "1", "--b2", "1", "--weak"])
+    source = ["--input", str(sample_file)]
+    for argv in ([*source, "--n", "7"], [*source, "--params", "a=3"], [*source, "--seed", "3"],
+                 ["--dist", "lomax", "--params", "a=1,lambda=1", "--n", "1000",
+                  "--format", "f64"]):
+        code = run_cli(["test", *argv, "--k", "8", *BOUNDS, "--weak"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reps_is_a_usage_error(tmp_path, capsys):
+    # test decides one sample; a seed's verdict is test --seed at that seed.
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "1000",
+                 "--seed", "1", "--reps", "3", "--k", "8", *BOUNDS, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 def test_both_input_and_dist_rejected(tmp_path):
@@ -939,8 +930,7 @@ BOUNDS_FLAGS = {"--alpha", "--rho", "--beta", "--b1", "--b2"}
     ("sample", {"--dist", "--params", "--n", "--seed", "--out", "--format"}),
     ("proxy", {"--dist", "--params", "--k", "--alpha", "--beta", "--b1", "--out"}),
     ("test", {"--input", "--format", "--dist", "--params", "--n", "--seed", "--k",
-              *BOUNDS_FLAGS, "--weak", "--noise-sigmas", "--reps", "--out",
-              "--exit-verdict"}),
+              *BOUNDS_FLAGS, "--weak", "--noise-sigmas", "--out", "--exit-verdict"}),
     ("simulate", {"--dist", "--params", "--reps", "--k", "--n", "--seed", *BOUNDS_FLAGS,
                   "--weak", "--noise-sigmas", "--out"}),
     ("complexity", {*BOUNDS_FLAGS, "--ck", "--cn"}),

@@ -33,8 +33,6 @@ CALLS = [
                           *BOUNDS]) for f in FAMILIES],
     *[(f"weak_{f}.json", ["test", *_dist(f), "--n", "50000", "--seed", "8", "--k", "16",
                           *BOUNDS, "--weak"]) for f in FAMILIES],
-    ("reps.json", ["test", *_dist("lomax"), "--n", "2000", "--seed", "9", "--k", "8",
-                   *BOUNDS, "--reps", "3"]),
     ("input_text.json", ["test", "--input", "{dir}/sample.txt", "--k", "8", *BOUNDS]),
     ("input_f64.json", ["test", "--input", "{dir}/sample.f64", "--format", "f64",
                         "--k", "8", *BOUNDS]),
@@ -84,8 +82,6 @@ GOLDEN = {
         "648975dd1b06270771ad2e2f5e0b7df603814076240e8eeb67a51e75d934a4cf",
     "weak_stretchedexponential.json":
         "4f4902ec0e527b7ba936d3f9ebc91d25e8f5911cac3e570d047400bd88b28b7b",
-    "reps.json":
-        "1ab5a9e938ac61e086fbd7f337ded67305411bcc2279a4c2c271635abdeedf0e",
     "input_text.json":
         "ba4d147365251aeead3c659a79d486957cfa210bd77faffe2ae4cb282d7c63c9",
     "input_f64.json":

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -104,7 +103,7 @@ def test_replicate_matches_per_seed_tests(model, variant, k, n):
         assert np.array_equal([row.s_hat_mean, row.s_hat_std], moments, equal_nan=True), row.i
         assert all(row.boundary == o.records[j].boundary for o in single), row.i
     plan, stats = harness._sampled(model, n, config, base, reps)
-    assert [serialize_report(plan.outcome(row[None], base + r)) for r, row in enumerate(stats)] == \
+    assert [serialize_report(plan.outcome(row, base + r)) for r, row in enumerate(stats)] == \
         [serialize_report(o) for o in single]
     if n == 20:
         assert any(rec.degenerate for o in single for rec in o.records)
@@ -151,26 +150,6 @@ def test_a_seed_is_one_gamma_call_and_one_quantile_call(monkeypatch, variant):
     assert stats.tobytes() == expected.tobytes()
 
 
-def test_majority_of_reps_matches_per_seed_verdicts(tmp_path):
-    # Seeds 35..39 are light, heavy, heavy, heavy, light one by one: the
-    # report carries the first seed's buckets and the majority verdict.
-    bounds = WellBehavedBounds(1.0, 1.0, 1.0, 1 / 16)  # the flags' floats, as the CLI reads them
-    config, n = TestConfig(tail=TAIL, bounds=bounds, k=8, variant=Variant.WEAK), 3000
-    single = [tt.run_sampled_test(Lomax(1.0, 1.0), n, 35 + r, config) for r in range(5)]
-    assert [o.verdict for o in single] == [Verdict.LIGHT, *[Verdict.HEAVY] * 3, Verdict.LIGHT]
-    out = tmp_path / "r.json"
-    assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", str(n),
-                    "--seed", "35", "--reps", "5", "--k", "8", *CLI_BOUNDS, "--weak",
-                    "--out", str(out)]) == 0
-    voted = dataclasses.replace(single[0], verdict=Verdict.HEAVY)
-    assert out.read_bytes() == serialize_report(voted)
-    # Seeds 35, 36 and 38, 39 split their verdicts: two reps tie, and a
-    # tie is light whichever verdict the first seed's buckets carry.
-    for r in (0, 3):
-        tied = tt.run_sampled_test(Lomax(1.0, 1.0), n, 35 + r, config, reps=2)
-        assert tied == dataclasses.replace(single[r], verdict=Verdict.LIGHT)
-
-
 @pytest.mark.parametrize("reps", [2, 50])
 def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
     # Ranks, reference, noise floor and boundary depend on (config, n)
@@ -197,8 +176,8 @@ def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
     for n, call in ((1_000, lambda: tt.replicate(model, reps, 1_000, config, 3)),
                     (1_000, lambda: tt.run_sampled_test(model, 1_000, 3, config)),
                     (1_000, lambda: run_cli(["test", "--dist", "exponential", "--params",
-                                             "lambda=1", "--n", "1000", "--reps", str(reps),
-                                             "--k", "8", *CLI_BOUNDS, *out]) == 0),
+                                             "lambda=1", "--n", "1000", "--k", "8", *CLI_BOUNDS,
+                                             *out]) == 0),
                     (1_000, lambda: run_cli(["test", "--input", str(sample), "--k", "8",
                                              *CLI_BOUNDS, *out]) == 0),
                     (4_000, lambda: run_cli(["test", "--input", str(sample), "--weak",
@@ -242,11 +221,9 @@ def test_every_check_survives_batching(variant, fault, message):
     with pytest.raises(ValueError) as one:
         tt.run_sampled_test(_FaultyExponential(fault, 0), n, base + 3, config)
     assert str(one.value) == message
-    for run in (lambda model: tt.replicate(model, 5, n, config, base),
-                lambda model: tt.run_sampled_test(model, n, base, config, reps=5)):
-        with pytest.raises(ValueError) as batched:
-            run(_FaultyExponential(fault, 3))
-        assert str(batched.value) == message
+    with pytest.raises(ValueError) as batched:
+        tt.replicate(_FaultyExponential(fault, 3), 5, n, config, base)
+    assert str(batched.value) == message
 
 
 def test_replicate_seed_hygiene():
@@ -382,12 +359,6 @@ def test_sampled_test_answers_up_to_the_int64_bound(variant):
 def test_replicate_requires_two_reps():
     with pytest.raises(ValueError):
         tt.replicate(Exponential(1.0), 1, 1000, weak_config(), base_seed=0)
-
-
-def test_sampled_test_requires_one_rep():
-    with pytest.raises(ValueError) as exc:
-        tt.run_sampled_test(Exponential(1.0), 1000, 0, weak_config(), reps=0)
-    assert str(exc.value) == "reps must be >= 1"
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,12 @@ def test_package_exports_are_pinned():
         "FileFormat", "ReplicationRow", "run_sampled_test", "replicate", "load_samples",
         "serialize_report",
     ]
+
+
+def test_exported_classes_document_themselves():
+    # A class's own docstring, not one inherited or the ``Name(field, ...)``
+    # signature that ``dataclass`` writes for a class without one.
+    undocumented = [name for name in tailtest.__all__
+                    if isinstance(cls := getattr(tailtest, name), type)
+                    and (not (doc := cls.__dict__.get("__doc__")) or doc.startswith(f"{name}("))]
+    assert undocumented == []

@@ -29,8 +29,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
                 if line.strip() and not line.lstrip().startswith("#")]
     assert [argv[:2] for argv in commands] == [
         ["tailtest", "complexity"], ["tailtest", "sample"], ["tailtest", "proxy"],
-        ["tailtest", "test"], ["tailtest", "test"], ["tailtest", "test"],
-        ["tailtest", "simulate"]]
+        ["tailtest", "test"], ["tailtest", "test"], ["tailtest", "simulate"]]
     for argv in commands:
         code = run_cli(argv[1:])
         captured = capsys.readouterr()

@@ -177,28 +177,26 @@ def test_degenerate_buckets_never_flag_heavy():
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_plan_outcome_takes_the_rows_majority(variant):
-    # One row of statistics per sample: the outcome reports row 0's
-    # buckets, and is heavy only when a strict majority of rows are.
+def test_plan_outcome_decides_one_row(variant):
+    # One row of statistics, one per bucket: the outcome reports its
+    # buckets, and is heavy when a live bucket lies below the boundary.
     cfg = TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, variant=variant)
     plan = tester._plan(cfg, 1000)
     light = plan.boundary + 0.5
     heavy = light.copy()
     heavy[1] = plan.boundary[1] - 0.25
-    outcome = plan.outcome(np.array([heavy, light, heavy]), 7)
+    outcome = plan.outcome(heavy, 7)
     assert outcome.verdict is Verdict.HEAVY
     assert outcome.seed == 7 and outcome.n == 1000
     assert [r.i for r in outcome.records] == list(plan.buckets)
     assert [r.s_hat for r in outcome.records] == heavy.tolist()
     assert outcome.records[1].margin == pytest.approx(-0.25)
-    assert plan.outcome(np.array([heavy, light]), 7).verdict is Verdict.LIGHT  # a tie
-    assert plan.outcome(np.array([light, heavy, heavy]), 7).verdict is Verdict.HEAVY
-    assert plan.outcome(heavy[None], None).verdict is Verdict.HEAVY
+    assert plan.outcome(light, None).verdict is Verdict.LIGHT
     # A degenerate bucket is light evidence, even where its value lies below.
     for marker in (math.inf, -math.inf):
         row = light.copy()
         row[1] = marker
-        outcome = plan.outcome(np.array([row, row, heavy]), 7)
+        outcome = plan.outcome(row, 7)
         assert outcome.verdict is Verdict.LIGHT
         assert outcome.records[1].degenerate and outcome.records[1].margin == math.inf
 
