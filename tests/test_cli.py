@@ -899,6 +899,39 @@ def test_reps_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("variant", [[], ["--weak"]], ids=["full", "weak"])
+def test_test_without_seed_is_seed_zero(tmp_path, variant):
+    # A drawn test decides one sample, from seed 0's stream unless --seed
+    # names another: the library's test of that seed, byte for byte.
+    args = ["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "20000",
+            "--k", "8", *BOUNDS, *variant, "--out"]
+    assert run_cli([*args, str(tmp_path / "plain")]) == 0
+    assert run_cli([*args, str(tmp_path / "zero"), "--seed", "0"]) == 0
+    config = tt.TestConfig(tail=tt.TailParams(0.25, 0.5),
+                           bounds=tt.WellBehavedBounds(1.0, 1.0, 1.0, 1 / 16), k=8,
+                           variant=tt.Variant.WEAK if variant else tt.Variant.FULL)
+    expected = tt.serialize_report(tt.run_sampled_test(tt.Lomax(1.0, 1.0), 20000, 0, config))
+    assert (tmp_path / "plain").read_bytes() == (tmp_path / "zero").read_bytes() == expected
+
+
+def test_input_without_format_is_read_as_text(tmp_path, capsys):
+    # --format has no default: an --input file without it is text, so a
+    # text file reports as with --format text, and a raw f64 file is
+    # refused by the text reader, not read as doubles.
+    text, raw = tmp_path / "s.txt", tmp_path / "s.f64"
+    assert run_cli([*_LOMAX, "--n", "3000", "--out", str(text)]) == 0
+    assert run_cli([*_LOMAX, "--n", "3000", "--format", "f64", "--out", str(raw)]) == 0
+    args = ["test", "--k", "8", *BOUNDS, "--input"]
+    assert run_cli([*args, str(text), "--out", str(tmp_path / "plain")]) == 0
+    assert run_cli([*args, str(text), "--format", "text", "--out", str(tmp_path / "named")]) == 0
+    assert (tmp_path / "plain").read_bytes() == (tmp_path / "named").read_bytes()
+    capsys.readouterr()
+    code = run_cli([*args, str(raw), "--out", str(tmp_path / "raw")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not (tmp_path / "raw").exists()
+    assert captured.err == f"error: {raw}: line 1: not UTF-8\n"
+
+
 def test_both_input_and_dist_rejected(tmp_path):
     sample_file = tmp_path / "s.txt"
     sample_file.write_text("1.0\n2.0\n")

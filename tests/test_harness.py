@@ -150,6 +150,24 @@ def test_a_seed_is_one_gamma_call_and_one_quantile_call(monkeypatch, variant):
     assert stats.tobytes() == expected.tobytes()
 
 
+def test_test_at_each_seed_is_that_seeds_row_of_a_batch(tmp_path):
+    # Seeds 35..39 are light, heavy, heavy, heavy, light one by one: each
+    # `test --seed s` writes the report of row s - 35 of one batched draw
+    # of those seeds, so a seed's verdict does not depend on its company.
+    bounds = WellBehavedBounds(1.0, 1.0, 1.0, 1 / 16)  # the flags' floats, as the CLI reads them
+    config, n, model = TestConfig(tail=TAIL, bounds=bounds, k=8, variant=Variant.WEAK), 3000, \
+        Lomax(1.0, 1.0)
+    plan, stats = harness._sampled(model, n, config, 35, 5)
+    batched = [plan.outcome(row, 35 + r) for r, row in enumerate(stats)]
+    assert [o.verdict for o in batched] == [Verdict.LIGHT, *[Verdict.HEAVY] * 3, Verdict.LIGHT]
+    for r, expected in enumerate(batched):
+        out = tmp_path / f"r{r}.json"
+        assert run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", str(n),
+                        "--seed", str(35 + r), "--k", "8", *CLI_BOUNDS, "--weak",
+                        "--out", str(out)]) == 0
+        assert out.read_bytes() == serialize_report(expected)
+
+
 @pytest.mark.parametrize("reps", [2, 50])
 def test_boundary_is_computed_once_per_call(tmp_path, monkeypatch, reps):
     # Ranks, reference, noise floor and boundary depend on (config, n)
