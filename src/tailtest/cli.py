@@ -145,10 +145,7 @@ def _add_bounds_args(p: argparse.ArgumentParser) -> None:
 def _add_variant_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weak", action="store_true",
                    help="single-split, single-granularity variant; scans buckets "
-                        "ceil(0.1k)..floor(0.8k)")
-    p.add_argument("--noise-sigmas", type=float, default=TestConfig.noise_sigmas,
-                   help="noise-floor multiplier for the decision boundary "
-                        "(default %(default)s)")
+                        "ceil(0.1k)..min(floor(0.8k), k-3)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,7 +238,6 @@ def _make_config(args) -> TestConfig:
         bounds=_bounds(args, args.k),
         k=args.k,
         variant=Variant.WEAK if args.weak else Variant.FULL,
-        noise_sigmas=args.noise_sigmas,
     )
 
 

@@ -94,14 +94,14 @@ def _sampled(model: DistributionModel, n: int, config: TestConfig, base_seed: in
     A seed draws the plan's (splits, m) grid of ranks in one call and
     maps it through the quantile in one, as it is: exact uniform order
     statistics lie on no 2**-53 grid, so unlike ``sample``'s variates
-    they need no half-step offset.  Its rows are checked as sorted
-    samples are, in split order, before the next seed draws.
+    they need no half-step offset.  Its grid is checked as ``sample``'s
+    chunks are, then row by row as sorted samples are, before the next seed draws.
     """
-    plan = tester._plan(config, n)
+    plan = tester._plan(config, tester._integer("n", n))
     held = np.empty((reps, *plan.ranks.shape))
     for grid, seed in zip(held, range(base_seed, base_seed + reps)):
-        draws = distributions.uniform_order_statistics(n, plan.ranks, seed)
-        grid[...] = _checked_sorted(model.quantile(draws))
+        draws = distributions.uniform_order_statistics(plan.n, plan.ranks, seed)
+        grid[...] = _checked_sorted(distributions._finite(model, model.quantile(draws)))
     return plan, plan.statistics(held.reshape(reps, -1))
 
 
@@ -119,11 +119,10 @@ def replicate(model: DistributionModel, reps: int, n: int, config: TestConfig,
     Per bucket, aggregates mean and sample standard deviation of the
     statistic with degenerate markers left out of the moments (``nan``
     where too few reps are left for one), and attaches the analytic
-    proxy curve and the boundary for overlay.  The
-    boundary is a function of (n, k, config) alone: the one a ``test``
-    of the same n reports.
+    proxy curve and the boundary for overlay.  The boundary is a function
+    of (n, k, config) alone: the one a ``test`` of the same n reports.
     """
-    if reps < 2:
+    if tester._integer("reps", reps) < 2:
         raise ValueError("reps must be >= 2")
     plan, stats = _sampled(model, n, config, base_seed, reps)
     live = ~np.isinf(stats)
@@ -305,10 +304,9 @@ def load_samples(path, fmt: FileFormat | str = FileFormat.TEXT,
 
 def _outcome_json(outcome: TestOutcome) -> dict:
     cfg = outcome.config
-    buckets = [asdict(r) for r in outcome.records]  # BucketRecord's fields, in order
-    for bucket in buckets:
-        if bucket["degenerate"]:  # s_hat and margin are inf, which JSON cannot hold
-            bucket.update(s_hat=None, margin=None)
+    # BucketRecord's fields, in order; JSON holds no inf: an inf field is null.
+    buckets = [{key: None if math.isinf(v) else v for key, v in asdict(r).items()}
+               for r in outcome.records]
     return {
         "verdict": outcome.verdict.value,
         "k": cfg.k,

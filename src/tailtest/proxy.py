@@ -97,8 +97,8 @@ def discrete_proxy(model: DistributionModel, i: int, k: int) -> float:
 
     Uses quantile increments of width 1/k^2 a coarse step 1/k apart, so
     the error decays like 1/k.  Defined for 1 <= i <= k-2 (the last
-    coarse bucket would need the quantile at mass 1); the testers scan
-    only 2..k-2.
+    coarse bucket would need the quantile at mass 1); the full test scans
+    2..k-2, and the weak test, on another layout, ``ONE_SPLIT.buckets``.
     """
     if k < 4:
         raise ValueError("k must be >= 4")

@@ -19,6 +19,7 @@ from tailtest import _textlines
 from tailtest._decimal import _BLOCK
 from tailtest.cli import _atomic_write, _build_parser, run_cli
 from tailtest.distributions import _CHUNK
+from tailtest.empirical import ONE_SPLIT
 
 BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2", "1"]
 
@@ -59,28 +60,37 @@ def test_complexity_bucket_budget_past_int64_is_one_error_line(capsys):
                             "small, or beta, b1, b2 or c_k is too large\n")
 
 
-def test_infinite_noise_sigmas_is_one_error_line(capsys):
-    # An infinite noise floor would put every boundary at -inf, which no
-    # JSON report can hold; the config refuses it before any sampling.
-    code = run_cli(["test", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
-                    "--k", "8", "--alpha", "0.25", "--rho", "0.5", "--beta", "1",
-                    "--b1", "1", "--b2", "1", "--noise-sigmas", "inf"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == "error: noise_sigmas must be finite and >= 0\n"
-
-
 @pytest.mark.parametrize("command", ["test", "simulate"])
-def test_overflowing_noise_sigmas_is_one_error_line(tmp_path, command, capsys):
-    # A finite noise floor whose noise term overflows puts every boundary
-    # at -inf: `test` failed to write its JSON and `simulate` wrote -inf.
+def test_noise_sigmas_is_a_usage_error(tmp_path, command, capsys):
+    # The noise floor is a constant of the decision rule, not a flag.
     out = tmp_path / "out"
-    code = run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "64",
-                    "--k", "8", *BOUNDS, "--noise-sigmas", "1e308", "--seed", "1",
-                    *(["--reps", "2"] if command == "simulate" else []), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "2000",
+                 "--k", "8", *BOUNDS, "--noise-sigmas", "4", "--seed", "1",
+                 *(["--reps", "2"] if command == "simulate" else []), "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == "" and not out.exists()
-    assert captured.err == "error: boundary is not finite: noise_sigmas is too large\n"
+    assert exc.value.code == 2 and captured.out == "" and not out.exists()
+    assert "unrecognized arguments: --noise-sigmas 4" in captured.err
+
+
+def test_input_with_a_degenerate_reference_gets_a_report(tmp_path, capsys):
+    # 424 values deal into four splits of 106: at k=9 the exponential
+    # reference of bucket 7 has no length change, so its boundary is
+    # null, and the other buckets decide.  This input was refused.
+    sample = tmp_path / "s.txt"
+    assert run_cli(["sample", "--dist", "lomax", "--params", "a=1,lambda=1", "--n", "424",
+                    "--seed", "3", "--out", str(sample)]) == 0
+    code = run_cli(["test", "--input", str(sample), "--k", "9", *BOUNDS])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert (report["n"], report["seed"]) == (106, None)
+    buckets = {b["i"]: b for b in report["buckets"]}
+    assert buckets[7]["boundary"] is None and buckets[7]["margin"] is None
+    others = [b for i, b in buckets.items() if i != 7]
+    assert all(math.isfinite(b["boundary"]) for b in others)
+    heavy = any(not b["degenerate"] and b["s_hat"] < b["boundary"] for b in others)
+    assert report["verdict"] == ("heavy" if heavy else "light")
 
 
 # Each command's own flags besides --dist, --params, --k, --alpha, --beta,
@@ -262,9 +272,11 @@ def test_sample_of_a_value_past_the_largest_double_is_one_error_line(tmp_path, f
 
 @pytest.mark.parametrize("argv,line", [
     (["test", "--dist", "lomax", "--params", "a=0.001,lambda=1", "--n", "1000", "--k", "8",
-      *BOUNDS], "values must all be finite"),
+      *BOUNDS], "Lomax(shape=0.001, scale=1.0) draws a non-finite sample: "
+                "its quantile overflows float64"),
     (["simulate", "--dist", "exponential", "--params", "lambda=1e-320", "--reps", "2",
-      "--n", "1000", "--seed", "1", "--k", "8", *BOUNDS], "values must all be finite"),
+      "--n", "1000", "--seed", "1", "--k", "8", *BOUNDS],
+     "Exponential(rate=1e-320) draws a non-finite sample: its quantile overflows float64"),
     (["proxy", "--dist", "exponential", "--params", "lambda=1e-320", "--k", "8"],
      "proxy undefined at z=0.25: pdf slope is -0.0, must be < 0"),
 ], ids=["test", "simulate", "proxy"])
@@ -963,9 +975,9 @@ BOUNDS_FLAGS = {"--alpha", "--rho", "--beta", "--b1", "--b2"}
     ("sample", {"--dist", "--params", "--n", "--seed", "--out", "--format"}),
     ("proxy", {"--dist", "--params", "--k", "--alpha", "--beta", "--b1", "--out"}),
     ("test", {"--input", "--format", "--dist", "--params", "--n", "--seed", "--k",
-              *BOUNDS_FLAGS, "--weak", "--noise-sigmas", "--out", "--exit-verdict"}),
+              *BOUNDS_FLAGS, "--weak", "--out", "--exit-verdict"}),
     ("simulate", {"--dist", "--params", "--reps", "--k", "--n", "--seed", *BOUNDS_FLAGS,
-                  "--weak", "--noise-sigmas", "--out"}),
+                  "--weak", "--out"}),
     ("complexity", {*BOUNDS_FLAGS, "--ck", "--cn"}),
 ])
 def test_help_lists_flags(command, flags, capsys):
@@ -979,3 +991,16 @@ def test_help_lists_flags(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_weak_help_gives_the_scanned_range(command):
+    # The top bucket is clipped to k-3, which binds for k = 5..10: at
+    # k=8 the test scans 1..5, not 1..6.
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    weak = next(a for a in subparsers.choices[command]._actions if "--weak" in a.option_strings)
+    assert weak.help.endswith("scans buckets ceil(0.1k)..min(floor(0.8k), k-3)")
+    for k in range(4, 41):
+        top = min(math.floor(0.8 * k), k - 3)
+        assert ONE_SPLIT.buckets(k) == range(math.ceil(0.1 * k), top + 1)

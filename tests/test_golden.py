@@ -6,6 +6,8 @@ Wichura's AS241, evaluated in ``np.longdouble`` (80-bit on x86-64).
 """
 
 import hashlib
+import json
+import math
 
 from tailtest.cli import run_cli
 
@@ -21,6 +23,10 @@ BOUNDS = ["--alpha", "0.25", "--rho", "0.5", "--beta", "1", "--b1", "1", "--b2",
 def _dist(family):
     return ["--dist", family, "--params", FAMILIES[family]]
 
+
+NO_NOISE = ("full_no_noise.json", ["test", *_dist("lomax"), "--n", "100000000", "--seed", "12",
+                                   "--k", "12", "--alpha", "15", "--rho", "0.5", "--beta", "1.3",
+                                   "--b1", "2.7", "--b2", "1"])
 
 # (output file, argv without --out); calls run in order, so the sample
 # files exist before the calls that read them.  4,000 values deal
@@ -38,13 +44,12 @@ CALLS = [
                         "--k", "8", *BOUNDS]),
     ("input_weak.json", ["test", "--input", "{dir}/sample.txt", "--weak", "--k", "8",
                          *BOUNDS]),
-    # No noise floor: the boundary is the reference minus half the gap.
-    # alpha is large so that half the gap is within a factor 2 of the
-    # reference at most buckets; the subtraction is then exact, and the
-    # gap's last bit (its operation order) shows in the boundary.
-    ("full_no_noise.json", ["test", *_dist("lomax"), "--n", "2000", "--seed", "12",
-                            "--k", "12", "--alpha", "15", "--rho", "0.5", "--beta", "1.3",
-                            "--b1", "2.7", "--b2", "1", "--noise-sigmas", "0"]),
+    # The noise floor is below half the gap at every bucket, so the boundary
+    # is the reference minus half the gap.  alpha is large so that half
+    # the gap is within a factor 2 of the reference at most buckets; the
+    # subtraction is then exact, and the gap's last bit (its operation
+    # order) shows in the boundary.
+    NO_NOISE,
     ("simulate_full.csv", ["simulate", *_dist("exponential"), "--reps", "3", "--k", "8",
                            "--n", "1000", "--seed", "10", *BOUNDS]),
     ("simulate_weak.csv", ["simulate", *_dist("lomax"), "--reps", "3", "--k", "16",
@@ -89,7 +94,7 @@ GOLDEN = {
     "input_weak.json":
         "d296945a77421c142a2d068f8b2de7b366a05084eb97549d665ccd031479f763",
     "full_no_noise.json":
-        "b160a3d86675059083bbda7b201572f900a462c716c3662af91f565c31361526",
+        "7416dcd785e91fdd93d762cd050e2b7ba81a4a9e6632ca1d09c0a6a390bef69f",
     "simulate_full.csv":
         "c7ccdbe0edc0a609ea93a4c231b5cf640a24236eb64f58d22e1d9bd09f471274",
     "simulate_weak.csv":
@@ -123,3 +128,21 @@ def run_calls(directory):
 
 def test_golden_digests(tmp_path):
     assert run_calls(tmp_path) == GOLDEN
+
+
+def test_no_noise_boundaries_are_reference_less_half_gap(tmp_path):
+    # Recomputed in plain floats: the exponential reference at the
+    # four-split ranks, less half of alpha * (1 - z)**2 / (beta**3 * b1).
+    name, argv = NO_NOISE
+    assert run_cli([*argv, "--out", str(tmp_path / name)]) == 0
+    report = json.loads((tmp_path / name).read_text())
+    n, k, alpha, beta, b1 = (report[key] for key in ("n", "k", "alpha", "beta", "b1"))
+    e = lambda q: -math.log1p(-math.floor(q * (n + 1) + 0.5) / (n + 1))
+    assert [b["i"] for b in report["buckets"]] == list(range(2, k - 1))
+    for bucket in report["buckets"]:
+        i = bucket["i"]
+        length = e((i * k + 1) / (k * k)) - e(i / k)
+        change = (e(((i + 1) * k + 1) / (k * k)) - e((i + 1) / k)) - length
+        om = 1.0 - i / k
+        gap = alpha * om * om / (beta ** 3 * b1)
+        assert bucket["boundary"] == length / (k * change) - gap / 2.0

@@ -228,7 +228,9 @@ class _FaultyExponential(Exponential):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("fault,message", [("nan", "values must all be finite"),
+@pytest.mark.parametrize("fault,message", [("nan", "_FaultyExponential(rate=1.0) draws a "
+                                                  "non-finite sample: its quantile overflows "
+                                                  "float64"),
                                            ("negative", "values must be nonnegative"),
                                            ("descending", "values must be sorted ascending")])
 def test_every_check_survives_batching(variant, fault, message):
@@ -377,6 +379,35 @@ def test_sampled_test_answers_up_to_the_int64_bound(variant):
 def test_replicate_requires_two_reps():
     with pytest.raises(ValueError):
         tt.replicate(Exponential(1.0), 1, 1000, weak_config(), base_seed=0)
+
+
+_FULL_16 = config_for(Variant.FULL, 16)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("k", lambda v: config_for(Variant.FULL, v)),
+    ("n", lambda v: tt.run_sampled_test(Exponential(1.0), v, 1, _FULL_16)),
+    ("n", lambda v: tt.replicate(Exponential(1.0), 3, v, _FULL_16, 0)),
+    ("reps", lambda v: tt.replicate(Exponential(1.0), v, 1000, _FULL_16, 0)),
+], ids=["k", "n-run_sampled_test", "n-replicate", "reps"])
+@pytest.mark.parametrize("value", [16.0, True], ids=["float", "bool"])
+def test_counts_must_be_integers(name, call, value):
+    # A float k or reps raised a TypeError, a float n numpy's
+    # UFuncTypeError, and n=True was read as 1.
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be an integer, not {value!r}"
+
+
+def test_counts_may_be_numpy_integers():
+    model = Exponential(1.0)
+    config, wide = config_for(Variant.FULL, 16), config_for(Variant.FULL, np.int64(16))
+    assert wide == config and type(wide.k) is int
+    outcome = tt.run_sampled_test(model, np.int64(1000), 1, wide)
+    assert serialize_report(outcome) == serialize_report(tt.run_sampled_test(model, 1000, 1,
+                                                                             config))
+    assert (tt.replicate(model, np.int32(3), np.uint16(1000), config, 0)
+            == tt.replicate(model, 3, 1000, config, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 
+import json
 import math
 
 import numpy as np
@@ -109,10 +110,6 @@ def test_config_validation():
         TestConfig(tail=TailParams(0.25, 0.1), bounds=UNIT_BOUNDS_K16, k=16)  # k < 4/rho
     with pytest.raises(ValueError):
         TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 0.2), k=16)  # zeta too big
-    with pytest.raises(ValueError):
-        TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=-1.0)
-    with pytest.raises(ValueError, match="noise_sigmas must be finite and >= 0"):
-        TestConfig(tail=TAIL, bounds=UNIT_BOUNDS_K16, k=16, noise_sigmas=math.inf)
     # The gap is fixed by the config alone, so it is refused when the
     # config is built, before any sample is read.
     for variant in Variant:
@@ -199,6 +196,41 @@ def test_plan_outcome_decides_one_row(variant):
         outcome = plan.outcome(row, 7)
         assert outcome.verdict is Verdict.LIGHT
         assert outcome.records[1].degenerate and outcome.records[1].margin == math.inf
+
+
+# (variant, k, n, bucket, seed): the rounded ranks leave the bucket's two
+# exponential lengths equal, so its reference is not finite; the seed's
+# sample has a live statistic there.  Each plan was refused as "boundary is
+# not finite: noise_sigmas is too large".
+_DEGENERATE_REFERENCE = [(Variant.FULL, 9, 106, 7, 11), (Variant.FULL, 40, 28_878, 21, 1),
+                         (Variant.WEAK, 15, 17, 12, 0), (Variant.WEAK, 40, 760, 19, 0)]
+
+
+@pytest.mark.parametrize("variant,k,n,i,seed", _DEGENERATE_REFERENCE,
+                         ids=[f"{v.value}-{k}-{n}" for v, k, n, _, _ in _DEGENERATE_REFERENCE])
+def test_a_degenerate_reference_cannot_vote_heavy(variant, k, n, i, seed):
+    cfg = TestConfig(tail=TAIL, bounds=WellBehavedBounds(1, 1, 1, 1 / (2 * k)), k=k,
+                     variant=variant)
+    plan = tester._plan(cfg, n)
+    j = list(plan.buckets).index(i)
+    assert plan.boundary[j] == -math.inf
+    assert np.isfinite(np.delete(plan.boundary, j)).all()
+    # The least positive statistic there is light evidence; the other
+    # buckets still decide.
+    row = np.full(len(plan.buckets), math.inf)
+    row[j] = 5e-324
+    assert plan.outcome(row, None).verdict is Verdict.LIGHT
+    other = (j + 1) % len(row)
+    row[other] = plan.boundary[other] - 1.0
+    assert plan.outcome(row, None).verdict is Verdict.HEAVY
+    # A report: the bucket's boundary and margin are null, its statistic is not.
+    outcome = tt.run_sampled_test(Lomax(1.0, 1.0), n, seed, cfg)
+    buckets = json.loads(tt.serialize_report(outcome))["buckets"]
+    assert buckets[j]["i"] == i and buckets[j]["s_hat"] is not None
+    assert buckets[j]["boundary"] is None and buckets[j]["margin"] is None
+    assert all(b["boundary"] is not None for b in buckets[:j] + buckets[j + 1:])
+    heavy = any(not r.degenerate and r.s_hat < r.boundary for r in outcome.records)
+    assert outcome.verdict is (Verdict.HEAVY if heavy else Verdict.LIGHT)
 
 
 # ---------------------------------------------------------------------------
